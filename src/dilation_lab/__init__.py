@@ -11,7 +11,8 @@ from .chain import (ChainSpace, SchafferDilation, build_beta, build_chain,
                     verify_embedding, verify_gamma_factorization,
                     verify_markov_property, verify_ppnp, verify_rota,
                     verify_rota_secondquant)
-from .condexp import SubalgebraBasis, conditional_expectation, verify_expectation, word_closure
+from .condexp import (ConditionalExpectation, SubalgebraBasis, conditional_expectation,
+                      verify_expectation, word_closure)
 from .config import dim_cap
 from .dilation import (DilationBundle, build_dilation, convex_combination_dilation,
                        star_swap_check, verify_even_closure, verify_factorization,
@@ -20,7 +21,7 @@ from .errors import (DilationLabError, NotExpectationError, NotPsdError,
                      PreconditionError, ShapeError, SizeError)
 from .fock import (FermionRep, build_fermion_rep, exterior_map, interleave_double,
                    second_quantize, wick_inverse)
-from .fourier import (FiniteGroup, FourierSymbol, build_crossed_dilation,
+from .fourier import (CrossedBundle, FiniteGroup, FourierSymbol, build_crossed_dilation,
                       build_group_algebra, certify_posdef, cyclic_group,
                       dihedral_group, gram_matrix, multiplier_apply,
                       random_posdef_symbol, schur_symbol_matrix, symmetric_group,
@@ -36,7 +37,7 @@ from .states import (DiagonalState, MarkovMap, certify_markov, choi_matrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainSpace", "DiagonalState", "DilationBundle", "DilationLabError",
+    "ChainSpace", "ConditionalExpectation", "CrossedBundle", "DiagonalState", "DilationBundle", "DilationLabError",
     "FermionRep", "FiniteGroup", "FourierSymbol", "GramSpace", "MarkovMap",
     "NotExpectationError", "NotPsdError", "PreconditionError", "SchafferDilation",
     "SchurSymbol", "ShapeError", "SizeError", "SubalgebraBasis", "SymbolReport",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .condexp import SubalgebraBasis, conditional_expectation, word_closure
+from .condexp import ConditionalExpectation, word_closure
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import FermionRep, build_fermion_rep, second_quantize
 from .matcore import as_square, frobenius, hermitian_sqrt, max_abs
@@ -39,7 +39,6 @@ __all__ = [
     "embed_J",
     "build_beta",
     "expectations",
-    "ChainExpectation",
     "verify_embedding",
     "verify_markov_property",
     "verify_rota",
@@ -100,10 +99,7 @@ class ChainSpace:
 
 
 def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainSpace:
-    report = certify_symbol(symbol)
-    if not (report.unital and report.psd and report.self_adjoint):
-        raise PreconditionError(
-            f"symbol must be unital, PSD, self-adjoint; got {report}")
+    certify_symbol(symbol).require()
     if state.dim != symbol.dim:
         raise ShapeError("state dimension does not match symbol")
     if depth < 1:
@@ -200,18 +196,6 @@ def _beta_power(chain: ChainSpace, x: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ChainExpectation:
-    """State-preserving conditional expectation onto a chain subalgebra."""
-
-    label: str
-    algebra: SubalgebraBasis
-    density: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return conditional_expectation(self.density, self.algebra, x)
-
-
 def expectations(chain: ChainSpace, n: int):
     """(past, future) expectations at level n: past uses the algebra of the
     embeddings J_0..J_n, future the algebra of J_n..J_depth."""
@@ -223,9 +207,9 @@ def expectations(chain: ChainSpace, n: int):
         past_gens = [embed_J(chain, q)(u) for q in range(n + 1) for u in units]
         fut_gens = [embed_J(chain, q)(u)
                     for q in range(n, chain.depth + 1) for u in units]
-        density = chain.ambient_state.density()
-        past = ChainExpectation("past", word_closure(past_gens), density)
-        future = ChainExpectation("future", word_closure(fut_gens), density)
+        state = chain.ambient_state
+        past = ConditionalExpectation(state, word_closure(past_gens))
+        future = ConditionalExpectation(state, word_closure(fut_gens))
         chain._cache[key] = (past, future)
     return chain._cache[key]
 

@@ -24,13 +24,11 @@ from .dilation import build_dilation, star_swap_check, verify_factorization, ver
 from .errors import DilationLabError, SizeError
 from .fock import build_fermion_rep, second_quantize
 from .fourier import (FourierSymbol, FiniteGroup, build_crossed_dilation, certify_posdef,
-                      cyclic_group, dihedral_group, gram_matrix, symmetric_group,
+                      cyclic_group, dihedral_group, symmetric_group,
                       verify_covariance, verify_fourier_identity)
 from .matcore import max_abs
 from .schur import GramSpace, SchurSymbol, certify_symbol, multiplier_map
 from .states import DiagonalState, markov_residuals
-
-TOL_EXACT = 1e-12
 
 
 def _fixture_path(name: str):
@@ -102,12 +100,10 @@ class Checks:
 def run_check_schur(args) -> tuple[Checks, int]:
     symbol, state = _parse_symbol(_load_json(args.input, "schur2.json"))
     checks = Checks()
-    t = symbol.matrix
     report = certify_symbol(symbol, tol=args.tol)
-    checks.add("symbol_unital", max_abs(np.diagonal(t) - 1.0), args.tol)
-    checks.add("symbol_self_adjoint",
-               max(max_abs(t - t.T), max_abs(t.imag)), args.tol)
-    checks.add("symbol_psd", max(0.0, -report.min_eigenvalue), config.TOL_PSD)
+    checks.add("symbol_unital", report.unital_residual, args.tol)
+    checks.add("symbol_self_adjoint", report.self_adjoint_residual, args.tol)
+    checks.add("symbol_psd", report.psd_residual, config.TOL_PSD)
 
     mres = markov_residuals(multiplier_map(symbol), state)
     checks.add("markov_unital", mres["unital"], args.tol)
@@ -115,16 +111,16 @@ def run_check_schur(args) -> tuple[Checks, int]:
     checks.add("markov_state_preserving", mres["state_preserving"], args.tol)
     checks.add("markov_modular", mres["modular"], args.tol)
 
-    if not (report.unital and report.psd and report.self_adjoint):
+    if not report.ok:
         return checks, 1
 
     bundle = build_dilation(symbol, state)
     d = bundle.d
     dens = np.diag(bundle.ambient_state.weights)
-    checks.add("d_self_adjoint", max_abs(d - d.conj().T), TOL_EXACT)
+    checks.add("d_self_adjoint", max_abs(d - d.conj().T), config.TOL_EXACT)
     checks.add("d_squares_to_identity",
-               max_abs(d @ d - np.eye(bundle.ambient_dim)), TOL_EXACT)
-    checks.add("d_in_centralizer", max_abs(d @ dens - dens @ d), TOL_EXACT)
+               max_abs(d @ d - np.eye(bundle.ambient_dim)), config.TOL_EXACT)
+    checks.add("d_in_centralizer", max_abs(d @ dens - dens @ d), config.TOL_EXACT)
 
     checks.add("factorization",
                verify_factorization(bundle, symbol, state,
@@ -162,19 +158,18 @@ def run_rota(args) -> tuple[Checks, int]:
 def run_fourier(args) -> tuple[Checks, int]:
     symbol = _parse_group(_load_json(args.input, "group_z2.json"))
     checks = Checks()
-    gram = gram_matrix(symbol)
     report = certify_posdef(symbol, tol=args.tol)
-    checks.add("posdef_unital", max_abs(np.diagonal(gram) - 1.0), args.tol)
-    checks.add("posdef_self_adjoint", max_abs(gram - gram.T), args.tol)
-    checks.add("posdef_psd", max(0.0, -report.min_eigenvalue), config.TOL_PSD)
-    if not (report.unital and report.psd and report.self_adjoint):
+    checks.add("posdef_unital", report.unital_residual, args.tol)
+    checks.add("posdef_self_adjoint", report.self_adjoint_residual, args.tol)
+    checks.add("posdef_psd", report.psd_residual, config.TOL_PSD)
+    if not report.ok:
         return checks, 1
 
     bundle = build_crossed_dilation(symbol)
     w = bundle.d
-    checks.add("w_self_adjoint", max_abs(w - w.conj().T), TOL_EXACT)
+    checks.add("w_self_adjoint", max_abs(w - w.conj().T), config.TOL_EXACT)
     checks.add("w_squares_to_identity",
-               max_abs(w @ w - np.eye(bundle.ambient_dim)), TOL_EXACT)
+               max_abs(w @ w - np.eye(bundle.ambient_dim)), config.TOL_EXACT)
     for name, residual in verify_covariance(bundle).items():
         checks.add(name, residual, args.tol)
     checks.add("fourier_identity",
@@ -190,7 +185,7 @@ def run_secondquant(args) -> tuple[Checks, int]:
     dil = build_schaffer(t, window)
     checks = Checks()
     u = dil.unitary
-    checks.add("unitary", max_abs(u.T @ u - np.eye(u.shape[0])), TOL_EXACT)
+    checks.add("unitary", max_abs(u.T @ u - np.eye(u.shape[0])), config.TOL_EXACT)
     worst = 0.0
     for k in range(2 * window + 1):
         worst = max(worst, max_abs(
@@ -251,6 +246,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.tol <= 0:
         print("tolerance must be positive", file=sys.stderr)
+        return 2
+    if args.samples < 0:
+        print("samples must be nonnegative", file=sys.stderr)
         return 2
     start = time.perf_counter()
     try:

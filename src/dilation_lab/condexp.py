@@ -2,28 +2,30 @@
 
 The subalgebra is presented by generators; `word_closure` grows the span by
 adjoints and pairwise products, reorthonormalizing (Hilbert-Schmidt) until the
-rank stabilizes.  Against a faithful density with an invariant span, the
-expectation of x is the GNS-orthogonal projection: solve the Gram system
-<a_i, a_j> c = <a_i, x> in the inner product trace(rho a* b) and recombine.
-Invariance of the span under the modular flow of rho is a genuine
+rank stabilizes.  Against a faithful diagonal state with an invariant span,
+the expectation of x is the GNS-orthogonal projection: solve the Gram system
+<a_i, a_j> c = <a_i, x> in the inner product phi(a* b) and recombine.
+Invariance of the span under the modular flow of the state is a genuine
 precondition (no state-preserving expectation exists otherwise), so it is
 checked at sampled times before projecting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import config
-from .errors import NotExpectationError, PreconditionError, ShapeError, SizeError
-from .matcore import as_square, dagger, eig_hermitian, max_abs, solve_psd
+from .errors import NotExpectationError, ShapeError, SizeError
+from .matcore import as_square, dagger, solve_psd
+from .states import DiagonalState
 
 __all__ = [
     "SubalgebraBasis",
     "word_closure",
+    "ConditionalExpectation",
     "conditional_expectation",
     "verify_expectation",
     "ExpectationReport",
@@ -36,7 +38,6 @@ class SubalgebraBasis:
 
     dim: int
     basis: np.ndarray  # shape (size, dim, dim)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -89,82 +90,55 @@ def word_closure(generators: Sequence[np.ndarray], cap: int | None = None,
         basis = new_basis
 
 
-def _density_spectral(rho: np.ndarray, cache: dict | None = None):
-    key = "density_eig"
-    if cache is not None and key in cache:
-        return cache[key]
-    w, v = eig_hermitian(rho)
-    if w[0] <= 0:
-        raise PreconditionError(f"density must be strictly positive, min eig {w[0]:.3e}")
-    out = (w, v)
-    if cache is not None:
-        cache[key] = out
-    return out
+class ConditionalExpectation:
+    """State-preserving conditional expectation onto one subalgebra.
+
+    Built once per (state, algebra): construction raises NotExpectationError
+    when the span fails modular invariance at the sampled times, and forms the
+    GNS Gram system.  With an invariant span the projection is the unique
+    state-preserving conditional expectation; calling it projects a matrix or
+    a stack of matrices with leading batch axes.
+    """
+
+    def __init__(self, state: DiagonalState, algebra: SubalgebraBasis,
+                 t_samples=config.T_SAMPLES, tol: float = config.TOL_NUM,
+                 tol_rank: float = config.TOL_RANK):
+        if state.dim != algebra.dim:
+            raise ShapeError("conditional_expectation dimension mismatch")
+        for t in t_samples:
+            phases = state.modular_phases(t)
+            for b in algebra.basis:
+                resid = algebra.span_residual(phases * b)
+                if resid > tol:
+                    raise NotExpectationError(
+                        f"span is not modular-invariant at t={t}: residual {resid:.3e}")
+        self.algebra = algebra
+        self.tol_rank = tol_rank
+        # <a, b> = phi(a* b) = sum_pq w_p conj(a_qp) b_qp; half[s, p, q] = w_p conj(a_s[q, p])
+        self.half = state.weights[None, :, None] * np.conj(algebra.basis).transpose(0, 2, 1)
+        self.gram = np.einsum("spq,tqp->st", self.half, algebra.basis, optimize=True)
+
+    def __call__(self, x) -> np.ndarray:
+        n = self.algebra.dim
+        xa = np.asarray(x, dtype=complex)
+        if xa.ndim < 2 or xa.shape[-1] != xa.shape[-2]:
+            raise ShapeError("expectation argument must be square")
+        if xa.shape[-1] != n:
+            raise ShapeError("conditional_expectation dimension mismatch")
+        lead = xa.shape[:-2]
+        flat = xa.reshape(-1, n, n)
+        rhs = np.einsum("spq,bqp->sb", self.half, flat, optimize=True)
+        coeff = solve_psd(self.gram, rhs, self.tol_rank)
+        out = np.tensordot(coeff.T, self.algebra.basis, axes=1)
+        return out.reshape(*lead, n, n)
 
 
-def _modular_apply(rho: np.ndarray, x: np.ndarray, t: float, cache: dict | None) -> np.ndarray:
-    """sigma_t(x) = rho^{-it} x rho^{it} for a faithful (not necessarily diagonal) density."""
-    off = rho - np.diag(np.diagonal(rho))
-    if max_abs(off) <= 1e-14:
-        w = np.real(np.diagonal(rho))
-        if np.any(w <= 0):
-            raise PreconditionError("density must be strictly positive")
-        lw = np.log(w)
-        phase = np.exp(-1j * t * (lw[:, None] - lw[None, :]))
-        return phase * x
-    w, v = _density_spectral(rho, cache)
-    power = (v * np.exp(-1j * t * np.log(w))) @ dagger(v)
-    return power @ x @ dagger(power)
-
-
-def _check_modular_invariance(rho: np.ndarray, algebra: SubalgebraBasis,
-                              t_samples, tol: float) -> None:
-    cache = algebra._cache
-    key = ("modular_ok", rho.tobytes(), tuple(t_samples))
-    if key in cache:
-        return
-    for t in t_samples:
-        for b in algebra.basis:
-            resid = algebra.span_residual(_modular_apply(rho, b, t, cache))
-            if resid > tol:
-                raise NotExpectationError(
-                    f"span is not modular-invariant at t={t}: residual {resid:.3e}")
-    cache[key] = True
-
-
-def conditional_expectation(state_density, algebra: SubalgebraBasis, x,
+def conditional_expectation(state: DiagonalState, algebra: SubalgebraBasis, x,
                             t_samples=config.T_SAMPLES,
                             tol: float = config.TOL_NUM,
                             tol_rank: float = config.TOL_RANK) -> np.ndarray:
-    """Project x onto the subalgebra orthogonally for the GNS inner product.
-
-    Raises NotExpectationError when the span fails modular invariance at the
-    sampled times; with an invariant span the projection is the unique
-    state-preserving conditional expectation.  Accepts a stack of matrices
-    with leading batch axes and projects each.
-    """
-    rho = as_square(state_density, "state density")
-    xa = np.asarray(x, dtype=complex)
-    if xa.ndim < 2 or xa.shape[-1] != xa.shape[-2]:
-        raise ShapeError("expectation argument must be square")
-    if rho.shape[0] != algebra.dim or xa.shape[-1] != algebra.dim:
-        raise ShapeError("conditional_expectation dimension mismatch")
-    _check_modular_invariance(rho, algebra, t_samples, tol)
-
-    cache = algebra._cache
-    gram_key = ("gram", rho.tobytes())
-    if gram_key not in cache:
-        # <a, b> = trace(rho a* b); rows/cols over basis elements
-        half = np.einsum("pr,sqr->spq", rho, np.conj(algebra.basis), optimize=True)
-        gram = np.einsum("spq,tqp->st", half, algebra.basis, optimize=True)
-        cache[gram_key] = (gram, half)
-    gram, half = cache[gram_key]
-    lead = xa.shape[:-2]
-    flat = xa.reshape(-1, algebra.dim, algebra.dim)
-    rhs = np.einsum("spq,bqp->sb", half, flat, optimize=True)
-    coeff = solve_psd(gram, rhs, tol_rank)
-    out = np.tensordot(coeff.T, algebra.basis, axes=1)
-    return out.reshape(*lead, algebra.dim, algebra.dim)
+    """One-shot ConditionalExpectation(state, algebra)(x)."""
+    return ConditionalExpectation(state, algebra, t_samples, tol, tol_rank)(x)
 
 
 @dataclass(frozen=True)
@@ -178,22 +152,19 @@ class ExpectationReport:
         return max(self.idempotence, self.bimodule, self.positivity, self.state_preservation)
 
 
-def verify_expectation(state_density, algebra: SubalgebraBasis, samples: int = 8,
+def verify_expectation(state: DiagonalState, algebra: SubalgebraBasis, samples: int = 8,
                        seed: int | None = None, tol: float = config.TOL_NUM) -> ExpectationReport:
     """Spot-check the expectation properties on seeded random elements."""
-    rho = as_square(state_density, "state density")
     n = algebra.dim
     gen = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)
-
-    def expect(y):
-        return conditional_expectation(rho, algebra, y, tol=tol)
+    expect = ConditionalExpectation(state, algebra, tol=tol)
 
     idem = bimod = posit = preserve = 0.0
     for _ in range(samples):
         x = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
         ex = expect(x)
         idem = max(idem, float(np.linalg.norm(expect(ex) - ex)))
-        preserve = max(preserve, abs(np.einsum("ij,ji->", rho, ex - x)))
+        preserve = max(preserve, abs(state(ex - x)))
         # positivity: E(x* x) must stay PSD
         exx = expect(dagger(x) @ x)
         exx = (exx + dagger(exx)) / 2

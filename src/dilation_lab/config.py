@@ -8,6 +8,10 @@ TOL_NUM = 1e-9
 # Eigenvalue floor for positivity checks: PSD means min eig >= -TOL_PSD.
 TOL_PSD = 1e-10
 
+# Residual tolerance for identities that hold exactly in exact arithmetic
+# (symmetries squaring to the identity, orthogonality of a built unitary).
+TOL_EXACT = 1e-12
+
 # Relative cutoff for rank decisions (eigenvalue / singular value screens).
 TOL_RANK = 1e-10
 

@@ -63,10 +63,7 @@ class DilationBundle:
 def build_dilation(symbol: SchurSymbol, state: DiagonalState,
                    tol: float = config.TOL_NUM) -> DilationBundle:
     """Construct the fermionic dilation bundle for a certified symbol."""
-    report = certify_symbol(symbol, tol=tol)
-    if not (report.unital and report.psd and report.self_adjoint):
-        raise PreconditionError(
-            f"symbol must be unital, PSD, self-adjoint; got {report}")
+    certify_symbol(symbol, tol=tol).require()
     n = symbol.dim
     if state.dim != n:
         raise ShapeError("state dimension does not match symbol")

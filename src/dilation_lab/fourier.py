@@ -36,6 +36,7 @@ __all__ = [
     "schur_symbol_matrix",
     "certify_posdef",
     "multiplier_apply",
+    "CrossedBundle",
     "build_crossed_dilation",
     "verify_fourier_identity",
     "verify_covariance",
@@ -203,13 +204,39 @@ def _translation_action(embedding: np.ndarray, group: FiniteGroup) -> np.ndarray
     return ops
 
 
+@dataclass(frozen=True, kw_only=True)
+class CrossedBundle(DilationBundle):
+    """Dilation bundle of a group multiplier with its crossed-product data.
+
+    lam stacks the left-regular unitaries lambda(g), actions the orthogonal
+    translations O_g of the embedding rows, rotations their exterior lifts.
+    """
+
+    symbol: FourierSymbol
+    lam: np.ndarray
+    actions: np.ndarray
+    rotations: np.ndarray
+
+
+def _covariant_copy(group: FiniteGroup, rotations: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Block-diagonal covariant copy, block h = alpha(h^-1)(a)."""
+    f = rotations.shape[1]
+    out = np.zeros((group.order * f, group.order * f), dtype=complex)
+    for h in range(group.order):
+        r = rotations[group.inv(h)]
+        out[h * f : (h + 1) * f, h * f : (h + 1) * f] = r @ a @ r.T
+    return out
+
+
+def _require_crossed(bundle: DilationBundle) -> None:
+    if not isinstance(bundle, CrossedBundle):
+        raise PreconditionError("bundle was not built from group coefficients")
+
+
 def build_crossed_dilation(symbol: FourierSymbol,
-                           tol: float = config.TOL_NUM) -> DilationBundle:
+                           tol: float = config.TOL_NUM) -> CrossedBundle:
     """Dilation bundle for the multiplier of a certified positive-definite t."""
-    report = certify_posdef(symbol, tol=tol)
-    if not (report.unital and report.psd and report.self_adjoint):
-        raise PreconditionError(
-            f"coefficients must be unital, positive definite, symmetric; got {report}")
+    certify_posdef(symbol, tol=tol).require("coefficients")
     group = symbol.group
     m = group.order
     space = build_gram_space(SchurSymbol(gram_matrix(symbol)))
@@ -221,18 +248,8 @@ def build_crossed_dilation(symbol: FourierSymbol,
     actions = _translation_action(space.embedding, group)
     rotations = np.stack([exterior_map(actions[g]) for g in range(m)])
     eye_f = np.eye(rep.dim, dtype=complex)
-
-    def alg_copy(a: np.ndarray) -> np.ndarray:
-        """Block-diagonal covariant copy, block h = alpha(h^-1)(a)."""
-        out = np.zeros((m * rep.dim, m * rep.dim), dtype=complex)
-        for h in range(m):
-            r = rotations[group.inv(h)]
-            out[h * rep.dim : (h + 1) * rep.dim, h * rep.dim : (h + 1) * rep.dim] = \
-                r @ a @ r.T
-        return out
-
     big_lam = np.stack([tensor_product(lam[g], eye_f) for g in range(m)])
-    w = alg_copy(rep.omega(space.embedding[group.identity]))
+    w = _covariant_copy(group, rotations, rep.omega(space.embedding[group.identity]))
 
     def pi(x: np.ndarray) -> np.ndarray:
         return np.tensordot(_coefficients(group, x, lam, tol), big_lam, axes=1)
@@ -240,7 +257,7 @@ def build_crossed_dilation(symbol: FourierSymbol,
     def rho(x: np.ndarray) -> np.ndarray:
         return w @ pi(x) @ w
 
-    bundle = DilationBundle(
+    return CrossedBundle(
         input_dim=m,
         ambient_dim=m * rep.dim,
         input_state=DiagonalState(np.full(m, 1.0 / m)),
@@ -251,26 +268,21 @@ def build_crossed_dilation(symbol: FourierSymbol,
         gram=space,
         rep=rep,
         domain_basis=tuple(np.asarray(lam[g], dtype=complex) for g in range(m)),
+        symbol=symbol,
+        lam=lam,
+        actions=actions,
+        rotations=rotations,
     )
-    object.__setattr__(bundle, "_fourier", (symbol, lam, actions, rotations, alg_copy))
-    return bundle
 
 
-def _fourier_parts(bundle: DilationBundle):
-    parts = getattr(bundle, "_fourier", None)
-    if parts is None:
-        raise PreconditionError("bundle was not built from group coefficients")
-    return parts
-
-
-def verify_fourier_identity(bundle: DilationBundle, symbol: FourierSymbol,
+def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
                             samples: int = 20, seed: int | None = None) -> float:
     """Max residual of phi~(pi(lambda(g)) rho(lambda(h))) = delta_{gh,e} t_g,
     over all group pairs and random span combinations."""
-    _fourier_parts(bundle)
+    _require_crossed(bundle)
     group, t = symbol.group, symbol.values
     m = group.order
-    lam = build_group_algebra(group)
+    lam = bundle.lam
     pis = [bundle.pi(lam[g]) for g in range(m)]
     rhos = [bundle.rho(lam[g]) for g in range(m)]
     worst = 0.0
@@ -288,18 +300,19 @@ def verify_fourier_identity(bundle: DilationBundle, symbol: FourierSymbol,
     return worst
 
 
-def verify_covariance(bundle: DilationBundle) -> dict[str, float]:
+def verify_covariance(bundle: CrossedBundle) -> dict[str, float]:
     """Residuals of the translation action: orthogonality of each O_g,
     O_g O_h = O_{gh}, and Lam(g) omega-copy(h) Lam(g)* = omega-copy(gh)."""
-    symbol, lam, actions, rotations, alg_copy = _fourier_parts(bundle)
-    group = symbol.group
+    _require_crossed(bundle)
+    group = bundle.symbol.group
     m = group.order
+    actions = bundle.actions
     rank = actions.shape[1]
-    eye_f = np.eye(rotations.shape[1], dtype=complex)
-    big_lam = [tensor_product(lam[g], eye_f) for g in range(m)]
-    rep = bundle.rep
+    eye_f = np.eye(bundle.rotations.shape[1], dtype=complex)
+    big_lam = [tensor_product(bundle.lam[g], eye_f) for g in range(m)]
     embedding = bundle.gram.embedding
-    fields = [alg_copy(rep.omega(embedding[h])) for h in range(m)]
+    fields = [_covariant_copy(group, bundle.rotations, bundle.rep.omega(embedding[h]))
+              for h in range(m)]
 
     ortho = max(max_abs(actions[g].T @ actions[g] - np.eye(rank)) for g in range(m))
     homo = max(max_abs(actions[g] @ actions[h] - actions[group.mul(g, h)])

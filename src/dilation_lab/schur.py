@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import NotPsdError, ShapeError
-from .matcore import as_square, eig_hermitian, is_hermitian, max_abs
+from .errors import NotPsdError, PreconditionError, ShapeError
+from .matcore import as_square, eig_hermitian, max_abs
 from .states import MarkovMap
 
 __all__ = [
@@ -47,10 +47,43 @@ class SchurSymbol:
 
 @dataclass(frozen=True)
 class SymbolReport:
-    unital: bool
-    psd: bool
-    self_adjoint: bool
+    """Residuals of a symbol's three properties; the verdicts threshold them.
+
+    psd_residual is the negative eigenvalue mass of the Hermitian part.  When
+    the symbol is not Hermitian within tol, min_eigenvalue is None and
+    psd_residual adds the Hermiticity defect, so the PSD verdict fails
+    whenever tol >= tol_psd.
+    """
+
+    unital_residual: float
+    self_adjoint_residual: float
+    psd_residual: float
     min_eigenvalue: float | None
+    tol: float
+    tol_psd: float
+
+    @property
+    def unital(self) -> bool:
+        return self.unital_residual <= self.tol
+
+    @property
+    def self_adjoint(self) -> bool:
+        return self.self_adjoint_residual <= self.tol
+
+    @property
+    def psd(self) -> bool:
+        return self.psd_residual <= self.tol_psd
+
+    @property
+    def ok(self) -> bool:
+        """Unital, PSD and self-adjoint: the symbol of a Markov multiplier."""
+        return self.unital and self.psd and self.self_adjoint
+
+    def require(self, what: str = "symbol") -> None:
+        """Raise PreconditionError unless the symbol is certified."""
+        if not self.ok:
+            raise PreconditionError(
+                f"{what} must be unital, PSD, self-adjoint; got {self}")
 
 
 @dataclass(frozen=True)
@@ -100,23 +133,23 @@ def certify_symbol(symbol: SchurSymbol, tol: float = config.TOL_NUM,
                    tol_psd: float = config.TOL_PSD) -> SymbolReport:
     """Unitality, positivity, and self-adjointness of the symbol.
 
-    psd requires the symbol to be Hermitian; for a Hermitian symbol the verdict
-    is min eig >= -tol_psd, which matches the Choi test of the induced map.
+    For a symbol Hermitian within tol the psd verdict is min eig >= -tol_psd,
+    which matches the Choi test of the induced map; a larger Hermiticity
+    defect counts into the PSD residual.
     self_adjoint means real symmetric: the multiplier equals its GNS adjoint
     for every faithful diagonal state exactly in that case.
     """
     t = symbol.matrix
-    unital = max_abs(np.diagonal(t) - 1.0) <= tol
-    if is_hermitian(t, tol):
-        w = np.linalg.eigvalsh((t + t.conj().T) / 2)
-        min_eig: float | None = float(w[0])
-        psd = bool(w[0] >= -tol_psd)
-    else:
-        min_eig = None
-        psd = False
-    self_adjoint = max_abs(t - t.T) <= tol and max_abs(t.imag) <= tol
-    return SymbolReport(unital=unital, psd=psd, self_adjoint=self_adjoint,
-                        min_eigenvalue=min_eig)
+    herm_defect = max_abs(t - t.conj().T)
+    w = np.linalg.eigvalsh((t + t.conj().T) / 2)
+    negative = max(0.0, -float(w[0]))
+    hermitian = herm_defect <= tol
+    return SymbolReport(
+        unital_residual=max_abs(np.diagonal(t) - 1.0),
+        self_adjoint_residual=max(max_abs(t - t.T), max_abs(t.imag)),
+        psd_residual=negative if hermitian else herm_defect + negative,
+        min_eigenvalue=float(w[0]) if hermitian else None,
+        tol=tol, tol_psd=tol_psd)
 
 
 def build_gram_space(symbol: SchurSymbol, tol_rank: float = config.TOL_RANK,

@@ -62,6 +62,11 @@ class DiagonalState:
             raise ShapeError(f"state of dimension {self.dim} applied to shape {arr.shape}")
         return complex(np.dot(self.weights, np.diagonal(arr)))
 
+    def modular_phases(self, t: float) -> np.ndarray:
+        """Entrywise phase matrix of sigma_t: (w_i / w_j)^{-it}."""
+        log_w = np.log(self.weights)
+        return np.exp(-1j * t * (log_w[:, None] - log_w[None, :]))
+
     @staticmethod
     def tracial(n: int) -> "DiagonalState":
         return DiagonalState(np.full(n, 1.0 / n))
@@ -131,22 +136,16 @@ class MarkovMap:
         return MarkovMap(n, n, np.eye(n * n, dtype=complex))
 
 
-def _modular_phases(weights: np.ndarray, t: float) -> np.ndarray:
-    """Entrywise phase matrix of sigma_t: (w_i / w_j)^{-it}."""
-    log_w = np.log(weights)
-    return np.exp(-1j * t * (log_w[:, None] - log_w[None, :]))
-
-
 def modular_conjugate(state: DiagonalState, x, t: float) -> np.ndarray:
     """sigma_t(x) = D^{-it} x D^{it}, entrywise (w_i/w_j)^{-it} x_ij."""
     arr = as_square(x, "modular argument")
     if arr.shape[0] != state.dim:
         raise ShapeError("modular_conjugate dimension mismatch")
-    return _modular_phases(state.weights, t) * arr
+    return state.modular_phases(t) * arr
 
 
 def modular_superoperator(state: DiagonalState, t: float) -> np.ndarray:
-    return np.diag(vec(_modular_phases(state.weights, t)))
+    return np.diag(vec(state.modular_phases(t)))
 
 
 def gns_inner(state: DiagonalState, x, y) -> complex:
@@ -159,22 +158,23 @@ def gns_inner(state: DiagonalState, x, y) -> complex:
 
 
 def choi_matrix(m: MarkovMap) -> np.ndarray:
-    """Choi matrix sum_ij e_ij (x) m(e_ij); the map is CP iff this is PSD."""
+    """Choi matrix sum_ij e_ij (x) m(e_ij); the map is CP iff this is PSD.
+
+    Column i*n+j of `super` is vec(m(e_ij)), so block (i, j) of the Choi
+    matrix is a reshape of that column.
+    """
     n, k = m.dim_in, m.dim_out
-    out = np.zeros((n * k, n * k), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = m.apply(matrix_unit(n, i, j))
-            out[i * k : (i + 1) * k, j * k : (j + 1) * k] = block
-    return out
+    return m.super.reshape(k, k, n, n).transpose(2, 0, 3, 1).reshape(n * k, n * k)
 
 
 def markov_residuals(m: MarkovMap, state: DiagonalState,
                      t_samples: Iterable[float] = config.T_SAMPLES) -> dict[str, float]:
     """Numeric residuals behind the four Markov properties.
 
-    Keys: unital, cp (Choi Hermiticity defect plus negative eigenvalue mass),
-    state_preserving, modular.  All vanish exactly for a Markov operator.
+    Keys: unital, cp, state_preserving, modular, which all vanish exactly for
+    a Markov operator.  cp is the sum of cp_hermitian (the Choi matrix's
+    Hermiticity defect) and cp_negative (the negative eigenvalue mass of its
+    Hermitian part), which are also returned.
     """
     n = m.dimension
     if state.dim != n:
@@ -185,7 +185,7 @@ def markov_residuals(m: MarkovMap, state: DiagonalState,
     choi = choi_matrix(m)
     herm_defect = max_abs(choi - dagger(choi))
     min_eig = float(np.linalg.eigvalsh((choi + dagger(choi)) / 2)[0])
-    cp = herm_defect + max(0.0, -min_eig)
+    negative = max(0.0, -min_eig)
 
     # phi(m(x)) = phi(x) on matrix units: row of phi-functionals applied to super
     phi_row = vec(np.diag(state.weights)).conj()  # trace(D x) = <vec(D~), vec(x)> with real D
@@ -195,7 +195,8 @@ def markov_residuals(m: MarkovMap, state: DiagonalState,
     for t in t_samples:
         sig = modular_superoperator(state, t)
         modular = max(modular, max_abs(m.super @ sig - sig @ m.super))
-    return {"unital": unital, "cp": cp,
+    return {"unital": unital, "cp": herm_defect + negative,
+            "cp_hermitian": herm_defect, "cp_negative": negative,
             "state_preserving": state_preserving, "modular": modular}
 
 
@@ -203,36 +204,18 @@ def certify_markov(m: MarkovMap, state: DiagonalState,
                    t_samples: Iterable[float] = config.T_SAMPLES,
                    tol: float = config.TOL_NUM,
                    tol_psd: float = config.TOL_PSD) -> MarkovMap:
-    """Check all four Markov properties of a square map against a state.
+    """Threshold the Markov residuals of a square map against a state.
 
     Returns a copy of the map with every flag set to the verified verdict.
     The CP verdict keeps its own sign tolerance: the Choi matrix must be
     Hermitian within tol and its spectrum bounded below by -tol_psd.
     """
-    n = m.dimension
-    if state.dim != n:
-        raise ShapeError("certify_markov: state dimension does not match map")
-
-    unital = max_abs(m.apply(np.eye(n)) - np.eye(n)) <= tol
-
-    choi = choi_matrix(m)
-    if max_abs(choi - dagger(choi)) <= tol:
-        cp = bool(np.linalg.eigvalsh((choi + dagger(choi)) / 2)[0] >= -tol_psd)
-    else:
-        cp = False
-
-    phi_row = vec(np.diag(state.weights)).conj()
-    state_preserving = max_abs(phi_row @ m.super - phi_row) <= tol
-
-    resid = 0.0
-    for t in t_samples:
-        sig = modular_superoperator(state, t)
-        resid = max(resid, max_abs(m.super @ sig - sig @ m.super))
-    modular = resid <= tol
-
-    return dataclasses.replace(m, unital=unital, cp=cp,
-                               state_preserving=state_preserving,
-                               modular_intertwining=modular)
+    res = markov_residuals(m, state, t_samples)
+    return dataclasses.replace(
+        m, unital=res["unital"] <= tol,
+        cp=res["cp_hermitian"] <= tol and res["cp_negative"] <= tol_psd,
+        state_preserving=res["state_preserving"] <= tol,
+        modular_intertwining=res["modular"] <= tol)
 
 
 def star_adjoint(m: MarkovMap, state: DiagonalState) -> MarkovMap:
@@ -245,11 +228,7 @@ def star_adjoint(m: MarkovMap, state: DiagonalState) -> MarkovMap:
     if state.dim != n:
         raise ShapeError("star_adjoint: state dimension does not match map")
     w = state.weights
-    # images[i, j] = m(e_ij) as an (n, n, n, n) tensor
-    images = m.super.reshape(n, n, n, n).transpose(2, 3, 0, 1)
-    star = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            block = (w[k] * images[:, :, l, k].T) / w[:, None]  # [j, i]
-            star[:, k * n + l] = vec(block)
-    return MarkovMap(n, n, star)
+    # images[l, k, i, j] = m(e_ij)[l, k]; star[j, i, k, l] = vec(adj(e_kl))[j*n+i]
+    images = m.super.reshape(n, n, n, n)
+    star = (w[None, None, :, None] * images.transpose(3, 2, 1, 0)) / w[:, None, None, None]
+    return MarkovMap(n, n, star.reshape(n * n, n * n))

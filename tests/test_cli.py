@@ -1,14 +1,47 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dilation_lab import cli
 
 COMMANDS = ["check-schur", "rota", "fourier", "secondquant"]
 
+FIXTURE_ROWS = {
+    "check-schur": [
+        "symbol_unital", "symbol_self_adjoint", "symbol_psd", "markov_unital",
+        "markov_cp", "markov_state_preserving", "markov_modular",
+        "d_self_adjoint", "d_squares_to_identity", "d_in_centralizer",
+        "factorization", "morphism_unital", "morphism_multiplicative",
+        "morphism_star", "morphism_state_preserving", "morphism_modular",
+        "star_swap"],
+    "rota": [
+        "markov_past_0_0", "markov_future_0_0", "markov_shift_0_0",
+        "markov_past_0_1", "markov_future_0_1", "markov_shift_0_1",
+        "markov_past_0_2", "markov_future_0_2", "markov_shift_0_2",
+        "markov_past_1_1", "markov_future_1_1", "markov_shift_1_1",
+        "markov_past_1_2", "markov_future_1_2", "markov_shift_1_2",
+        "markov_past_2_2", "markov_future_2_2", "markov_shift_2_2", "rota_1"],
+    "fourier": [
+        "posdef_unital", "posdef_self_adjoint", "posdef_psd", "w_self_adjoint",
+        "w_squares_to_identity", "orthogonal", "action_homomorphism",
+        "field_covariance", "fourier_identity"],
+    "secondquant": [
+        "unitary", "strong_dilation", "ppnp_0", "ppnp_1", "ppnp_2",
+        "gamma_identity", "gamma_factorization", "rota_secondquant_1",
+        "rota_secondquant_2"],
+}
+
 
 def run_cli(*argv, env_extra=None):
-    import os
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -28,6 +61,7 @@ def test_shipped_fixtures_pass(command):
         assert set(check) == {"name", "residual", "tol", "pass"}
         assert check["pass"] is True
         assert check["residual"] <= check["tol"]
+    assert [check["name"] for check in report["checks"]] == FIXTURE_ROWS[command]
     assert "checks passed" in result.stderr
 
 
@@ -91,3 +125,91 @@ def test_large_window_skips_oversized_fock_checks():
     names = [c["name"] for c in json.loads(result.stdout)["checks"]]
     assert not any(name.startswith("rota_secondquant") for name in names)
     assert any(name.startswith("ppnp") for name in names)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+def run_in_process(command, payload, *flags):
+    """cli.main on a payload file; returns (exit code, report or None)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, path, *flags])
+    text = out.getvalue()
+    return code, json.loads(text, parse_constant=_no_constant) if text else None
+
+
+@pytest.mark.parametrize("command, payload, row", [
+    ("check-schur", {"symbol": [[1, 0.5], [0.2, 1]], "weights": [0.5, 0.5]},
+     "symbol_psd"),
+    ("fourier", {"group": "cyclic:3", "t": [1, 0.5, 0.2]}, "posdef_psd"),
+])
+def test_non_hermitian_symbol_is_reported(command, payload, row):
+    code, report = run_in_process(command, payload)
+    assert code == 1
+    assert report["pass"] is False
+    psd = next(check for check in report["checks"] if check["name"] == row)
+    assert psd["pass"] is False
+    assert 0 < psd["residual"] < float("inf")
+
+
+def test_negative_samples_exit_two():
+    result = run_cli("check-schur", "--samples", "-3")
+    assert result.returncode == 2
+    assert "samples must be nonnegative" in result.stderr
+    assert result.stdout == ""
+    code, report = run_in_process(
+        "check-schur", {"symbol": [[1, 0.5], [0.5, 1]], "weights": [0.5, 0.5]},
+        "--samples", "0")
+    assert code == 0 and report["pass"] is True
+
+
+ENTRIES = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def schur_payloads(draw):
+    n = draw(st.sampled_from([2, 3]))
+    t = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        t = (t + t.T) / 2
+    if draw(st.booleans()):
+        np.fill_diagonal(t, 1.0)
+    w = np.array(draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                               min_size=n, max_size=n)))
+    return {"symbol": t.tolist(), "weights": (w / w.sum()).tolist()}
+
+
+@st.composite
+def group_payloads(draw):
+    m = draw(st.integers(min_value=2, max_value=4))
+    t = np.array(draw(st.lists(ENTRIES, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        t = (t + t[-np.arange(m)]) / 2
+    if draw(st.booleans()):
+        t[0] = 1.0
+    return {"group": f"cyclic:{m}", "t": t.tolist()}
+
+
+def _assert_reported(command, payload):
+    code, report = run_in_process(command, payload)
+    assert code in (0, 1)
+    assert report["pass"] == (code == 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(schur_payloads())
+def test_check_schur_reports_any_real_symbol(payload):
+    _assert_reported("check-schur", payload)
+
+
+@settings(max_examples=50, deadline=None)
+@given(group_payloads())
+def test_fourier_reports_any_coefficients(payload):
+    _assert_reported("fourier", payload)

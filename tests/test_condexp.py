@@ -57,7 +57,7 @@ def test_expectation_onto_tensor_factor_is_partial_trace():
         [np.kron(matrix_unit(2, 0, 1), np.eye(2)),
          np.kron(matrix_unit(2, 1, 0), np.eye(2))])
     x = random_complex(gen, 4)
-    out = conditional_expectation(state.density(), algebra, x)
+    out = conditional_expectation(state, algebra, x)
     small = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -71,7 +71,7 @@ def test_expectation_onto_diagonal_is_pinching():
     algebra = word_closure([np.diag([1.0, 2.0, 3.0])])
     gen = rng(2)
     x = random_complex(gen, 3)
-    out = conditional_expectation(state.density(), algebra, x)
+    out = conditional_expectation(state, algebra, x)
     np.testing.assert_allclose(out, np.diag(np.diagonal(x)), atol=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_expectation_onto_flip_algebra_under_uniform_state():
     algebra = word_closure([SX])
     gen = rng(3)
     x = random_complex(gen, 2)
-    out = conditional_expectation(state.density(), algebra, x)
+    out = conditional_expectation(state, algebra, x)
     expected = (np.trace(x) / 2) * np.eye(2) + (np.trace(SX @ x) / 2) * SX
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -92,7 +92,7 @@ def test_expectation_requires_modular_invariance():
     state = DiagonalState([0.7, 0.3])
     algebra = word_closure([SX])
     with pytest.raises(NotExpectationError):
-        conditional_expectation(state.density(), algebra, np.eye(2))
+        conditional_expectation(state, algebra, np.eye(2))
 
 
 def test_expectation_batched_matches_loop():
@@ -100,9 +100,9 @@ def test_expectation_batched_matches_loop():
     algebra = word_closure([np.diag([1.0, 2.0, 3.0])])
     gen = rng(4)
     stack = np.stack([random_complex(gen, 3) for _ in range(5)])
-    batched = conditional_expectation(state.density(), algebra, stack)
+    batched = conditional_expectation(state, algebra, stack)
     for k in range(5):
-        single = conditional_expectation(state.density(), algebra, stack[k])
+        single = conditional_expectation(state, algebra, stack[k])
         np.testing.assert_allclose(batched[k], single, atol=1e-13)
 
 
@@ -110,9 +110,9 @@ def test_expectation_shape_guards():
     state = DiagonalState([0.5, 0.5])
     algebra = word_closure([SX])
     with pytest.raises(ShapeError):
-        conditional_expectation(state.density(), algebra, np.eye(3))
+        conditional_expectation(state, algebra, np.eye(3))
     with pytest.raises(ShapeError):
-        conditional_expectation(np.eye(3) / 3, algebra, np.eye(2))
+        conditional_expectation(DiagonalState.tracial(3), algebra, np.eye(2))
 
 
 def test_verify_expectation_report():
@@ -120,7 +120,7 @@ def test_verify_expectation_report():
     algebra = word_closure(
         [np.kron(matrix_unit(2, 0, 1), np.eye(2)),
          np.kron(matrix_unit(2, 1, 0), np.eye(2))])
-    report = verify_expectation(state.density(), algebra, samples=6, seed=11)
+    report = verify_expectation(state, algebra, samples=6, seed=11)
     assert report.idempotence < 1e-10
     assert report.bimodule < 1e-10
     assert report.positivity < 1e-10

@@ -100,18 +100,22 @@ def test_gns_inner_is_state_of_star_product():
 
 
 def test_choi_matrix_blocks():
+    # the non-square map catches swapped input and output axes
     gen = rng(7)
-    u = random_complex(gen, 2)
-    m = MarkovMap.from_action(lambda x: u @ x @ dagger(u), 2)
-    choi = choi_matrix(m)
-    for i in range(2):
-        for j in range(2):
-            np.testing.assert_allclose(choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2],
-                                       m(matrix_unit(2, i, j)))
-    # conjugation is CP: the Choi matrix is a PSD rank-one
-    eigs = np.linalg.eigvalsh((choi + dagger(choi)) / 2)
-    assert eigs[0] >= -1e-12
-    assert np.sum(eigs > 1e-9) == 1
+    for dim_in, dim_out in ((2, 2), (2, 3)):
+        u = random_complex(gen, dim_out)[:, :dim_in]
+        m = MarkovMap.from_action(lambda x: u @ x @ dagger(u), dim_in, dim_out)
+        choi = choi_matrix(m)
+        assert choi.shape == (dim_in * dim_out, dim_in * dim_out)
+        k = dim_out
+        for i in range(dim_in):
+            for j in range(dim_in):
+                np.testing.assert_allclose(choi[k * i : k * i + k, k * j : k * j + k],
+                                           m(matrix_unit(dim_in, i, j)))
+        # conjugation is CP: the Choi matrix is a PSD rank-one
+        eigs = np.linalg.eigvalsh((choi + dagger(choi)) / 2)
+        assert eigs[0] >= -1e-12
+        assert np.sum(eigs > 1e-9) == 1
 
 
 def test_markov_residuals_vanish_for_schur_markov_map():
