@@ -98,6 +98,34 @@ class ChainSpace:
         return self._cache[key]
 
 
+_ENTRY_BYTES = np.dtype(complex).itemsize
+
+
+def _closure_bound(n: int, leg: int, depth: int) -> int:
+    """Upper bound on the size of any chain algebra over M_n (x) A^(x)depth.
+
+    Its elements are sums of e_ij (x) x_1 (x) ... (x) x_depth with each x_l an
+    even word in the n fields, which span at most 2^(n-1) dimensions and lie in
+    the even part of M_leg (leg^2 / 2 dimensions).
+    """
+    return n * n * min(2 ** (n - 1), leg * leg // 2) ** depth
+
+
+def _planned_bytes(n: int, leg: int, depth: int) -> int:
+    """Bytes of the largest array a rota run over this chain allocates.
+
+    The candidates are the matrix units of the shift check's source chain
+    (one leg shallower), the closure's stack of generators and adjoints, and
+    the closure basis itself; batched work beyond these is cut into chunks of
+    config.CHUNK_BYTES.
+    """
+    dim = n * leg ** depth
+    src_dim = dim // leg
+    seed = 2 * (depth + 1) * n * n + 1
+    return _ENTRY_BYTES * max(src_dim ** 4, seed * dim * dim,
+                              _closure_bound(n, leg, depth) * dim * dim)
+
+
 def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainSpace:
     certify_symbol(symbol).require()
     if state.dim != symbol.dim:
@@ -109,6 +137,10 @@ def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainS
     if symbol.dim * rep.dim ** depth > config.dim_cap():
         raise SizeError(
             f"chain dimension {symbol.dim * rep.dim ** depth} exceeds cap")
+    planned = _planned_bytes(symbol.dim, rep.dim, depth)
+    if planned > config.BYTE_CAP:
+        raise SizeError(f"chain at depth {depth} would allocate a {planned} byte array, "
+                        f"over the {config.BYTE_CAP} byte cap")
     return ChainSpace(symbol, state, depth, gram, rep)
 
 
@@ -208,8 +240,9 @@ def expectations(chain: ChainSpace, n: int):
         fut_gens = [embed_J(chain, q)(u)
                     for q in range(n, chain.depth + 1) for u in units]
         state = chain.ambient_state
-        past = ConditionalExpectation(state, word_closure(past_gens))
-        future = ConditionalExpectation(state, word_closure(fut_gens))
+        cap = _closure_bound(chain.input_dim, chain.leg_dim, chain.depth)
+        past = ConditionalExpectation(state, word_closure(past_gens, cap))
+        future = ConditionalExpectation(state, word_closure(fut_gens, cap))
         chain._cache[key] = (past, future)
     return chain._cache[key]
 
@@ -266,7 +299,7 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
             src_past = expectations(chain.shallower(src_depth), n)[0]
         else:
             src_past = lambda x: x  # depth-0 chain: the past at level 0 is everything
-        chunk = max(1, 2 ** 22 // (chain.ambient_dim ** 2))
+        chunk = max(1, config.CHUNK_BYTES // (_ENTRY_BYTES * chain.ambient_dim ** 2))
         for start in range(0, src_units.shape[0], chunk):
             batch = src_units[start : start + chunk]
             lifted = _beta_power(chain, batch, power)

@@ -1,8 +1,10 @@
 """State-preserving conditional expectations onto operator subalgebras.
 
-The subalgebra is presented by generators; `word_closure` grows the span by
-adjoints and pairwise products, reorthonormalizing (Hilbert-Schmidt) until the
-rank stabilizes.  Against a faithful diagonal state with an invariant span,
+The subalgebra is presented by generators; `word_closure` grows a
+Hilbert-Schmidt-orthonormal basis from span{I, generators, adjoints} by
+multiplying only the newest elements (the frontier) by the generator span,
+keeping the products that are new relative to the largest product of the round,
+until a round adds nothing.  Against a faithful diagonal state with an invariant span,
 the expectation of x is the GNS-orthogonal projection: solve the Gram system
 <a_i, a_j> c = <a_i, x> in the inner product phi(a* b) and recombine.
 Invariance of the span under the modular flow of the state is a genuine
@@ -53,20 +55,57 @@ class SubalgebraBasis:
         return float(np.linalg.norm(x - rebuilt))
 
 
-def _orthonormal_rows(stack: np.ndarray, tol_rank: float) -> np.ndarray:
-    """SVD-based orthonormalization of a stack of vectorized matrices."""
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return vh[:0]
-    return vh[s > tol_rank * s[0]]
+def _extend(basis: np.ndarray, cands: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal rows spanning the candidates modulo the span of `basis`.
+
+    Candidates are projected out of the (orthonormal) basis; those whose
+    residual norm is at most `cutoff` are dropped, and an SVD of the rest keeps
+    the directions whose singular value exceeds the same cutoff.  A direction
+    with a small singular value s carries the basis component that round-off
+    left in its candidates magnified by 1/s, so the kept directions are
+    projected out a second time and re-orthonormalized.
+    """
+    cands = cands - (cands @ np.conj(basis).T) @ basis
+    cands = cands[np.linalg.norm(cands, axis=1) > cutoff]
+    if cands.shape[0] == 0:
+        return cands
+    # A^T = U S V^H gives A = conj(V) S U^T: the rows of U^T span A's rows,
+    # and the tall SVD runs about twice as fast as the wide one.
+    u, s, _ = np.linalg.svd(cands.T, full_matrices=False)
+    new = u[:, s > cutoff]
+    q, _ = np.linalg.qr(new - basis.T @ (np.conj(basis) @ new))
+    return q.T
+
+
+def _largest_product_norm(gmats: np.ndarray, fmats: np.ndarray) -> float:
+    """max ||g f||_HS over all pairs, from ||g f||^2 = <g* g, f f*> without the products."""
+    gg = (dagger(gmats) @ gmats).reshape(gmats.shape[0], -1)
+    ff = (fmats @ dagger(fmats)).reshape(fmats.shape[0], -1)
+    return float(np.sqrt(max(0.0, (gg @ np.conj(ff).T).real.max())))
+
+
+def _products(gmats: np.ndarray, fmats: np.ndarray) -> np.ndarray:
+    """All products g @ f as vectorized rows, ordered (g, f), from one GEMM."""
+    g, n = gmats.shape[:2]
+    f = fmats.shape[0]
+    prods = gmats.reshape(-1, n) @ fmats.transpose(1, 0, 2).reshape(n, -1)
+    return prods.reshape(g, n, f, n).transpose(0, 2, 1, 3).reshape(g * f, n * n)
 
 
 def word_closure(generators: Sequence[np.ndarray], cap: int | None = None,
                  tol_rank: float = config.TOL_RANK) -> SubalgebraBasis:
-    """Close a generating set under adjoints and products.
+    """Close a generating set under adjoints and products (a Krylov closure).
 
-    Rounds of pairwise products are added to the span until the rank stops
-    growing; exceeding the cap (default: the full algebra dimension) aborts.
+    G is an orthonormal basis of span{I, generators, their adjoints}, and the
+    closure starts from it.  Each round multiplies the frontier (the elements
+    the last round added) on the left by G, and keeps the products that are new
+    modulo the current basis (see `_extend`).  The cutoff is
+    tol_rank * scale, with scale the largest product norm of the round before
+    projection: a relative cutoff per candidate would promote round-off in
+    near-zero products to new directions.  A round that adds nothing ends the
+    closure; growing past the cap (default: the full algebra dimension) aborts.
+    Products are formed a few frontier elements at a time, so no candidate
+    stack holds more than about config.CHUNK_BYTES.
     """
     gens = [as_square(g, "generator") for g in generators]
     if not gens:
@@ -77,17 +116,24 @@ def word_closure(generators: Sequence[np.ndarray], cap: int | None = None,
     limit = n * n if cap is None else cap
 
     seed = [np.eye(n, dtype=complex)] + gens + [dagger(g) for g in gens]
-    stack = np.stack([g.reshape(-1) for g in seed])
-    basis = _orthonormal_rows(stack, tol_rank)
-    while True:
-        if basis.shape[0] > limit:
-            raise SizeError(f"closure rank exceeded cap {limit}")
-        mats = basis.reshape(-1, n, n)
-        prods = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n * n)
-        new_basis = _orthonormal_rows(np.vstack([basis, prods]), tol_rank)
-        if new_basis.shape[0] == basis.shape[0]:
-            return SubalgebraBasis(dim=n, basis=new_basis.reshape(-1, n, n))
-        basis = new_basis
+    seed = np.stack(seed).reshape(-1, n * n)
+    cutoff = tol_rank * float(np.linalg.norm(seed, axis=1).max())
+    gmats = _extend(seed[:0], seed, cutoff).reshape(-1, n, n)
+    basis = gmats.reshape(-1, n * n)
+    frontier = gmats
+    step = max(1, config.CHUNK_BYTES // gmats.nbytes)  # frontier elements per chunk
+    while frontier.shape[0]:
+        cutoff = tol_rank * _largest_product_norm(gmats, frontier)
+        start = basis.shape[0]
+        for lo in range(0, frontier.shape[0], step):
+            # whatever a chunk adds is checked before the next chunk runs: a
+            # round that adds anything is followed by one more round
+            if basis.shape[0] > limit:
+                raise SizeError(f"closure rank exceeded cap {limit}")
+            cands = _products(gmats, frontier[lo : lo + step])
+            basis = np.vstack([basis, _extend(basis, cands, cutoff)])
+        frontier = basis[start:].reshape(-1, n, n)
+    return SubalgebraBasis(dim=n, basis=basis.reshape(-1, n, n))
 
 
 class ConditionalExpectation:

@@ -18,6 +18,14 @@ TOL_RANK = 1e-10
 # Hard ceiling on any constructed Hilbert space dimension.
 DIM_CAP = 4096
 
+# Batched work (closure products, shift-check lifts) is cut into chunks of
+# about this many bytes.
+CHUNK_BYTES = 2 ** 26
+
+# A chain whose largest planned array exceeds this many bytes is refused
+# before anything is built.
+BYTE_CAP = 2 ** 30
+
 # Fermionic Fock space over rank r costs 2**r; keep r modest.
 FERMION_RANK_CAP = 12
 

@@ -30,6 +30,14 @@ def test_build_chain_validation(monkeypatch):
         _chain(3)
 
 
+def test_chain_over_byte_cap_is_refused():
+    # ambient dimension 512 passes DIM_CAP, but the shift check alone would
+    # hold 128^4 complex matrix-unit entries (4.3 GB)
+    with pytest.raises(SizeError, match="cap"):
+        _chain(4)
+    assert _chain(3).ambient_dim == 128  # criterion 5's chain stays admitted
+
+
 def test_chain_dimensions_and_state():
     chain = _chain(2)
     assert chain.leg_dim == 4

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilation_lab import cli
+from dilation_lab import DiagonalState, SchurSymbol, certify_markov, cli, config, multiplier_map
 
 COMMANDS = ["check-schur", "rota", "fourier", "secondquant"]
 
@@ -119,6 +119,13 @@ def test_dimension_cap_env_exits_two():
     assert "cap" in result.stderr
 
 
+def test_depth_over_byte_cap_exits_two():
+    result = run_cli("rota", "--depth", "4")
+    assert result.returncode == 2
+    assert "cap" in result.stderr
+    assert result.stdout == ""
+
+
 def test_large_window_skips_oversized_fock_checks():
     result = run_cli("secondquant", "--window", "4")
     assert result.returncode == 0, result.stderr
@@ -167,6 +174,18 @@ def test_negative_samples_exit_two():
         "check-schur", {"symbol": [[1, 0.5], [0.5, 1]], "weights": [0.5, 0.5]},
         "--samples", "0")
     assert code == 0 and report["pass"] is True
+
+
+def test_markov_cp_row_matches_certify_markov():
+    # a Choi Hermiticity defect of 5e-10 is within --tol, as certify_markov allows
+    payload = {"symbol": [[1, 0.5], [0.5000000005, 1]], "weights": [0.5, 0.5]}
+    _, report = run_in_process("check-schur", payload)
+    row = next(check for check in report["checks"] if check["name"] == "markov_cp")
+    symbol = SchurSymbol(np.array(payload["symbol"], dtype=complex))
+    verdict = certify_markov(multiplier_map(symbol), DiagonalState(payload["weights"])).cp
+    assert row["tol"] == config.TOL_PSD
+    assert row["pass"] == verdict
+    assert row["pass"] is True
 
 
 ENTRIES = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,

@@ -1,12 +1,138 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dilation_lab import (DiagonalState, NotExpectationError, ShapeError,
-                          SizeError, conditional_expectation, verify_expectation,
-                          word_closure)
+from dilation_lab import (DiagonalState, NotExpectationError, SchurSymbol,
+                          ShapeError, SizeError, build_chain,
+                          conditional_expectation, embed_J, expectations,
+                          verify_expectation, word_closure)
 from dilation_lab.matcore import dagger, matrix_unit, max_abs, random_complex, rng
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _pairwise_closure(generators, tol_rank=1e-10):
+    """Reference closure: every pairwise product of the whole basis, SVD each round."""
+    n = generators[0].shape[0]
+
+    def rows(stack):
+        u, s, _ = np.linalg.svd(stack.T, full_matrices=False)  # the rows of u.T span stack's
+        return u[:, s > tol_rank * s[0]].T
+
+    seed = [np.eye(n)] + list(generators) + [dagger(g) for g in generators]
+    basis = rows(np.stack([np.asarray(g, dtype=complex).reshape(-1) for g in seed]))
+    while True:
+        mats = basis.reshape(-1, n, n)
+        prods = np.matmul(mats[:, None], mats[None]).reshape(-1, n * n)
+        grown = rows(np.vstack([basis, prods]))
+        if grown.shape[0] == basis.shape[0]:
+            return grown.reshape(-1, n, n)
+        basis = grown
+
+
+def _span_distance(a, b) -> float:
+    """Operator-norm distance of the HS projectors onto two orthonormal stacks."""
+    a, b = a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)
+    if a.shape != b.shape:
+        return float("inf")
+    return max(np.linalg.norm(a - (a @ np.conj(b).T) @ b, 2),
+               np.linalg.norm(b - (b @ np.conj(a).T) @ a, 2))
+
+
+def _orthonormality(basis) -> float:
+    flat = basis.reshape(basis.shape[0], -1)
+    return float(np.abs(flat @ np.conj(flat).T - np.eye(flat.shape[0])).max())
+
+
+def _gram_symbol(vectors):
+    """Unital real PSD symbol: Gram matrix of the normalized rows."""
+    v = np.asarray(vectors, dtype=float)
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return SchurSymbol(v @ v.T)
+
+
+CHAIN_SHAPES = {
+    "2x2-r2-d2": (SchurSymbol([[1.0, 0.5], [0.5, 1.0]]), [0.5, 0.5], 2),
+    "3x3-r3-d1": (_gram_symbol([[1.0, 0.2, 0.1], [0.3, 1.0, -0.2], [0.4, 0.1, 1.0]]),
+                  [0.2, 0.3, 0.5], 1),
+    "3x3-r2-d2": (_gram_symbol([[1.0, 0.0], [0.5, 0.8], [-0.6, 0.8]]), [0.2, 0.3, 0.5], 2),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_SHAPES))
+def test_chain_closures_match_pairwise_reference(key, monkeypatch):
+    symbol, weights, depth = CHAIN_SHAPES[key]
+    top = build_chain(symbol, DiagonalState(weights), depth)
+    reached = []
+
+    def recording(gens, *args, **kwargs):
+        algebra = word_closure(gens, *args, **kwargs)
+        reached.append((gens, algebra))
+        return algebra
+
+    monkeypatch.setattr("dilation_lab.chain.word_closure", recording)
+    for d in range(1, depth + 1):
+        for level in range(d + 1):
+            expectations(top.shallower(d), level)
+    assert len(reached) == sum(2 * (d + 1) for d in range(1, depth + 1))
+    for gens, algebra in reached:
+        assert _orthonormality(algebra.basis) <= 1e-13
+        assert _span_distance(algebra.basis, _pairwise_closure(gens)) <= 1e-12
+
+
+def test_near_singular_chain_closure_stays_orthonormal():
+    # smallest symbol eigenvalue 5e-9: some new directions come out of small
+    # residuals, which magnify the basis component round-off left in them
+    symbol = _gram_symbol([[1.0, 0.0, 0.0], [1.0, 0.01, 0.0], [0.0, 1.0, 0.01]])
+    top = build_chain(symbol, DiagonalState([0.2, 0.3, 0.5]), 1)
+    units = [matrix_unit(3, i, j) for i in range(3) for j in range(3)]
+    algebra = word_closure([embed_J(top, q)(u) for q in (0, 1) for u in units])
+    assert algebra.size == 36
+    assert _orthonormality(algebra.basis) <= 1e-13
+    products = np.matmul(algebra.basis[:, None], algebra.basis[None])
+    assert max(algebra.span_residual(p) for p in products.reshape(-1, 24, 24)) <= 1e-10
+
+
+ENTRIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 1j, 0.5 - 0.5j])
+
+
+@st.composite
+def generator_sets(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=1, max_value=3))
+    return [np.array(draw(st.lists(ENTRIES, min_size=dim * dim, max_size=dim * dim)),
+                     dtype=complex).reshape(dim, dim) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets())
+def test_closure_is_the_generated_star_algebra(gens):
+    algebra = word_closure(gens)
+    basis = algebra.basis
+    assert _orthonormality(basis) <= 1e-13
+    assert algebra.span_residual(np.eye(algebra.dim)) <= 1e-10
+    for x in basis:
+        assert algebra.span_residual(dagger(x)) <= 1e-10
+        for y in basis:
+            assert algebra.span_residual(x @ y) <= 1e-10
+    assert _span_distance(basis, _pairwise_closure(gens)) <= 1e-12
+
+
+def test_closure_ignores_generator_scale():
+    # a per-candidate relative cutoff would grow these from round-off in the
+    # vanishing products (e01 @ e01 = 0, and the products of the tiny copies)
+    fixture = build_chain(SchurSymbol([[1.0, 0.5], [0.5, 1.0]]),
+                          DiagonalState([0.5, 0.5]), 2)
+    units = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
+    chain_gens = [embed_J(fixture, q)(u) for q in range(3) for u in units]
+    padded = np.zeros((4, 4))
+    padded[0, 1] = 1.0
+    for gens, size in ((chain_gens, 16), ([matrix_unit(2, 0, 1)], 4), ([padded], 5)):
+        plain = word_closure(gens)
+        tiny = word_closure([1e-6 * g for g in gens])
+        assert plain.size == tiny.size == size
+        assert _span_distance(plain.basis, tiny.basis) <= 1e-12
 
 
 def test_word_closure_generates_full_matrix_algebra():
