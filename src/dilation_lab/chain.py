@@ -184,20 +184,6 @@ def embed_J(chain: ChainSpace, q: int):
     return embed
 
 
-def _slot_symmetry(chain: ChainSpace) -> np.ndarray:
-    """d_1 = sum_i e_ii (x) w_i (x) I, the symmetry of the first leg."""
-    if "d1" not in chain._cache:
-        n, leg = chain.input_dim, chain.leg_dim
-        rest = np.eye(leg ** (chain.depth - 1), dtype=complex)
-        d1 = np.zeros((chain.ambient_dim, chain.ambient_dim), dtype=complex)
-        blk = leg ** (chain.depth - 1) * leg
-        for i in range(n):
-            d1[i * blk : (i + 1) * blk, i * blk : (i + 1) * blk] = \
-                np.kron(chain.rep.generator_omega(i), rest)
-        chain._cache["d1"] = d1
-    return chain._cache["d1"]
-
-
 def build_beta(chain: ChainSpace, x: np.ndarray) -> np.ndarray:
     """Shift one slot deeper and conjugate by the slot-1 symmetry.
 
@@ -213,11 +199,16 @@ def build_beta(chain: ChainSpace, x: np.ndarray) -> np.ndarray:
         raise ShapeError("element does not live one level below the chain")
     lead = x.shape[:-2]
     xr = x.reshape(*lead, n, sub_tail, n, sub_tail)
-    shifted = np.einsum("...iajb,cd->...icajdb", xr, np.eye(leg),
-                        optimize=True)
-    shifted = shifted.reshape(*lead, chain.ambient_dim, chain.ambient_dim)
-    d1 = _slot_symmetry(chain)
-    return d1 @ shifted @ d1
+    # d_1 = sum_i e_ii (x) w_i (x) I is block diagonal, so block (i, j) of
+    # d_1 (I_leg (x) x) d_1 is (w_i (x) x_ij)(w_j (x) I): the entries
+    # w_i[c, d] x_ij[a, b], then w_j contracted on the leg index d
+    omegas = np.stack([chain.rep.generator_omega(i) for i in range(n)])
+    out = np.empty((*lead, n, leg, sub_tail, n, leg, sub_tail), dtype=complex)
+    for j in range(n):
+        left = omegas[:, :, None, None, :] * xr[..., :, None, :, j, :, None]
+        right = (left.reshape(-1, leg) @ omegas[j]).reshape(left.shape)  # [..., i, c, a, b, e]
+        out[..., j, :, :] = right.swapaxes(-1, -2)
+    return out.reshape(*lead, chain.ambient_dim, chain.ambient_dim)
 
 
 def _beta_power(chain: ChainSpace, x: np.ndarray, power: int) -> np.ndarray:
@@ -436,13 +427,14 @@ def verify_rota_secondquant(t: np.ndarray, window: int, n: int) -> float:
     rep_base = build_fermion_rep(GramSpace.standard(m))
     rep_win = build_fermion_rep(GramSpace.standard(total))
 
-    p_hat = second_quantize(rep_win, rep_win, dil.embed @ dil.embed.T)
-    p_n = second_quantize(rep_win, rep_win,
-                          _span_projection(dil, n, 2 * window - n))
+    # composed right to left, so only one window-space superoperator is alive
+    # and no product of two of them is formed
     inclusion = second_quantize(rep_base, rep_win, dil.embed)
+    p_n = _span_projection(dil, n, 2 * window - n)
+    lhs = second_quantize(rep_win, rep_win, p_n).compose(inclusion)
+    lhs = second_quantize(rep_win, rep_win, dil.embed @ dil.embed.T).compose(lhs)
     gamma_t = second_quantize(rep_base, rep_base, t)
 
-    lhs = p_hat.compose(p_n).compose(inclusion)
     power = MarkovMap.identity(rep_base.dim)
     for _ in range(2 * n):
         power = gamma_t.compose(power)

@@ -212,6 +212,29 @@ def _creation_matrices(d: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
+def _majorana_table(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, phase) of the ordered Majorana products in the wedge basis.
+
+    The product over mask B sends e_r to phase[B, r] e_(r ^ flip[B]): flip[B]
+    has bit k set when B holds exactly one of Majoranas 2k and 2k+1, and every
+    phase is +-1 or +-i.  Built by appending Majorana j on the right of the
+    products over masks below 2^j.
+    """
+    r = np.arange(1 << rank)
+    flip = np.zeros(1, dtype=np.int64)
+    phase = np.ones((1, r.size), dtype=complex)
+    below = np.zeros(r.size, dtype=np.int64)  # parity of the occupied modes below k
+    for k in range(rank):
+        bit = 1 << k
+        sign = 1.0 - 2.0 * below
+        # l+l* and i(l-l*): annihilation carries the opposite sign in the second
+        for c in (sign, 1j * sign * np.where(r & bit, -1.0, 1.0)):
+            phase = np.concatenate([phase, c * phase[:, r ^ bit]])
+            flip = np.concatenate([flip, flip ^ bit])
+        below ^= (r >> k) & 1
+    return flip, phase
+
+
 @dataclass(frozen=True)
 class FermionRep:
     """Concrete antisymmetric Fock representation over R^rank.
@@ -287,16 +310,11 @@ class FermionRep:
     def majorana_products(self) -> tuple[np.ndarray, ...]:
         """Ordered products over subsets of the 2*rank Majoranas (bitmask order);
         a trace-orthogonal basis of the full matrix algebra."""
-        key = "majorana_products"
-        if key not in self._cache:
-            maj = self.majoranas()
-            prods: list[np.ndarray | None] = [None] * (1 << (2 * self.rank))
-            prods[0] = np.eye(self.dim, dtype=complex)
-            for mask in range(1, 1 << (2 * self.rank)):
-                low = (mask & -mask).bit_length() - 1
-                prods[mask] = maj[low] @ prods[mask ^ (1 << low)]
-            self._cache[key] = tuple(prods)
-        return self._cache[key]
+        flip, phase = _majorana_table(self.rank)
+        r = np.arange(self.dim)
+        prods = np.zeros((flip.size, self.dim, self.dim), dtype=complex)
+        prods[np.arange(flip.size)[:, None], r ^ flip[:, None], r] = phase
+        return tuple(prods)
 
     def omega_products(self) -> tuple[np.ndarray, ...]:
         """Ordered products of w(f_k) over subsets of {0..rank-1} (bitmask order)."""
@@ -414,6 +432,57 @@ def interleave_double(t: np.ndarray) -> np.ndarray:
     return big
 
 
+def _split_interleaved(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(even part, odd part, sign) of every mask over 2d interleaved modes.
+
+    The parts pack the mask's even and odd mode bits; the sign is that of
+    moving its even modes before its odd ones.
+    """
+    masks = np.arange(1 << (2 * d))
+    even, odd, parity = (np.zeros_like(masks) for _ in range(3))
+    odd_below = np.zeros_like(masks)
+    for k in range(d):
+        e, o = (masks >> (2 * k)) & 1, (masks >> (2 * k + 1)) & 1
+        even |= e << k
+        odd |= o << k
+        parity ^= e & odd_below
+        odd_below ^= o
+    return even, odd, 1.0 - 2.0 * parity
+
+
+def _doubled_exterior(t: np.ndarray) -> np.ndarray:
+    """exterior_map(interleave_double(t)) from the exterior powers of t.
+
+    The doubled map is t on the even modes and t on the odd modes, so after
+    moving even modes first each minor is block diagonal:
+    entry [B, A] = eps(B) eps(A) lam[B_even, A_even] lam[B_odd, A_odd].
+    """
+    lam = exterior_map(t)
+    b_even, b_odd, b_sign = _split_interleaved(t.shape[0])
+    a_even, a_odd, a_sign = _split_interleaved(t.shape[1])
+    out = lam[np.ix_(b_even, a_even)]
+    out *= lam[np.ix_(b_odd, a_odd)]
+    out *= b_sign[:, None]
+    out *= a_sign
+    return out
+
+
+def _majorana_apply(rank: int, m: np.ndarray) -> np.ndarray:
+    """C @ m for the stacked Majorana basis C (column B is the vec'd product).
+
+    Column B holds phase[B, r] at row (r ^ flip[B]) * dim + r, so the dim
+    columns sharing a flip x form one dim x dim block that fills the rows
+    (r ^ x) * dim + r of the result from their rows of m.
+    """
+    flip, phase = _majorana_table(rank)
+    r = np.arange(phase.shape[1])
+    out = np.empty((r.size * r.size, m.shape[1]), dtype=complex)
+    for x in range(r.size):
+        masks = np.flatnonzero(flip == x)
+        out[(r ^ x) * r.size + r] = phase[masks].T @ m[masks]
+    return out
+
+
 def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
                     tol: float = config.TOL_NUM) -> MarkovMap:
     """Second quantization of a real contraction t between generator spaces.
@@ -432,12 +501,14 @@ def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
         smax = float(np.linalg.svd(tt, compute_uv=False)[0])
         if smax > 1.0 + tol:
             raise PreconditionError(f"largest singular value {smax:.12f} exceeds 1")
-    if rep_in.dim * rep_out.dim > config.dim_cap():
+    # each side of the doubled lift has 4^rank = dim^2 basis elements
+    if max(rep_in.dim, rep_out.dim) ** 2 > config.dim_cap():
         raise SizeError("second quantization superoperator exceeds dimension cap")
 
-    lifted = exterior_map(interleave_double(tt))
-    c_in = np.column_stack([p.reshape(-1) for p in rep_in.majorana_products()])
-    c_out = np.column_stack([p.reshape(-1) for p in rep_out.majorana_products()])
-    # Majorana products are trace-orthogonal: C^dagger C = dim * identity
-    super_op = c_out @ lifted @ (c_in.conj().T / rep_in.dim)
+    # super = C_out lifted C_in^dagger / dim_in, the lift taken in the Majorana
+    # basis: C^dagger C = dim * identity since the products are trace-orthogonal
+    right = _majorana_apply(rep_in.rank, _doubled_exterior(tt).T)
+    np.conjugate(right, out=right)
+    super_op = _majorana_apply(rep_out.rank, right.T)
+    super_op /= rep_in.dim
     return MarkovMap(dim_out=rep_out.dim, dim_in=rep_in.dim, super=super_op)

@@ -82,6 +82,32 @@ def test_beta_is_a_state_preserving_homomorphism():
         build_beta(chain, np.eye(3))
 
 
+def _dense_beta(chain, x):
+    """Reference: d_1 (I_leg (x) x) d_1 with the dense slot-1 symmetry
+    d_1 = sum_i e_ii (x) w_i (x) I."""
+    n, leg = chain.input_dim, chain.leg_dim
+    sub_tail = chain.tail_dim // leg
+    d1 = np.zeros((chain.ambient_dim, chain.ambient_dim), dtype=complex)
+    blk = leg * sub_tail
+    for i in range(n):
+        d1[i * blk:(i + 1) * blk, i * blk:(i + 1) * blk] = \
+            np.kron(chain.rep.generator_omega(i), np.eye(sub_tail))
+    xr = x.reshape(*x.shape[:-2], n, sub_tail, n, sub_tail)
+    shifted = np.einsum("...iajb,cd->...icajdb", xr, np.eye(leg))
+    return d1 @ shifted.reshape(*x.shape[:-2], *d1.shape) @ d1
+
+
+def test_beta_matches_dense_conjugation():
+    gen = rng(11)
+    sym3 = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.4], [-0.2, 0.4, 1.0]])
+    for chain in (_chain(1), _chain(2), _chain(3),
+                  _chain(2, symbol=sym3, state=DiagonalState([0.2, 0.3, 0.5]))):
+        sub_dim = chain.ambient_dim // chain.leg_dim
+        stack = np.stack([random_complex(gen, sub_dim) for _ in range(3)])
+        assert max_abs(build_beta(chain, stack) - _dense_beta(chain, stack)) <= 1e-13
+        assert max_abs(build_beta(chain, stack[1]) - _dense_beta(chain, stack[1])) <= 1e-13
+
+
 def test_markov_property_all_levels_depth_two():
     chain = _chain(2)
     for n in range(3):

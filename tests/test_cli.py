@@ -138,8 +138,8 @@ def _no_constant(name):
     raise ValueError(f"non-finite number {name} in the report")
 
 
-def run_in_process(command, payload, *flags):
-    """cli.main on a payload file; returns (exit code, report or None)."""
+def run_main(command, payload, *flags):
+    """cli.main on a payload file; returns (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -147,7 +147,12 @@ def run_in_process(command, payload, *flags):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, path, *flags])
-    text = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_in_process(command, payload, *flags):
+    """cli.main on a payload file; returns (exit code, report or None)."""
+    code, text, _ = run_main(command, payload, *flags)
     return code, json.loads(text, parse_constant=_no_constant) if text else None
 
 
@@ -232,3 +237,30 @@ def test_check_schur_reports_any_real_symbol(payload):
 @given(group_payloads())
 def test_fourier_reports_any_coefficients(payload):
     _assert_reported("fourier", payload)
+
+
+@st.composite
+def contraction_payloads(draw):
+    """Symmetric m x m matrices scaled to a spectral radius in [0, 1.5], so
+    that some are not contractions."""
+    m = draw(st.sampled_from([1, 2]))
+    a = np.array(draw(st.lists(ENTRIES, min_size=m * m, max_size=m * m))).reshape(m, m)
+    a = (a + a.T) / 2
+    top = np.abs(np.linalg.eigvalsh(a)).max()
+    radius = draw(st.floats(min_value=0.0, max_value=1.5))
+    t = a / top * radius if top > 0 else a
+    return {"matrix": t.tolist(), "window": draw(st.sampled_from([1, 2]))}
+
+
+# 15 examples: a rank-6 window (m = 2, window = 1, --steps >= 1) costs about 3.5 s
+@settings(max_examples=15, deadline=None)
+@given(contraction_payloads(), st.sampled_from([0, 1, 2]))
+def test_secondquant_reports_or_refuses_any_symmetric_matrix(payload, steps):
+    code, out, err = run_main("secondquant", payload, "--steps", str(steps))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:")
+        assert out == ""
+    else:
+        report = json.loads(out, parse_constant=_no_constant)
+        assert report["pass"] == (code == 0)

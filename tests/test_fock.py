@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dilation_lab import (GramSpace, PreconditionError, SchurSymbol, ShapeError,
                           SizeError, build_fermion_rep, build_gram_space,
                           choi_matrix, exterior_map, interleave_double,
                           second_quantize, verify_q_relation, wick_inverse)
-from dilation_lab.fock import QWord, TruncatedQFock, creation_apply, q_gram
+from dilation_lab.fock import (QWord, TruncatedQFock, _doubled_exterior, creation_apply,
+                               q_gram)
 from dilation_lab.matcore import dagger, max_abs, random_complex, rng
 
 Q_VALUES = (-0.9, -0.5, 0.0, 0.5, 0.9)
@@ -336,3 +339,86 @@ def test_second_quantize_isometry_is_a_homomorphism():
         x = c[0] * np.eye(2) + c[1] * w0_in
         y = gen.standard_normal(2)[0] * np.eye(2) + gen.standard_normal(2)[1] * w0_in
         np.testing.assert_allclose(g(x @ y), g(x) @ g(y), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: Majorana products by matmul, second quantization by GEMMs
+
+
+def _dense_majorana_basis(rep):
+    """Columns vec(c_B) of the ordered Majorana products, multiplied out."""
+    maj = rep.majoranas()
+    prods = [np.eye(rep.dim, dtype=complex)]
+    for mask in range(1, 1 << (2 * rep.rank)):
+        low = (mask & -mask).bit_length() - 1
+        prods.append(maj[low] @ prods[mask ^ (1 << low)])
+    return np.column_stack([p.reshape(-1) for p in prods])
+
+
+def _dense_second_quantize(rep_in, rep_out, t):
+    c_in, c_out = _dense_majorana_basis(rep_in), _dense_majorana_basis(rep_out)
+    return c_out @ exterior_map(interleave_double(t)) @ c_in.conj().T / rep_in.dim
+
+
+@st.composite
+def real_contractions(draw):
+    """General contractions of any shape up to 4 x 4, orthogonal projections
+    and isometries."""
+    kind = draw(st.sampled_from(["contraction", "projection", "isometry"]))
+    d_out = draw(st.integers(min_value=0, max_value=4))
+    gen = rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    if kind == "contraction":
+        a = gen.standard_normal((d_out, draw(st.integers(min_value=0, max_value=4))))
+        norm = np.linalg.norm(a, 2) if a.size else 1.0
+        return a * draw(st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)) / norm
+    q, _ = np.linalg.qr(gen.standard_normal((d_out, d_out)))
+    k = draw(st.integers(min_value=0, max_value=d_out))
+    return q[:, :k] if kind == "isometry" else q[:, :k] @ q[:, :k].T
+
+
+def test_majorana_products_match_dense_reference():
+    for rank in range(5):
+        rep = _standard_rep(rank)
+        stacked = np.column_stack([p.reshape(-1) for p in rep.majorana_products()])
+        np.testing.assert_array_equal(stacked, _dense_majorana_basis(rep))
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_contractions())
+def test_second_quantize_matches_dense_reference(t):
+    rep_in, rep_out = _standard_rep(t.shape[1]), _standard_rep(t.shape[0])
+    g = second_quantize(rep_in, rep_out, t)
+    assert max_abs(g.super - _dense_second_quantize(rep_in, rep_out, t)) <= 1e-13
+    assert max_abs(_doubled_exterior(t) - exterior_map(interleave_double(t))) <= 1e-13
+
+
+def test_second_quantize_identity_is_exact_at_every_rank():
+    for rank in range(6):
+        rep = _standard_rep(rank)
+        g = second_quantize(rep, rep, np.eye(rank))
+        assert np.array_equal(g.super, np.eye(4 ** rank))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example((1, 2, 3), 0)
+def test_second_quantize_functorial_and_unital(dims, seed):
+    """Gamma(s t) = Gamma(s) Gamma(t) along d0 -> d1 -> d2, and every Gamma(t)
+    is unital and preserves the normalized trace."""
+    gen = rng(seed)
+    reps = [_standard_rep(d) for d in dims]
+    maps = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        a = gen.standard_normal((d_out, d_in))
+        maps.append(a / (np.linalg.norm(a, 2) * (1 + gen.random())) if a.size else a)
+    t, s = maps
+    g_t = second_quantize(reps[0], reps[1], t)
+    g_s = second_quantize(reps[1], reps[2], s)
+    g_st = second_quantize(reps[0], reps[2], s @ t)
+    assert max_abs(g_st.super - g_s.compose(g_t).super) <= 1e-10
+    for g, rep_in, rep_out in ((g_t, reps[0], reps[1]), (g_s, reps[1], reps[2]),
+                               (g_st, reps[0], reps[2])):
+        assert max_abs(g(np.eye(rep_in.dim)) - np.eye(rep_out.dim)) <= 1e-12
+        x = random_complex(gen, rep_in.dim)
+        assert abs(np.trace(g(x)) / rep_out.dim - np.trace(x) / rep_in.dim) <= 1e-12
