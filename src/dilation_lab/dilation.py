@@ -24,7 +24,8 @@ from . import config
 from .condexp import word_closure
 from .errors import PreconditionError, ShapeError
 from .fock import FermionRep, build_fermion_rep
-from .matcore import as_square, dagger, matrix_unit, max_abs, random_complex, rng, tensor_product
+from .matcore import (as_square, block_conjugate, dagger, max_abs, random_complex, rng,
+                      tensor_product)
 from .schur import GramSpace, SchurSymbol, apply_multiplier, build_gram_space, certify_symbol
 from .states import DiagonalState, modular_conjugate
 
@@ -72,17 +73,16 @@ def build_dilation(symbol: SchurSymbol, state: DiagonalState,
     rep = build_fermion_rep(gram)
     fock_dim = rep.dim
     eye_f = np.eye(fock_dim, dtype=complex)
-
+    omegas = np.stack([rep.generator_omega(i) for i in range(n)])
     d = np.zeros((n * fock_dim, n * fock_dim), dtype=complex)
     for i in range(n):
-        d[i * fock_dim : (i + 1) * fock_dim, i * fock_dim : (i + 1) * fock_dim] = \
-            rep.generator_omega(i)
+        d[i * fock_dim : (i + 1) * fock_dim, i * fock_dim : (i + 1) * fock_dim] = omegas[i]
 
     def pi(x: np.ndarray) -> np.ndarray:
         return tensor_product(as_square(x, "pi argument"), eye_f)
 
     def rho(x: np.ndarray) -> np.ndarray:
-        return d @ pi(x) @ d
+        return block_conjugate(omegas, as_square(x, "rho argument"))
 
     ambient_weights = np.repeat(state.weights, fock_dim) / fock_dim
     return DilationBundle(
@@ -98,30 +98,55 @@ def build_dilation(symbol: SchurSymbol, state: DiagonalState,
     )
 
 
-def _sample_pairs(n: int, samples: int, seed: int | None):
-    """All matrix-unit pairs plus seeded random pairs."""
-    pairs = [(matrix_unit(n, i, j), matrix_unit(n, k, l))
-             for i in range(n) for j in range(n)
-             for k in range(n) for l in range(n)]
+def _matrix_units(n: int) -> np.ndarray:
+    """The n^2 matrix units e_ij stacked in row-major order of (i, j)."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+
+
+def _random_pairs(n: int, samples: int, seed: int | None):
     gen = rng(seed)
-    pairs.extend((random_complex(gen, n), random_complex(gen, n)) for _ in range(samples))
-    return pairs
+    return [(random_complex(gen, n), random_complex(gen, n)) for _ in range(samples)]
+
+
+def _image_pairings(state: DiagonalState, left, right, xs: np.ndarray) -> np.ndarray:
+    """Table of phi~(left(x) right(y)) over all x, y in xs.
+
+    Each image is formed once per chunk of about CHUNK_BYTES of images (once
+    in all when the stack fits one chunk) and paired in O(dim^2).
+    """
+    count = len(xs)
+    step = max(1, config.CHUNK_BYTES // (np.dtype(complex).itemsize * state.dim ** 2))
+    table = np.empty((count, count), dtype=complex)
+    for a in range(0, count, step):
+        lefts = np.stack([left(x) for x in xs[a : a + step]])
+        for b in range(0, count, step):
+            rights = np.stack([right(y) for y in xs[b : b + step]])
+            table[a : a + step, b : b + step] = state.pairing_table(lefts, rights)
+    return table
+
+
+def _pairing_residual(bundle: DilationBundle, state: DiagonalState, symbol: SchurSymbol,
+                      left, right, pairs) -> float:
+    """Largest |phi(M(x) y) - phi~(left(x) right(y))| over every pair of
+    matrix units and the given pairs, M the multiplier of `symbol`."""
+    units = _matrix_units(bundle.input_dim)
+    lhs = state.pairing_table(symbol.matrix * units, units)
+    worst = max_abs(lhs - _image_pairings(bundle.ambient_state, left, right, units))
+    for x, y in pairs:
+        lhs = state(apply_multiplier(symbol, x) @ y)
+        worst = max(worst, abs(lhs - bundle.ambient_state.pairing(left(x), right(y))))
+    return worst
 
 
 def verify_factorization(bundle: DilationBundle, symbol: SchurSymbol,
                          state: DiagonalState, samples: int = 20,
                          seed: int | None = None) -> float:
-    """Largest residual of phi(M_t(x) y) = phi~(pi(x) rho(y)) over sampled pairs."""
+    """Largest residual of phi(M_t(x) y) = phi~(pi(x) rho(y)) over all
+    matrix-unit pairs and seeded random pairs."""
     if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
         raise ShapeError("verify_factorization dimension mismatch")
-    w = bundle.ambient_state.weights
-    worst = 0.0
-    for x, y in _sample_pairs(bundle.input_dim, samples, seed):
-        lhs = state(apply_multiplier(symbol, x) @ y)
-        px, ry = bundle.pi(x), bundle.rho(y)
-        rhs = complex(np.einsum("i,ij,ji->", w, px, ry))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    pairs = _random_pairs(bundle.input_dim, samples, seed)
+    return _pairing_residual(bundle, state, symbol, bundle.pi, bundle.rho, pairs)
 
 
 @dataclass(frozen=True)
@@ -146,7 +171,7 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
     eye_n = np.eye(n, dtype=complex)
     gen = rng(seed)
     if bundle.domain_basis is None:
-        xs = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+        xs = list(_matrix_units(n))
         xs += [random_complex(gen, n) for _ in range(samples)]
     else:
         basis = np.stack(bundle.domain_basis)
@@ -154,21 +179,23 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
         coeffs = random_complex(gen, samples, basis.shape[0])
         xs += list(np.tensordot(coeffs, basis, axes=1))
 
+    # sigma_t on the ambient algebra is entrywise multiplication by these phases
+    ambient_phases = [bundle.ambient_state.modular_phases(t) for t in t_samples]
     out = {}
     for name, mor in (("pi", bundle.pi), ("rho", bundle.rho)):
-        images = [mor(x) for x in xs]
+        images = np.stack([mor(x) for x in xs])
         unital = max_abs(mor(eye_n) - np.eye(bundle.ambient_dim))
         mult = star = preserve = modular = 0.0
         for x, mx in zip(xs, images):
             star = max(star, max_abs(mor(dagger(x)) - dagger(mx)))
             preserve = max(preserve, abs(bundle.input_state(x) - bundle.ambient_phi(mx)))
-            for t in t_samples:
-                lhs = modular_conjugate(bundle.ambient_state, mx, t)
+            for t, phases in zip(t_samples, ambient_phases):
                 rhs = mor(modular_conjugate(bundle.input_state, x, t))
-                modular = max(modular, max_abs(lhs - rhs))
+                modular = max(modular, max_abs(phases * mx - rhs))
         for a in range(len(xs)):
-            for b in range(a, len(xs)):
-                mult = max(mult, max_abs(images[a] @ images[b] - mor(xs[a] @ xs[b])))
+            # images[a] @ images[b] for every b >= a, as one stacked matmul
+            for b, product in enumerate(images[a] @ images[a:], start=a):
+                mult = max(mult, max_abs(product - mor(xs[a] @ xs[b])))
         out[name] = MorphismReport(unital=unital, multiplicative=mult, star=star,
                                    state_preserving=preserve, modular=modular)
     return out
@@ -229,17 +256,11 @@ def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,
                     seed: int | None = None) -> float:
     """Largest residual of phi(adj(y) x) = phi~(rho(y) pi(x)), where adj is the
     bilinear adjoint of the multiplier (transposed symbol)."""
-    if symbol.dim != bundle.input_dim:
+    if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
         raise ShapeError("star_swap_check dimension mismatch")
-    adj_symbol = SchurSymbol(symbol.matrix.T)
-    w = bundle.ambient_state.weights
-    worst = 0.0
-    for x, y in _sample_pairs(bundle.input_dim, samples, seed):
-        lhs = state(apply_multiplier(adj_symbol, y) @ x)
-        ry, px = bundle.rho(y), bundle.pi(x)
-        rhs = complex(np.einsum("i,ij,ji->", w, ry, px))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    pairs = [(y, x) for x, y in _random_pairs(bundle.input_dim, samples, seed)]
+    return _pairing_residual(bundle, state, SchurSymbol(symbol.matrix.T),
+                             bundle.rho, bundle.pi, pairs)
 
 
 def verify_even_closure(bundle: DilationBundle, tol: float = config.TOL_NUM) -> float:
@@ -251,8 +272,8 @@ def verify_even_closure(bundle: DilationBundle, tol: float = config.TOL_NUM) -> 
     if bundle.rep is None:
         raise PreconditionError("bundle does not carry a fermion representation")
     n = bundle.input_dim
-    gens = [bundle.pi(matrix_unit(n, i, j)) for i in range(n) for j in range(n)]
-    gens += [bundle.rho(matrix_unit(n, i, j)) for i in range(n) for j in range(n)]
+    units = _matrix_units(n)
+    gens = [bundle.pi(u) for u in units] + [bundle.rho(u) for u in units]
     algebra = word_closure(gens)
     par = tensor_product(np.eye(n, dtype=complex), bundle.rep.parity())
     worst = 0.0

@@ -20,7 +20,7 @@ from . import config
 from .dilation import DilationBundle
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import build_fermion_rep, exterior_map
-from .matcore import max_abs, rng, tensor_product
+from .matcore import block_conjugate, direct_sum, max_abs, rng, tensor_product
 from .schur import SchurSymbol, SymbolReport, certify_symbol, build_gram_space
 from .states import DiagonalState
 
@@ -218,14 +218,9 @@ class CrossedBundle(DilationBundle):
     rotations: np.ndarray
 
 
-def _covariant_copy(group: FiniteGroup, rotations: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Block-diagonal covariant copy, block h = alpha(h^-1)(a)."""
-    f = rotations.shape[1]
-    out = np.zeros((group.order * f, group.order * f), dtype=complex)
-    for h in range(group.order):
-        r = rotations[group.inv(h)]
-        out[h * f : (h + 1) * f, h * f : (h + 1) * f] = r @ a @ r.T
-    return out
+def _covariant_blocks(group: FiniteGroup, rotations: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Diagonal blocks of the block-diagonal covariant copy: block h = alpha(h^-1)(a)."""
+    return np.stack([r @ a @ r.T for r in rotations[group.inverse]])
 
 
 def _require_crossed(bundle: DilationBundle) -> None:
@@ -248,21 +243,23 @@ def build_crossed_dilation(symbol: FourierSymbol,
     actions = _translation_action(space.embedding, group)
     rotations = np.stack([exterior_map(actions[g]) for g in range(m)])
     eye_f = np.eye(rep.dim, dtype=complex)
-    big_lam = np.stack([tensor_product(lam[g], eye_f) for g in range(m)])
-    w = _covariant_copy(group, rotations, rep.omega(space.embedding[group.identity]))
+    w_blocks = _covariant_blocks(group, rotations, rep.omega(space.embedding[group.identity]))
+
+    def project(x: np.ndarray) -> np.ndarray:
+        return np.tensordot(_coefficients(group, x, lam, tol), lam, axes=1)
 
     def pi(x: np.ndarray) -> np.ndarray:
-        return np.tensordot(_coefficients(group, x, lam, tol), big_lam, axes=1)
+        return tensor_product(project(x), eye_f)
 
     def rho(x: np.ndarray) -> np.ndarray:
-        return w @ pi(x) @ w
+        return block_conjugate(w_blocks, project(x))
 
     return CrossedBundle(
         input_dim=m,
         ambient_dim=m * rep.dim,
         input_state=DiagonalState(np.full(m, 1.0 / m)),
         ambient_state=DiagonalState(np.full(m * rep.dim, 1.0 / (m * rep.dim))),
-        d=w,
+        d=direct_sum(w_blocks),
         pi=pi,
         rho=rho,
         gram=space,
@@ -282,21 +279,18 @@ def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
     _require_crossed(bundle)
     group, t = symbol.group, symbol.values
     m = group.order
-    lam = bundle.lam
-    pis = [bundle.pi(lam[g]) for g in range(m)]
-    rhos = [bundle.rho(lam[g]) for g in range(m)]
-    worst = 0.0
-    for g in range(m):
-        for h in range(m):
-            expected = t[g] if group.mul(g, h) == group.identity else 0.0
-            worst = max(worst, abs(bundle.ambient_phi(pis[g] @ rhos[h]) - expected))
+    state = bundle.ambient_state
+    pis = np.stack([bundle.pi(lam_g) for lam_g in bundle.lam])
+    rhos = np.stack([bundle.rho(lam_g) for lam_g in bundle.lam])
+    expected = np.where(group.table == group.identity, t[:, None], 0.0)
+    worst = max_abs(state.pairing_table(pis, rhos) - expected)
     gen = rng(seed)
     for _ in range(samples):
         a, b = gen.standard_normal(m), gen.standard_normal(m)
         x = np.tensordot(a, pis, axes=1)
         y = np.tensordot(b, rhos, axes=1)
         expected = sum(a[g] * b[group.inv(g)] * t[g] for g in range(m))
-        worst = max(worst, abs(bundle.ambient_phi(x @ y) - expected))
+        worst = max(worst, abs(state.pairing(x, y) - expected))
     return worst
 
 
@@ -308,17 +302,20 @@ def verify_covariance(bundle: CrossedBundle) -> dict[str, float]:
     m = group.order
     actions = bundle.actions
     rank = actions.shape[1]
-    eye_f = np.eye(bundle.rotations.shape[1], dtype=complex)
-    big_lam = [tensor_product(bundle.lam[g], eye_f) for g in range(m)]
-    embedding = bundle.gram.embedding
-    fields = [_covariant_copy(group, bundle.rotations, bundle.rep.omega(embedding[h]))
-              for h in range(m)]
+    # fields[h, u]: diagonal block u of the covariant copy of omega(row h)
+    fields = np.stack([_covariant_blocks(group, bundle.rotations, bundle.rep.omega(row))
+                       for row in bundle.gram.embedding])
 
     ortho = max(max_abs(actions[g].T @ actions[g] - np.eye(rank)) for g in range(m))
     homo = max(max_abs(actions[g] @ actions[h] - actions[group.mul(g, h)])
                for g in range(m) for h in range(m))
-    cov = max(max_abs(big_lam[g] @ fields[h] @ big_lam[g].conj().T
-                      - fields[group.mul(g, h)])
-              for g in range(m) for h in range(m))
+    # Lam(g) = lambda(g) (x) 1 moves block (u, v) to (gu, gv), so conjugating a
+    # block-diagonal copy by it permutes the diagonal blocks; column v of
+    # lambda(g) holds its single 1 in row gv.
+    cov = 0.0
+    for g in range(m):
+        conjugated = np.empty_like(fields)
+        conjugated[:, bundle.lam[g].real.argmax(axis=0)] = fields
+        cov = max(cov, max_abs(conjugated - fields[group.table[g]]))
     return {"orthogonal": ortho, "action_homomorphism": homo,
             "field_covariance": cov}

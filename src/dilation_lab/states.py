@@ -62,6 +62,17 @@ class DiagonalState:
             raise ShapeError(f"state of dimension {self.dim} applied to shape {arr.shape}")
         return complex(np.dot(self.weights, np.diagonal(arr)))
 
+    def pairing(self, x: np.ndarray, y: np.ndarray) -> complex:
+        """phi(x y) = sum_ij w_i x_ij y_ji in O(n^2), without forming x y."""
+        return complex(np.einsum("i,ij,ji->", self.weights, x, y))
+
+    def pairing_table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """phi(x y) for every x in the stack xs and every y in ys, as one GEMM
+        of the weighted xs against the transposed ys: O(n^2) per pair."""
+        left = (xs * self.weights[:, None]).reshape(len(xs), -1)
+        right = np.swapaxes(ys, -1, -2).reshape(len(ys), -1)
+        return left @ right.T
+
     def modular_phases(self, t: float) -> np.ndarray:
         """Entrywise phase matrix of sigma_t: (w_i / w_j)^{-it}."""
         log_w = np.log(self.weights)

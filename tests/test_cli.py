@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ def run_in_process(command, payload, *flags):
     """cli.main on a payload file; returns (exit code, report or None)."""
     code, text, _ = run_main(command, payload, *flags)
     return code, json.loads(text, parse_constant=_no_constant) if text else None
+
+
+def test_secondquant_on_subnormal_entries_warns_nothing():
+    payload = {"matrix": [[0.0, 0.0], [0.0, 2.225073858507e-311]], "window": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main("secondquant", payload, "--steps", "0")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("command, payload, row", [

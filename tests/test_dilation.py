@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol,
-                          ShapeError, build_dilation,
+                          ShapeError, apply_multiplier, build_dilation, config,
                           convex_combination_dilation, star_swap_check,
                           verify_even_closure, verify_factorization,
                           verify_morphism_markov)
-from dilation_lab.matcore import dagger, matrix_unit, max_abs
+from dilation_lab.matcore import (block_conjugate, dagger, matrix_unit, max_abs,
+                                  random_complex, random_unital_psd_symbol,
+                                  random_weights, rng)
 
 T2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 UNIFORM2 = DiagonalState([0.5, 0.5])
@@ -116,3 +122,89 @@ def test_ambient_state_restricts_to_the_input_state():
             for j in range(2):
                 x = matrix_unit(2, i, j)
                 assert abs(bundle.ambient_phi(leg(x)) - state(x)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dense references: rho as d pi(x) d, pairings as ambient_phi of the product
+
+
+def _dense_pairing_residual(bundle, state, symbol, left, right, samples, seed, swap):
+    """max |phi(M(x) y) - ambient_phi(left(x) @ right(y))| over every pair of
+    matrix units and the seeded random pairs (swapped for the star swap)."""
+    n = bundle.input_dim
+    units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+    gen = rng(seed)
+    pairs = [(random_complex(gen, n), random_complex(gen, n)) for _ in range(samples)]
+    if swap:
+        pairs = [(y, x) for x, y in pairs]
+    worst = 0.0
+    for x, y in [(u, v) for u in units for v in units] + pairs:
+        lhs = state(apply_multiplier(symbol, x) @ y)
+        worst = max(worst, abs(lhs - bundle.ambient_phi(left(x) @ right(y))))
+    return worst
+
+
+@st.composite
+def symbols_and_states(draw):
+    """Unital PSD symbols with n <= 4 of every Gram rank, with faithful states."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rank = draw(st.integers(min_value=1, max_value=n))
+    gen = rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    symbol = SchurSymbol(random_unital_psd_symbol(gen, n, rank))
+    return symbol, DiagonalState(random_weights(gen, n)), gen
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbols_and_states())
+def test_block_rho_matches_dense_conjugation(case):
+    symbol, state, gen = case
+    bundle = build_dilation(symbol, state)
+    n, d = symbol.dim, bundle.d
+    for x in [matrix_unit(n, 0, n - 1), random_complex(gen, n)]:
+        assert max_abs(bundle.rho(x) - d @ bundle.pi(x) @ d) <= 1e-13
+
+
+def _reference_bundles():
+    b2 = build_dilation(SchurSymbol(T2), UNIFORM2)
+    s2 = np.array([[1.0, -0.2], [-0.2, 1.0]])
+    mixed = convex_combination_dilation(
+        [b2, build_dilation(SchurSymbol(s2), UNIFORM2)], [0.25, 0.75])
+    t_rank1 = np.ones((3, 3))
+    return [(build_dilation(SchurSymbol(T3), STATE3), SchurSymbol(T3), STATE3),
+            (b2, SchurSymbol(T2), UNIFORM2),
+            (mixed, SchurSymbol(0.25 * T2 + 0.75 * s2), UNIFORM2),
+            (build_dilation(SchurSymbol(t_rank1), STATE3), SchurSymbol(t_rank1), STATE3)]
+
+
+def test_pairing_residuals_match_dense_products():
+    for bundle, symbol, state in _reference_bundles():
+        fact = verify_factorization(bundle, symbol, state, samples=6, seed=9)
+        dense = _dense_pairing_residual(bundle, state, symbol, bundle.pi, bundle.rho,
+                                        6, 9, swap=False)
+        assert abs(fact - dense) <= 1e-13
+        swap = star_swap_check(bundle, symbol, state, samples=6, seed=9)
+        dense = _dense_pairing_residual(bundle, state, SchurSymbol(symbol.matrix.T),
+                                        bundle.rho, bundle.pi, 6, 9, swap=True)
+        assert abs(swap - dense) <= 1e-13
+
+
+def test_image_pairings_in_chunks_match_one_stack(monkeypatch):
+    bundle = build_dilation(SchurSymbol(T3), STATE3)
+    whole = verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=3, seed=2)
+    # two images per chunk: every unit image is formed once per chunk of the other side
+    monkeypatch.setattr(config, "CHUNK_BYTES", 2 * 16 * bundle.ambient_dim ** 2)
+    chunked = verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=3, seed=2)
+    assert abs(chunked - whole) <= 1e-15
+
+
+def test_perturbed_rho_block_fails_the_checks():
+    # rho through one block 1.01 w_1 is no longer multiplicative, and its
+    # pairing with pi no longer factorizes the multiplier
+    bundle = build_dilation(SchurSymbol(T3), STATE3)
+    omegas = np.stack([bundle.rep.generator_omega(i) for i in range(3)])
+    omegas[1] *= 1.01
+    bad = dataclasses.replace(bundle, rho=lambda x: block_conjugate(omegas, np.asarray(x)))
+    tol = config.TOL_NUM
+    assert verify_morphism_markov(bad, samples=2, seed=1)["rho"].multiplicative > tol
+    assert verify_factorization(bad, SchurSymbol(T3), STATE3, samples=2, seed=1) > tol
+    assert star_swap_check(bad, SchurSymbol(T3), STATE3, samples=2, seed=1) > tol

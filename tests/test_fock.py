@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ def test_exterior_map_rectangular():
         exterior_map(np.zeros(3))
     with pytest.raises(SizeError):
         exterior_map(np.eye(13))
+
+
+def test_exterior_map_of_subnormal_entries_warns_nothing():
+    # the 2 x 2 minor of [[0, 1], [s, 0]] pivots on the subnormal s, where
+    # LAPACK's LU raises a divide-by-zero flag; the minors stand as computed
+    s = 2.225073858507e-311
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lifted = exterior_map(np.array([[0.0, 1.0], [s, 0.0]]))
+    singles = [1, 2]
+    np.testing.assert_array_equal(lifted[np.ix_(singles, singles)], [[0.0, 1.0], [s, 0.0]])
+    assert lifted[0, 0] == 1.0
+    assert np.isfinite(lifted[3, 3]) and abs(lifted[3, 3] + s) <= s  # det = -s
+    assert np.count_nonzero(lifted[[0, 0, 3, 3], [1, 3, 0, 1]]) == 0
 
 
 def test_interleave_double_pattern():

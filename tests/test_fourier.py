@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dilation_lab import (FiniteGroup, FourierSymbol, PreconditionError,
                           SchurSymbol, ShapeError, SizeError,
                           apply_multiplier, build_crossed_dilation,
                           build_group_algebra, certify_markov, certify_posdef,
-                          cyclic_group, dihedral_group, gram_matrix,
+                          config, cyclic_group, dihedral_group, gram_matrix,
                           multiplier_apply, multiplier_map,
                           random_posdef_symbol, schur_symbol_matrix,
                           symmetric_group, verify_covariance,
@@ -207,3 +209,70 @@ def test_covariance_requires_a_crossed_bundle():
                            DiagonalState([0.5, 0.5]))
     with pytest.raises(PreconditionError):
         verify_covariance(plain)
+
+
+# ---------------------------------------------------------------------------
+# dense references: conjugation by Lam(g) as GEMMs, pairings of full products
+
+
+def _dense_covariance(bundle):
+    group = bundle.symbol.group
+    m, f = group.order, bundle.rotations.shape[1]
+    big_lam = [np.kron(bundle.lam[g], np.eye(f)) for g in range(m)]
+    fields = []
+    for row in bundle.gram.embedding:
+        a = bundle.rep.omega(row)
+        field = np.zeros((m * f, m * f), dtype=complex)
+        for h in range(m):
+            r = bundle.rotations[group.inv(h)]
+            field[h * f : (h + 1) * f, h * f : (h + 1) * f] = r @ a @ r.T
+        fields.append(field)
+    return max(max_abs(big_lam[g] @ fields[h] @ big_lam[g].conj().T
+                       - fields[group.mul(g, h)])
+               for g in range(m) for h in range(m))
+
+
+def _dense_fourier_identity(bundle, symbol, samples, seed):
+    group, t, m = symbol.group, symbol.values, symbol.group.order
+    pis = [bundle.pi(bundle.lam[g]) for g in range(m)]
+    rhos = [bundle.rho(bundle.lam[g]) for g in range(m)]
+    worst = 0.0
+    for g in range(m):
+        for h in range(m):
+            expected = t[g] if group.mul(g, h) == group.identity else 0.0
+            worst = max(worst, abs(bundle.ambient_phi(pis[g] @ rhos[h]) - expected))
+    gen = rng(seed)
+    for _ in range(samples):
+        a, b = gen.standard_normal(m), gen.standard_normal(m)
+        x = np.tensordot(a, pis, axes=1)
+        y = np.tensordot(b, rhos, axes=1)
+        expected = sum(a[g] * b[group.inv(g)] * t[g] for g in range(m))
+        worst = max(worst, abs(bundle.ambient_phi(x @ y) - expected))
+    return worst
+
+
+REFERENCE_GROUPS = [cyclic_group(3), cyclic_group(4), symmetric_group(3), dihedral_group(3)]
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS, ids=["z3", "z4", "s3", "d3"])
+def test_block_paths_match_dense_references(group):
+    t = random_posdef_symbol(group, rng(11))
+    bundle = build_crossed_dilation(t)
+    d = bundle.d
+    for g in range(group.order):
+        x = bundle.lam[g]
+        assert max_abs(bundle.rho(x) - d @ bundle.pi(x) @ d) <= 1e-13
+    assert verify_covariance(bundle)["field_covariance"] == _dense_covariance(bundle)
+    residual = verify_fourier_identity(bundle, t, samples=8, seed=12)
+    assert abs(residual - _dense_fourier_identity(bundle, t, 8, 12)) <= 1e-13
+
+
+def test_swapped_rotations_break_field_covariance():
+    group = cyclic_group(3)
+    bundle = build_crossed_dilation(random_posdef_symbol(group, rng(13)))
+    rotations = bundle.rotations[[0, 2, 1]]
+    assert max_abs(rotations[1] - bundle.rotations[1]) > 1e-3
+    bad = dataclasses.replace(bundle, rotations=rotations)
+    residuals = verify_covariance(bad)
+    assert residuals["field_covariance"] > config.TOL_NUM
+    assert residuals["field_covariance"] == _dense_covariance(bad)
