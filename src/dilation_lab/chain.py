@@ -13,6 +13,12 @@ images realize the Markov identities
     E_{n]} o E_{[n} would overshoot: the composition through both gives
     J_0 o T^(2n) = E_{0]} o E_{[n} o J_0.
 
+Both algebras are known exactly.  With E the even algebra of the field
+Majoranas, the past one at level q is M_n (x) E^(x)q (x) 1 and the future one
+U (M_n (x) 1^(x)q (x) E^(x)(N-q)) U, U = sum_i e_ii (x) w_i^(x)q (x) 1.  The
+product state commutes with U, so each expectation is per-leg projection onto
+E and a partial trace.
+
 All identities are local in the chain, so truncation at depth N is exact for
 indices <= N.  The same module carries the shifted unitary dilation of a
 symmetric contraction (exactly unitary on a cyclic window, strong dilation
@@ -21,15 +27,14 @@ identity up to the wrap horizon) and its second-quantized counterpart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .condexp import ConditionalExpectation, word_closure
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import FermionRep, build_fermion_rep, second_quantize
-from .matcore import as_square, frobenius, hermitian_sqrt, max_abs
+from .matcore import as_square, frobenius, hermitian_sqrt, matrix_units, max_abs
 from .schur import GramSpace, SchurSymbol, build_gram_space, certify_symbol
 from .states import DiagonalState, MarkovMap
 
@@ -60,7 +65,6 @@ class ChainSpace:
     depth: int
     gram: GramSpace
     rep: FermionRep
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def input_dim(self) -> int:
@@ -80,10 +84,7 @@ class ChainSpace:
 
     @property
     def ambient_state(self) -> DiagonalState:
-        if "state" not in self._cache:
-            weights = np.repeat(self.state.weights, self.tail_dim) / self.tail_dim
-            self._cache["state"] = DiagonalState(weights)
-        return self._cache["state"]
+        return DiagonalState(np.repeat(self.state.weights, self.tail_dim) / self.tail_dim)
 
     def shallower(self, depth: int) -> "ChainSpace":
         """Chain over the same data truncated at a smaller depth >= 1."""
@@ -91,39 +92,24 @@ class ChainSpace:
             return self
         if not 1 <= depth < self.depth:
             raise PreconditionError("shallower depth out of range")
-        key = ("sub", depth)
-        if key not in self._cache:
-            self._cache[key] = ChainSpace(self.symbol, self.state, depth,
-                                          self.gram, self.rep)
-        return self._cache[key]
+        return ChainSpace(self.symbol, self.state, depth, self.gram, self.rep)
 
 
 _ENTRY_BYTES = np.dtype(complex).itemsize
 
 
-def _closure_bound(n: int, leg: int, depth: int) -> int:
-    """Upper bound on the size of any chain algebra over M_n (x) A^(x)depth.
-
-    Its elements are sums of e_ij (x) x_1 (x) ... (x) x_depth with each x_l an
-    even word in the n fields, which span at most 2^(n-1) dimensions and lie in
-    the even part of M_leg (leg^2 / 2 dimensions).
-    """
-    return n * n * min(2 ** (n - 1), leg * leg // 2) ** depth
-
-
 def _planned_bytes(n: int, leg: int, depth: int) -> int:
-    """Bytes of the largest array a rota run over this chain allocates.
-
-    The candidates are the matrix units of the shift check's source chain
-    (one leg shallower), the closure's stack of generators and adjoints, and
-    the closure basis itself; batched work beyond these is cut into chunks of
-    config.CHUNK_BYTES.
-    """
+    """Size that decides whether a rota run over this chain is admitted: the
+    shift check's source matrix units (one leg shallower; other batched work is
+    cut into chunks of config.CHUNK_BYTES), or the generator stack and basis of
+    a numerical closure of the chain algebras, which is no longer built.  The
+    closure terms stay because the cap is also the only bound on run time:
+    without them, shapes such as 4x4 rank 4 depth 2 would be admitted, and
+    their shift check runs for minutes."""
     dim = n * leg ** depth
-    src_dim = dim // leg
     seed = 2 * (depth + 1) * n * n + 1
-    return _ENTRY_BYTES * max(src_dim ** 4, seed * dim * dim,
-                              _closure_bound(n, leg, depth) * dim * dim)
+    closure = n * n * min(2 ** (n - 1), leg * leg // 2) ** depth
+    return _ENTRY_BYTES * max((dim // leg) ** 4, seed * dim * dim, closure * dim * dim)
 
 
 def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainSpace:
@@ -139,47 +125,37 @@ def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainS
             f"chain dimension {symbol.dim * rep.dim ** depth} exceeds cap")
     planned = _planned_bytes(symbol.dim, rep.dim, depth)
     if planned > config.BYTE_CAP:
-        raise SizeError(f"chain at depth {depth} would allocate a {planned} byte array, "
+        raise SizeError(f"chain at depth {depth} plans {planned} bytes, "
                         f"over the {config.BYTE_CAP} byte cap")
     return ChainSpace(symbol, state, depth, gram, rep)
 
 
-def _matrix_units(dim: int) -> np.ndarray:
-    return np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-
-
-def _leg_images(chain: ChainSpace, q: int) -> np.ndarray:
-    """Per-(i,j) tail factors (w_i w_j)^(x)q (x) I, shape (n, n, tail, tail)."""
-    key = ("J", q)
-    if key not in chain._cache:
-        n, leg = chain.input_dim, chain.leg_dim
-        omegas = [chain.rep.generator_omega(i) for i in range(n)]
-        rest = np.eye(leg ** (chain.depth - q), dtype=complex)
-        images = np.empty((n, n, chain.tail_dim, chain.tail_dim), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                pair = omegas[i] @ omegas[j]
-                block = np.eye(1, dtype=complex)
-                for _ in range(q):
-                    block = np.kron(block, pair)
-                images[i, j] = np.kron(block, rest)
-        chain._cache[key] = images
-    return chain._cache[key]
+def _pair_powers(chain: ChainSpace, q: int) -> np.ndarray:
+    """(w_i w_j)^(x)q on the first q legs, shape (n, n, leg^q, leg^q)."""
+    n = chain.input_dim
+    omegas = np.stack([chain.rep.generator_omega(i) for i in range(n)])
+    pairs = np.einsum("iab,jbc->ijac", omegas, omegas)
+    powers = np.ones((n, n, 1, 1), dtype=complex)
+    for _ in range(q):
+        side = powers.shape[-1] * chain.leg_dim
+        powers = np.einsum("ijab,ijcd->ijacbd", powers, pairs).reshape(n, n, side, side)
+    return powers
 
 
 def embed_J(chain: ChainSpace, q: int):
     """Copy of the input algebra using the first q legs, as a callable."""
     if not 0 <= q <= chain.depth:
         raise PreconditionError("embedding index out of range")
-    images = _leg_images(chain, q)
+    powers = _pair_powers(chain, q)
+    rest = np.eye(chain.tail_dim // powers.shape[-1], dtype=complex)
     n, dim = chain.input_dim, chain.ambient_dim
 
     def embed(x: np.ndarray) -> np.ndarray:
         x = as_square(x, "chain input")
         if x.shape[0] != n:
             raise ShapeError("element dimension does not match the chain input")
-        blocks = x[:, :, None, None] * images
-        return blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
+        blocks = np.einsum("ij,ijab,rs->iarjbs", x, powers, rest)
+        return blocks.reshape(dim, dim)
 
     return embed
 
@@ -191,8 +167,8 @@ def build_beta(chain: ChainSpace, x: np.ndarray) -> np.ndarray:
     element when depth is 1); the result lives in `chain`.  Accepts stacks
     with leading batch axes.
     """
-    n, leg = chain.input_dim, chain.leg_dim
-    sub_tail = chain.tail_dim // leg
+    n = chain.input_dim
+    sub_tail = chain.tail_dim // chain.leg_dim
     sub_dim = n * sub_tail
     x = np.asarray(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != sub_dim or x.shape[-2] != sub_dim:
@@ -200,14 +176,8 @@ def build_beta(chain: ChainSpace, x: np.ndarray) -> np.ndarray:
     lead = x.shape[:-2]
     xr = x.reshape(*lead, n, sub_tail, n, sub_tail)
     # d_1 = sum_i e_ii (x) w_i (x) I is block diagonal, so block (i, j) of
-    # d_1 (I_leg (x) x) d_1 is (w_i (x) x_ij)(w_j (x) I): the entries
-    # w_i[c, d] x_ij[a, b], then w_j contracted on the leg index d
-    omegas = np.stack([chain.rep.generator_omega(i) for i in range(n)])
-    out = np.empty((*lead, n, leg, sub_tail, n, leg, sub_tail), dtype=complex)
-    for j in range(n):
-        left = omegas[:, :, None, None, :] * xr[..., :, None, :, j, :, None]
-        right = (left.reshape(-1, leg) @ omegas[j]).reshape(left.shape)  # [..., i, c, a, b, e]
-        out[..., j, :, :] = right.swapaxes(-1, -2)
+    # d_1 (I_leg (x) x) d_1 is (w_i (x) x_ij)(w_j (x) I) = (w_i w_j) (x) x_ij
+    out = np.einsum("ijce,...iajb->...icajeb", _pair_powers(chain, 1), xr)
     return out.reshape(*lead, chain.ambient_dim, chain.ambient_dim)
 
 
@@ -219,30 +189,59 @@ def _beta_power(chain: ChainSpace, x: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
+def _project_even(basis: np.ndarray, y: np.ndarray, slots: int) -> np.ndarray:
+    """Projection onto E on each leg of y, shape (batch, n, leg^slots, n,
+    leg^slots), through E's trace-orthonormal monomials (no leg^2 x leg^2
+    projector).  The chain contracts with einsum loops, not BLAS: a
+    multithreaded GEMM leaves OpenBLAS workers spinning for about 0.1 s of CPU
+    after it returns, which on two cores slows whatever runs next."""
+    n, leg = y.shape[1], basis.shape[-1]
+    for s in range(slots):
+        outer, inner = leg ** s, leg ** (slots - s - 1)
+        parts = y.reshape(-1, n, outer, leg, inner, n, outer, leg, inner)
+        coeffs = np.einsum("xioapjsbt,kab->xiopjstk", parts, basis.conj())
+        y = np.einsum("xiopjstk,kab->xioapjsbt", coeffs, basis).reshape(y.shape) / leg
+    return y
+
+
 def expectations(chain: ChainSpace, n: int):
-    """(past, future) expectations at level n: past uses the algebra of the
-    embeddings J_0..J_n, future the algebra of J_n..J_depth."""
+    """(past, future) state-preserving expectations at level n onto the
+    algebras of J_0..J_n and of J_n..J_depth, for a matrix or a stack.
+
+    The past traces out legs n+1..depth and projects legs 1..n onto E.  The
+    future strips (w_i w_k)^(x)n from block (i, k) by the partial trace over
+    legs 1..n, projects the other legs onto E and puts the factor back.
+    """
     if not 0 <= n <= chain.depth:
         raise PreconditionError("expectation level out of range")
-    key = ("exp", n)
-    if key not in chain._cache:
-        units = _matrix_units(chain.input_dim)
-        past_gens = [embed_J(chain, q)(u) for q in range(n + 1) for u in units]
-        fut_gens = [embed_J(chain, q)(u)
-                    for q in range(n, chain.depth + 1) for u in units]
-        state = chain.ambient_state
-        cap = _closure_bound(chain.input_dim, chain.leg_dim, chain.depth)
-        past = ConditionalExpectation(state, word_closure(past_gens, cap))
-        future = ConditionalExpectation(state, word_closure(fut_gens, cap))
-        chain._cache[key] = (past, future)
-    return chain._cache[key]
+    size, dim, lower = chain.input_dim, chain.ambient_dim, chain.leg_dim ** n
+    upper = chain.tail_dim // lower
+    prods = chain.rep.omega_products()
+    basis = np.stack([p for mask, p in enumerate(prods) if mask.bit_count() % 2 == 0])
+    powers = _pair_powers(chain, n)
+
+    def expect(x, blockwise) -> np.ndarray:
+        xa = np.asarray(x, dtype=complex)
+        if xa.ndim < 2 or xa.shape[-2:] != (dim, dim):
+            raise ShapeError(f"chain expectation needs {dim} x {dim} matrices")
+        return blockwise(xa.reshape(-1, size, lower, upper, size, lower, upper)).reshape(xa.shape)
+
+    def past(t):
+        y = _project_even(basis, np.einsum("niarjbr->niajb", t) / upper, n)
+        return np.einsum("niajb,rs->niarjbs", y, np.eye(upper))
+
+    def future(t):
+        y = np.einsum("niarkbs,ikab->nirks", t, powers.conj()) / lower
+        return np.einsum("ikab,nirks->niarkbs", powers, _project_even(basis, y, chain.depth - n))
+
+    return (lambda x: expect(x, past)), (lambda x: expect(x, future))
 
 
 def verify_embedding(chain: ChainSpace, q: int) -> dict[str, float]:
     """Residuals showing J_q is a unital state-preserving *-homomorphism."""
     j = embed_J(chain, q)
     n = chain.input_dim
-    units = _matrix_units(n)
+    units = matrix_units(n)
     images = np.stack([j(u) for u in units])
     unital = max_abs(j(np.eye(n)) - np.eye(chain.ambient_dim))
     star = max(max_abs(j(u.conj().T) - img.conj().T)
@@ -270,7 +269,7 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
     """
     if not 0 <= n <= q <= chain.depth:
         raise PreconditionError("need 0 <= n <= q <= depth")
-    units = _matrix_units(chain.input_dim)
+    units = matrix_units(chain.input_dim)
     past_n, future_n = expectations(chain, n)
     j_q, j_n, j_0 = embed_J(chain, q), embed_J(chain, n), embed_J(chain, 0)
 
@@ -284,7 +283,7 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
     if power > 0:
         src_depth = chain.depth - power
         src_dim = chain.input_dim * chain.leg_dim ** src_depth
-        src_units = _matrix_units(src_dim)
+        src_units = matrix_units(src_dim)
         past_q = expectations(chain, q)[0]
         if src_depth >= 1:
             src_past = expectations(chain.shallower(src_depth), n)[0]
@@ -304,7 +303,7 @@ def verify_rota(chain: ChainSpace, n: int) -> float:
     """Residual of J_0(T^(2n) x) = E_{0]}(E_{[n}(J_0(x))) on matrix units."""
     if not 1 <= n <= chain.depth:
         raise PreconditionError("need 1 <= n <= depth")
-    units = _matrix_units(chain.input_dim)
+    units = matrix_units(chain.input_dim)
     past_0 = expectations(chain, 0)[0]
     future_n = expectations(chain, n)[1]
     j_0 = embed_J(chain, 0)

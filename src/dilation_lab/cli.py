@@ -249,11 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("tolerance must be positive", file=sys.stderr)
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        print(f"error: tolerance must be a positive finite number, got {args.tol}", file=sys.stderr)
         return 2
     if args.samples < 0:
-        print("samples must be nonnegative", file=sys.stderr)
+        print(f"error: samples must be nonnegative, got {args.samples}", file=sys.stderr)
         return 2
     start = time.perf_counter()
     try:

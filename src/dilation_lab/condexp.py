@@ -10,6 +10,9 @@ the expectation of x is the GNS-orthogonal projection: solve the Gram system
 Invariance of the span under the modular flow of the state is a genuine
 precondition (no state-preserving expectation exists otherwise), so it is
 checked at sampled times before projecting.
+
+The chain's algebras are known exactly and `chain.expectations` projects onto
+them in closed form; this general path serves `dilation.verify_even_closure`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .errors import NotExpectationError, ShapeError, SizeError
+from .errors import NotExpectationError, ShapeError
 from .matcore import as_square, dagger, solve_psd
 from .states import DiagonalState
 
@@ -92,7 +95,7 @@ def _products(gmats: np.ndarray, fmats: np.ndarray) -> np.ndarray:
     return prods.reshape(g, n, f, n).transpose(0, 2, 1, 3).reshape(g * f, n * n)
 
 
-def word_closure(generators: Sequence[np.ndarray], cap: int | None = None,
+def word_closure(generators: Sequence[np.ndarray],
                  tol_rank: float = config.TOL_RANK) -> SubalgebraBasis:
     """Close a generating set under adjoints and products (a Krylov closure).
 
@@ -103,7 +106,7 @@ def word_closure(generators: Sequence[np.ndarray], cap: int | None = None,
     tol_rank * scale, with scale the largest product norm of the round before
     projection: a relative cutoff per candidate would promote round-off in
     near-zero products to new directions.  A round that adds nothing ends the
-    closure; growing past the cap (default: the full algebra dimension) aborts.
+    closure, and the basis, orthonormal in M_n, never exceeds n^2 elements.
     Products are formed a few frontier elements at a time, so no candidate
     stack holds more than about config.CHUNK_BYTES.
     """
@@ -113,7 +116,6 @@ def word_closure(generators: Sequence[np.ndarray], cap: int | None = None,
     n = gens[0].shape[0]
     if any(g.shape != (n, n) for g in gens):
         raise ShapeError("word_closure generators must share one dimension")
-    limit = n * n if cap is None else cap
 
     seed = [np.eye(n, dtype=complex)] + gens + [dagger(g) for g in gens]
     seed = np.stack(seed).reshape(-1, n * n)
@@ -126,10 +128,6 @@ def word_closure(generators: Sequence[np.ndarray], cap: int | None = None,
         cutoff = tol_rank * _largest_product_norm(gmats, frontier)
         start = basis.shape[0]
         for lo in range(0, frontier.shape[0], step):
-            # whatever a chunk adds is checked before the next chunk runs: a
-            # round that adds anything is followed by one more round
-            if basis.shape[0] > limit:
-                raise SizeError(f"closure rank exceeded cap {limit}")
             cands = _products(gmats, frontier[lo : lo + step])
             basis = np.vstack([basis, _extend(basis, cands, cutoff)])
         frontier = basis[start:].reshape(-1, n, n)

@@ -24,8 +24,8 @@ from . import config
 from .condexp import word_closure
 from .errors import PreconditionError, ShapeError
 from .fock import FermionRep, build_fermion_rep
-from .matcore import (as_square, block_conjugate, dagger, max_abs, random_complex, rng,
-                      tensor_product)
+from .matcore import (as_square, block_conjugate, dagger, matrix_units, max_abs, random_complex,
+                      rng, tensor_product)
 from .schur import GramSpace, SchurSymbol, apply_multiplier, build_gram_space, certify_symbol
 from .states import DiagonalState, modular_conjugate
 
@@ -98,11 +98,6 @@ def build_dilation(symbol: SchurSymbol, state: DiagonalState,
     )
 
 
-def _matrix_units(n: int) -> np.ndarray:
-    """The n^2 matrix units e_ij stacked in row-major order of (i, j)."""
-    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-
-
 def _random_pairs(n: int, samples: int, seed: int | None):
     gen = rng(seed)
     return [(random_complex(gen, n), random_complex(gen, n)) for _ in range(samples)]
@@ -129,7 +124,7 @@ def _pairing_residual(bundle: DilationBundle, state: DiagonalState, symbol: Schu
                       left, right, pairs) -> float:
     """Largest |phi(M(x) y) - phi~(left(x) right(y))| over every pair of
     matrix units and the given pairs, M the multiplier of `symbol`."""
-    units = _matrix_units(bundle.input_dim)
+    units = matrix_units(bundle.input_dim)
     lhs = state.pairing_table(symbol.matrix * units, units)
     worst = max_abs(lhs - _image_pairings(bundle.ambient_state, left, right, units))
     for x, y in pairs:
@@ -171,7 +166,7 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
     eye_n = np.eye(n, dtype=complex)
     gen = rng(seed)
     if bundle.domain_basis is None:
-        xs = list(_matrix_units(n))
+        xs = list(matrix_units(n))
         xs += [random_complex(gen, n) for _ in range(samples)]
     else:
         basis = np.stack(bundle.domain_basis)
@@ -272,7 +267,7 @@ def verify_even_closure(bundle: DilationBundle, tol: float = config.TOL_NUM) -> 
     if bundle.rep is None:
         raise PreconditionError("bundle does not carry a fermion representation")
     n = bundle.input_dim
-    units = _matrix_units(n)
+    units = matrix_units(n)
     gens = [bundle.pi(u) for u in units] + [bundle.rho(u) for u in units]
     algebra = word_closure(gens)
     par = tensor_product(np.eye(n, dtype=complex), bundle.rep.parity())

@@ -253,10 +253,6 @@ class FermionRep:
     def dim(self) -> int:
         return 1 << self.rank
 
-    @property
-    def n_generators(self) -> int:
-        return self.embedding.shape[0]
-
     def creation_op(self, v) -> np.ndarray:
         """l(v) for v given in f-basis coordinates."""
         vv = np.asarray(v, dtype=complex).reshape(-1)

@@ -23,6 +23,7 @@ __all__ = [
     "vec",
     "unvec",
     "matrix_unit",
+    "matrix_units",
     "tensor_product",
     "direct_sum",
     "block_conjugate",
@@ -77,6 +78,11 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     e = np.zeros((n, n), dtype=complex)
     e[i, j] = 1.0
     return e
+
+
+def matrix_units(n: int) -> np.ndarray:
+    """The n^2 matrix units e_ij stacked in row-major order of (i, j)."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
 def tensor_product(a, b, cap: int | None = None) -> np.ndarray:

@@ -39,9 +39,12 @@ class DiagonalState:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size == 0:
-            raise ShapeError("state needs at least one weight")
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ShapeError(f"state weights must be a 1-D vector of at least one weight, "
+                             f"got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise PreconditionError("state weights must be finite")
         if np.any(w <= 0):
             raise PreconditionError("state weights must be strictly positive (faithful)")
         if abs(w.sum() - 1.0) > config.TOL_NUM:

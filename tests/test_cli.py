@@ -192,6 +192,57 @@ def test_negative_samples_exit_two():
     assert code == 0 and report["pass"] is True
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--tol", "nan"), "error: tolerance must be a positive finite number"),
+    (("--tol", "inf"), "error: tolerance must be a positive finite number"),
+    (("--tol", "0"), "error: tolerance must be a positive finite number"),
+    (("--samples", "-1"), "error: samples must be nonnegative"),
+], ids=["tol-nan", "tol-inf", "tol-zero", "samples-negative"])
+def test_bad_flags_exit_two_with_an_error(flags, message):
+    code, out, err = run_main("rota", {"symbol": [[1, 0.5], [0.5, 1]], "weights": [0.5, 0.5]},
+                              *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, float("nan")], "error: state weights must be finite"),
+    ([[0.5], [0.5]], "error: state weights must be a 1-D"),
+], ids=["nan", "nested"])
+def test_bad_weights_exit_two_with_an_error(weights, message):
+    for command in ("check-schur", "rota"):
+        code, out, err = run_main(command, {"symbol": [[1, 0.5], [0.5, 1]], "weights": weights})
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
+
+# Unital PSD symbols of rank 3 with smallest eigenvalues 5e-3 and 2e-2:
+# perfbench.workloads._schur_payload(np.random.default_rng(s), 3, 3) for
+# s = 1 and s = 5.  A numerical closure of the chain algebras refused both,
+# one over its size cap and one as not modular-invariant.
+ILL_CONDITIONED = {
+    "rng1": {"symbol": [[1.0, 0.28143742832556573, 0.49793528712244156],
+                        [0.28143742832556573, 1.0, 0.966978861995049],
+                        [0.49793528712244156, 0.966978861995049, 1.0]],
+             "weights": [0.0527894726050716, 0.5468994095544991, 0.4003111178404292]},
+    "rng5": {"symbol": [[1.0, -0.9799405232581943, 0.6792442675475235],
+                        [-0.9799405232581943, 1.0, -0.7035776396606992],
+                        [0.6792442675475235, -0.7035776396606992, 1.0]],
+             "weights": [0.515298405176173, 0.3449656143037989, 0.13973598052002814]},
+}
+
+
+@pytest.mark.parametrize("key", sorted(ILL_CONDITIONED))
+def test_ill_conditioned_symbols_certify_at_depth_two(key):
+    code, out, err = run_main("rota", ILL_CONDITIONED[key], "--depth", "2", "--steps", "2")
+    assert code == 0, err
+    report = json.loads(out, parse_constant=_no_constant)
+    assert len(report["checks"]) == 19
+    assert all(check["pass"] for check in report["checks"])
+
+
 def test_markov_cp_row_matches_certify_markov():
     # a Choi Hermiticity defect of 5e-10 is within --tol, as certify_markov allows
     payload = {"symbol": [[1, 0.5], [0.5000000005, 1]], "weights": [0.5, 0.5]}
@@ -219,6 +270,54 @@ def schur_payloads(draw):
     w = np.array(draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
                                min_size=n, max_size=n)))
     return {"symbol": t.tolist(), "weights": (w / w.sum()).tolist()}
+
+
+UNIT_ENTRIES = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False,
+                         allow_infinity=False)
+
+
+@st.composite
+def rota_payloads(draw):
+    """(payload, gram): real n x n symbols with n <= 3, either arbitrary or,
+    when gram is True, the Gram matrix of n unit vectors in R^rank (unital and
+    PSD, of any rank up to n)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    w = np.array(draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                               min_size=n, max_size=n)))
+    gram = draw(st.booleans())
+    if gram:
+        rank = draw(st.integers(min_value=1, max_value=n))
+        v = np.array(draw(st.lists(UNIT_ENTRIES, min_size=n * rank,
+                                   max_size=n * rank))).reshape(n, rank)
+        v[np.linalg.norm(v, axis=1) < 0.1, 0] = 1.0  # no row of zeros
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        t = v @ v.T
+        t = (t + t.T) / 2
+        np.fill_diagonal(t, 1.0)
+    else:
+        t = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+        if draw(st.booleans()):
+            t = (t + t.T) / 2
+        if draw(st.booleans()):
+            np.fill_diagonal(t, 1.0)
+    return {"symbol": t.tolist(), "weights": (w / w.sum()).tolist()}, gram
+
+
+# 300 examples take about 1.2 s on 2 cores; a third of them are Gram-built
+@settings(max_examples=300, deadline=None)
+@given(rota_payloads())
+def test_rota_reports_any_real_symbol(drawn):
+    payload, gram = drawn
+    code, out, err = run_main("rota", payload, "--depth", "1")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error:")
+        assert out == ""
+    else:
+        report = json.loads(out, parse_constant=_no_constant)
+        assert report["pass"] == (code == 0)
+    if gram:
+        assert code == 0, err
 
 
 @st.composite

@@ -18,6 +18,20 @@ def test_state_validation():
         DiagonalState(np.array([]))
 
 
+@pytest.mark.parametrize("weights", [[0.5, float("nan")], [float("nan"), 1.0],
+                                     [float("inf"), 0.5]])
+def test_state_rejects_non_finite_weights(weights):
+    # NaN fails both the sign test and the sum test, so it needs its own
+    with pytest.raises(PreconditionError, match="finite"):
+        DiagonalState(weights)
+
+
+@pytest.mark.parametrize("weights", [[[0.5], [0.5]], [[0.25, 0.25], [0.25, 0.25]], 1.0])
+def test_state_rejects_weights_that_are_not_a_vector(weights):
+    with pytest.raises(ShapeError, match="1-D"):
+        DiagonalState(weights)
+
+
 def test_state_evaluates_weighted_trace():
     st = DiagonalState(np.array([0.2, 0.3, 0.5]))
     x = random_complex(rng(0), 3)
