@@ -340,6 +340,8 @@ def _check_symmetric_contraction(t: np.ndarray, tol: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise ShapeError("contraction must be a square real matrix")
+    if not np.all(np.isfinite(t)):
+        raise PreconditionError("contraction entries must be finite")
     if max_abs(t - t.T) > tol:
         raise PreconditionError("contraction must be symmetric")
     if np.max(np.abs(np.linalg.eigvalsh((t + t.T) / 2))) > 1.0 + tol:

@@ -47,19 +47,33 @@ def _load_json(path, default_fixture: str) -> dict:
     return data
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _real_array(value, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array; strings and booleans are refused."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif not _is_number(item):
+            raise ValueError(f"{what} must hold numbers, got {item!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _entry(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and \
-            all(isinstance(p, (int, float)) for p in value):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(p) for p in value):
         return complex(value[0], value[1])
     raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got {value!r}")
 
 
 def _parse_symbol(data: dict) -> tuple[SchurSymbol, DiagonalState]:
     matrix = np.array([[_entry(v) for v in row] for row in data["symbol"]])
-    weights = np.asarray(data["weights"], dtype=float)
-    return SchurSymbol(matrix), DiagonalState(weights)
+    return SchurSymbol(matrix), DiagonalState(_real_array(data["weights"], "weights"))
 
 
 def _parse_group(data: dict) -> FourierSymbol:
@@ -74,12 +88,14 @@ def _parse_group(data: dict) -> FourierSymbol:
         group = dihedral_group(int(spec.split(":", 1)[1]))
     else:
         raise ValueError(f"unknown group spec {spec!r}")
-    return FourierSymbol(group, np.asarray(data["t"], dtype=float))
+    return FourierSymbol(group, _real_array(data["t"], "t"))
 
 
 def _parse_contraction(data: dict, window_flag: int | None) -> tuple[np.ndarray, int]:
-    matrix = np.asarray(data["matrix"], dtype=float)
-    window = int(data["window"]) if window_flag is None else window_flag
+    matrix = _real_array(data["matrix"], "matrix")
+    window = data["window"] if window_flag is None else window_flag
+    if not (_is_number(window) and isinstance(window, int)):
+        raise ValueError(f"window must be an integer, got {window!r}")
     return matrix, window
 
 
@@ -187,6 +203,8 @@ def run_fourier(args) -> tuple[Checks, int]:
 def run_secondquant(args) -> tuple[Checks, int]:
     t, window = _parse_contraction(_load_json(args.input, "contraction1.json"),
                                    args.window)
+    if args.steps < 0:
+        raise DilationLabError(f"steps {args.steps} must be nonnegative")
     dil = build_schaffer(t, window)
     checks = Checks()
     u = dil.unitary

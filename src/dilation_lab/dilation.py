@@ -157,18 +157,76 @@ class MorphismReport:
                    self.state_preserving, self.modular)
 
 
+def _product_residual(images, rows, cols, a: int, b: int, target) -> float:
+    """max |images[a] @ images[b] - target|, the product formed on its support.
+
+    rows and cols mark the nonzero rows and columns of each image.  The
+    product vanishes outside rows[a] x cols[b], and there only the inner
+    indices in cols[a] & rows[b] add to it.  The skipped terms are exact
+    zeros, so this is the dense residual up to summation order.
+    """
+    # a full mask indexes by a view, so dense images are not copied
+    r, i, c = (slice(None) if m.all() else np.flatnonzero(m)
+               for m in (rows[a], cols[a] & rows[b], cols[b]))
+    block = images[a][r][:, i] @ images[b][i][:, c]
+    target_rows = target[r]
+    return max(max_abs(block - target_rows[:, c]), max_abs(target[~rows[a]]),
+               max_abs(target_rows[:, ~cols[b]]))
+
+
+def _unit_product_residual(n: int, mor, images, rows, cols) -> float:
+    """max |mor(e_ij) mor(e_kl) - delta_jk mor(e_il)| over all ordered unit pairs.
+
+    images[i n + j] is mor(e_ij); rows and cols mark its nonzero rows and
+    columns.  When every mor(e_ij) lives on S_i x S_j for disjoint index sets
+    S_i of one size, the n^3 products with j = k are one batched matmul of
+    the compact S_i x S_j blocks, and a pair with j != k shares no inner
+    index, so its product is exactly zero against mor(0).  Any other support
+    pattern takes each pair on its own support.
+    """
+    dim = images.shape[-1]
+    zero = mor(np.zeros((n, n), dtype=complex))
+    sets = rows[::n]  # S_i: the rows of mor(e_i0)
+    sizes = sets.sum(axis=1)
+    if (np.all(rows.reshape(n, n, dim) == sets[:, None]) and np.all(cols.reshape(n, n, dim) == sets)
+            and np.all(sizes == sizes[0]) and sets.sum(axis=0).max() <= 1):
+        idx = np.nonzero(sets)[1].reshape(n, -1)
+        blocks = np.stack([images[a][np.ix_(idx[a // n], idx[a % n])] for a in range(n * n)])
+        blocks = blocks.reshape(n, n, *blocks.shape[1:])
+        # block_ij block_jl against block_il, for every i, j, l
+        return max(max_abs(blocks[:, :, None] @ blocks[None] - blocks[:, None]), max_abs(zero))
+    worst = 0.0
+    for a in range(n * n):
+        for b in range(n * n):
+            (i, j), (k, l) = divmod(a, n), divmod(b, n)
+            target = images[i * n + l] if j == k else zero
+            worst = max(worst, _product_residual(images, rows, cols, a, b, target))
+    return worst
+
+
 def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
                            seed: int | None = None,
                            t_samples=config.T_SAMPLES) -> dict[str, MorphismReport]:
     """Check pi and rho are unital state-preserving *-morphisms intertwining
-    the modular flows of the input and ambient states."""
+    the modular flows of the input and ambient states.
+
+    The inputs are the matrix units (or the domain basis) and seeded random
+    elements.  Every product of two images is formed only on its support,
+    read from the images.  Products of unit images cover every ordered pair
+    and take their targets from e_ij e_kl = delta_jk e_il, so they call
+    neither pi nor rho (see _unit_product_residual); the star row on e_ij
+    reuses the image of e_ji.  Pairs with a random element, and the modular
+    row, compare with the morphism applied to the product.
+    """
     n = bundle.input_dim
     eye_n = np.eye(n, dtype=complex)
     gen = rng(seed)
     if bundle.domain_basis is None:
+        units = n * n
         xs = list(matrix_units(n))
         xs += [random_complex(gen, n) for _ in range(samples)]
     else:
+        units = 0
         basis = np.stack(bundle.domain_basis)
         xs = list(basis)
         coeffs = random_complex(gen, samples, basis.shape[0])
@@ -179,18 +237,24 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
     out = {}
     for name, mor in (("pi", bundle.pi), ("rho", bundle.rho)):
         images = np.stack([mor(x) for x in xs])
+        nonzero = images != 0
+        rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
         unital = max_abs(mor(eye_n) - np.eye(bundle.ambient_dim))
-        mult = star = preserve = modular = 0.0
-        for x, mx in zip(xs, images):
-            star = max(star, max_abs(mor(dagger(x)) - dagger(mx)))
+        star = preserve = modular = 0.0
+        for a, (x, mx) in enumerate(zip(xs, images)):
+            # e_ij^* = e_ji sits at index (a % n) n + a // n
+            adjoint = images[(a % n) * n + a // n] if a < units else mor(dagger(x))
+            star = max(star, max_abs(adjoint - dagger(mx)))
             preserve = max(preserve, abs(bundle.input_state(x) - bundle.ambient_phi(mx)))
             for t, phases in zip(t_samples, ambient_phases):
                 rhs = mor(modular_conjugate(bundle.input_state, x, t))
                 modular = max(modular, max_abs(phases * mx - rhs))
+        mult = _unit_product_residual(n, mor, images[:units], rows[:units],
+                                      cols[:units]) if units else 0.0
         for a in range(len(xs)):
-            # images[a] @ images[b] for every b >= a, as one stacked matmul
-            for b, product in enumerate(images[a] @ images[a:], start=a):
-                mult = max(mult, max_abs(product - mor(xs[a] @ xs[b])))
+            for b in range(max(a, units), len(xs)):
+                mult = max(mult, _product_residual(images, rows, cols, a, b,
+                                                   mor(xs[a] @ xs[b])))
         out[name] = MorphismReport(unital=unital, multiplicative=mult, star=star,
                                    state_preserving=preserve, modular=modular)
     return out

@@ -131,7 +131,9 @@ class FourierSymbol:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ShapeError(f"coefficients must be a 1-D array, got shape {values.shape}")
         if values.size != self.group.order:
             raise ShapeError("need one coefficient per group element")
         if not np.all(np.isfinite(values)):

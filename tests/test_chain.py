@@ -171,6 +171,9 @@ def test_schaffer_validation():
         build_schaffer(np.array([[0.5]]), window=0)
     with pytest.raises(ShapeError):
         build_schaffer(np.zeros((2, 3)), window=2)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(PreconditionError, match="finite"):
+            build_schaffer(np.array([[bad]]), window=1)
 
 
 def test_projection_sandwich_recovers_even_powers():

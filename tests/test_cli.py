@@ -218,6 +218,37 @@ def test_bad_weights_exit_two_with_an_error(weights, message):
         assert err.startswith(message)
 
 
+@pytest.mark.parametrize("command, payload, flags, message", [
+    ("secondquant", {"matrix": [[float("inf")]], "window": 1}, (),
+     "error: contraction entries must be finite"),
+    ("secondquant", {"matrix": [[0.5]], "window": 1}, ("--steps", "-1"),
+     "error: steps -1 must be nonnegative"),
+    ("secondquant", {"matrix": [[0.5]], "window": 1.7}, (),
+     "error: window must be an integer, got 1.7"),
+    ("secondquant", {"matrix": [[0.5]], "window": "2"}, (),
+     "error: window must be an integer, got '2'"),
+    ("fourier", {"group": "cyclic:2", "t": [[1], [0.5]]}, (),
+     "error: coefficients must be a 1-D array"),
+    ("secondquant", {"matrix": [["0.5"]], "window": 1}, (),
+     "error: matrix must hold numbers, got '0.5'"),
+    ("fourier", {"group": "cyclic:2", "t": ["1", "0.5"]}, (),
+     "error: t must hold numbers, got "),
+    ("check-schur", {"symbol": [[1, 0.5], [0.5, 1]], "weights": ["0.5", "0.5"]}, (),
+     "error: weights must hold numbers, got '0.5'"),
+    ("check-schur", {"symbol": [[True, 0.5], [0.5, True]], "weights": [0.5, 0.5]}, (),
+     "error: matrix entries must be numbers or [re, im] pairs, got True"),
+], ids=["matrix-inf", "steps-negative", "window-float", "window-string", "t-nested",
+        "matrix-string", "t-string", "weights-string", "symbol-bool"])
+def test_malformed_input_exits_two_with_an_error(command, payload, flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(command, payload, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert "Warning" not in err
+
+
 # Unital PSD symbols of rank 3 with smallest eigenvalues 5e-3 and 2e-2:
 # perfbench.workloads._schur_payload(np.random.default_rng(s), 3, 3) for
 # s = 1 and s = 5.  A numerical closure of the chain algebras refused both,

@@ -69,6 +69,8 @@ def test_symbol_validation():
         FourierSymbol(g, [1.0, 0.5])
     with pytest.raises(PreconditionError):
         FourierSymbol(g, [1.0, np.nan, 0.0])
+    with pytest.raises(ShapeError):
+        FourierSymbol(cyclic_group(2), [[1.0], [0.5]])
 
 
 def test_gram_and_schur_matrices_by_double_loop():

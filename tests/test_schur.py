@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilation_lab import (DiagonalState, GramSpace, NotPsdError, SchurSymbol,
                           ShapeError, apply_multiplier, build_gram_space,
                           certify_markov, certify_symbol, compose_symbols,
                           multiplier_map)
-from dilation_lab.matcore import max_abs, random_complex, random_unital_psd_symbol, rng
+from dilation_lab.matcore import (max_abs, random_complex, random_unital_psd_symbol,
+                                  random_weights, rng)
 
 
 def test_apply_multiplier_is_entrywise():
@@ -114,3 +117,27 @@ def test_multiplier_of_psd_symbol_is_markov_for_any_faithful_state():
         certified = certify_markov(multiplier_map(SchurSymbol(t)), st)
         assert certified.unital and certified.cp
         assert certified.state_preserving and certified.modular_intertwining
+
+
+@st.composite
+def real_symbols(draw):
+    """Real n x n symbols, n <= 4: unital PSD symbols of every Gram rank, as
+    drawn or plus a symmetric or an arbitrary real perturbation."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    gen = rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    t = random_unital_psd_symbol(gen, n, draw(st.integers(min_value=1, max_value=n)))
+    kind = draw(st.sampled_from(["psd", "symmetric", "arbitrary"]))
+    if kind != "psd":
+        noise = gen.standard_normal((n, n))
+        t = t + draw(st.sampled_from([1e-3, 0.1, 0.5])) * (
+            noise + noise.T if kind == "symmetric" else noise)
+    return SchurSymbol(t), DiagonalState(random_weights(gen, n))
+
+
+# criterion 4 for any real symbol: the Choi verdict of the multiplier is the
+# symbol's PSD verdict
+@settings(max_examples=100, deadline=None)
+@given(real_symbols())
+def test_choi_verdict_equals_symbol_verdict(case):
+    symbol, state = case
+    assert certify_markov(multiplier_map(symbol), state).cp == certify_symbol(symbol).psd
