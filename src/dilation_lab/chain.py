@@ -33,10 +33,10 @@ import numpy as np
 
 from . import config
 from .errors import PreconditionError, ShapeError, SizeError
-from .fock import FermionRep, build_fermion_rep, second_quantize
+from .fock import FermionRep, build_fermion_rep, majorana_frame, second_quantize_action
 from .matcore import as_square, frobenius, hermitian_sqrt, matrix_units, max_abs
 from .schur import GramSpace, SchurSymbol, build_gram_space, certify_symbol
-from .states import DiagonalState, MarkovMap
+from .states import DiagonalState
 
 __all__ = [
     "ChainSpace",
@@ -326,9 +326,16 @@ class SchafferDilation:
     unitary: np.ndarray
     embed: np.ndarray
 
+    def orbit(self, stop: int) -> list[np.ndarray]:
+        """U^k embed for k = 0..stop-1, one product per step."""
+        out = [self.embed]
+        for _ in range(1, stop):
+            out.append(self.unitary @ out[-1])
+        return out
+
     def compress(self, k: int) -> np.ndarray:
         """P U^k restricted to the base space."""
-        return self.embed.T @ np.linalg.matrix_power(self.unitary, k) @ self.embed
+        return self.embed.T @ self.orbit(k + 1)[-1]
 
 
 def halmos_block(t: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -363,6 +370,8 @@ def build_schaffer(t: np.ndarray, window: int,
     if window < 1:
         raise PreconditionError("window must be >= 1")
     m = t.shape[0]
+    if (2 * window + 1) * m > config.dim_cap():
+        raise SizeError(f"window space dimension {(2 * window + 1) * m} exceeds dimension cap")
     d = hermitian_sqrt(np.eye(m) - t @ t).real
     slots = 2 * window + 1
 
@@ -389,9 +398,7 @@ def build_schaffer(t: np.ndarray, window: int,
 
 def _span_projection(dil: SchafferDilation, n: int, length: int) -> np.ndarray:
     """Orthogonal projection onto span{U^l(base): n <= l <= n+length}."""
-    cols = [np.linalg.matrix_power(dil.unitary, l) @ dil.embed
-            for l in range(n, n + length + 1)]
-    stacked = np.hstack(cols)
+    stacked = np.hstack(dil.orbit(n + length + 1)[n:])
     q, s, _ = np.linalg.svd(stacked, full_matrices=False)
     keep = s > config.TOL_RANK * s[0]
     q = q[:, keep]
@@ -416,6 +423,8 @@ def verify_rota_secondquant(t: np.ndarray, window: int, n: int) -> float:
     With Ehat, E_n the second quantizations of the projections P, P_n and J
     the Fock inclusion of the base space into the window space, compares
     Ehat(E_n(J(x))) against J(Gamma(T)^(2n) x) over the field-monomial basis.
+    Each map acts on the monomials directly; Gamma(T) is applied 2n times, so
+    functoriality is checked rather than assumed.
     """
     t = _check_symmetric_contraction(t, config.TOL_NUM)
     m = t.shape[0]
@@ -425,22 +434,18 @@ def verify_rota_secondquant(t: np.ndarray, window: int, n: int) -> float:
     if n < 0 or 2 * n > 2 * window:
         raise PreconditionError("need 0 <= n <= window")
     dil = build_schaffer(t, window)
-    rep_base = build_fermion_rep(GramSpace.standard(m))
-    rep_win = build_fermion_rep(GramSpace.standard(total))
+    xs = np.stack(build_fermion_rep(GramSpace.standard(m)).omega_products())
+    base, win = majorana_frame(m), majorana_frame(total)
 
-    # composed right to left, so only one window-space superoperator is alive
-    # and no product of two of them is formed
-    inclusion = second_quantize(rep_base, rep_win, dil.embed)
+    include = second_quantize_action(base, win, dil.embed)
     p_n = _span_projection(dil, n, 2 * window - n)
-    lhs = second_quantize(rep_win, rep_win, p_n).compose(inclusion)
-    lhs = second_quantize(rep_win, rep_win, dil.embed @ dil.embed.T).compose(lhs)
-    gamma_t = second_quantize(rep_base, rep_base, t)
-
-    power = MarkovMap.identity(rep_base.dim)
+    lhs = second_quantize_action(win, win, p_n)(include(xs))
+    lhs = second_quantize_action(win, win, dil.embed @ dil.embed.T)(lhs)
+    gamma_t = second_quantize_action(base, base, t)
+    rhs = xs
     for _ in range(2 * n):
-        power = gamma_t.compose(power)
-    rhs = inclusion.compose(power)
-    return max(max_abs(lhs(x) - rhs(x)) for x in rep_base.omega_products())
+        rhs = gamma_t(rhs)
+    return max_abs(lhs - include(rhs))
 
 
 def verify_gamma_factorization(t: np.ndarray) -> float:
@@ -453,21 +458,15 @@ def verify_gamma_factorization(t: np.ndarray) -> float:
         raise SizeError("doubled factorization check limited to base dim <= 2")
     d = hermitian_sqrt(np.eye(m) - t @ t).real
     u = halmos_block(t, d)
-    rep_base = build_fermion_rep(GramSpace.standard(m))
-    rep_double = build_fermion_rep(GramSpace.standard(2 * m))
+    basis = np.stack(build_fermion_rep(GramSpace.standard(m)).omega_products())
+    base, double = majorana_frame(m), majorana_frame(2 * m)
 
     iota = np.vstack([np.eye(m), np.zeros((m, m))])
-    pi = second_quantize(rep_base, rep_double, iota)
-    rho = second_quantize(rep_double, rep_double, u.T).compose(pi)
-    gamma_t = second_quantize(rep_base, rep_base, t)
+    pi = second_quantize_action(base, double, iota)(basis)
+    rho = second_quantize_action(double, double, u.T)(pi)
+    gamma_t = second_quantize_action(base, base, t)(basis)
 
-    basis = rep_base.omega_products()
-    worst = 0.0
-    for x in basis:
-        gx = gamma_t(x)
-        px = pi(x)
-        for y in basis:
-            lhs = np.trace(gx @ y) / rep_base.dim
-            rhs = np.trace(px @ rho(y)) / rep_double.dim
-            worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    # [a, b] = tau(g_a y_b), the trace of a product as a sum of entry products
+    lhs = np.einsum("aij,bji->ab", gamma_t, basis) / base.dim
+    rhs = np.einsum("aij,bji->ab", pi, rho) / double.dim
+    return max_abs(lhs - rhs)

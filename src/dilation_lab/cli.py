@@ -63,6 +63,16 @@ def _real_array(value, what: str) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _int_table(value) -> np.ndarray:
+    """Rows of JSON integers as an int64 array; floats, strings, booleans,
+    deeper nesting and integers beyond int64 are refused."""
+    for row in value if isinstance(value, list) else [value]:
+        for item in row if isinstance(row, list) else [row]:
+            if isinstance(item, bool) or not isinstance(item, int) or abs(item) >= 2 ** 63:
+                raise ValueError(f"group table must hold integers, got {item!r}")
+    return np.asarray(value, dtype=np.int64)
+
+
 def _entry(value) -> complex:
     if _is_number(value):
         return complex(value)
@@ -79,7 +89,7 @@ def _parse_symbol(data: dict) -> tuple[SchurSymbol, DiagonalState]:
 def _parse_group(data: dict) -> FourierSymbol:
     spec = data["group"]
     if isinstance(spec, dict):
-        group = FiniteGroup(np.asarray(spec["table"], dtype=np.int64))
+        group = FiniteGroup(_int_table(spec["table"]))
     elif spec == "s3":
         group = symmetric_group(3)
     elif isinstance(spec, str) and spec.startswith("cyclic:"):
@@ -210,9 +220,9 @@ def run_secondquant(args) -> tuple[Checks, int]:
     u = dil.unitary
     checks.add("unitary", max_abs(u.T @ u - np.eye(u.shape[0])), config.TOL_EXACT)
     worst = 0.0
-    for k in range(2 * window + 1):
+    for k, image in enumerate(dil.orbit(2 * window + 1)):
         worst = max(worst, max_abs(
-            dil.compress(k) - np.linalg.matrix_power(dil.contraction, k)))
+            dil.embed.T @ image - np.linalg.matrix_power(dil.contraction, k)))
     checks.add("strong_dilation", worst, 1e-10)
     for n in range(min(args.steps, window) + 1):
         checks.add(f"ppnp_{n}", verify_ppnp(dil, n), args.tol)

@@ -17,6 +17,12 @@ Conventions
   powers of T doubled over the (real, imaginary) Majorana pairs, which is the
   unique trace-preserving unital completely positive extension of the Wick
   rule w-polynomial(v_1, ..., v_k) -> w-polynomial(T v_1, ..., T v_k).
+* Gamma(T) comes in two forms.  second_quantize returns the 4^r_out x 4^r_in
+  superoperator as a MarkovMap, for composition, Choi matrices and the
+  Markov certificates.  second_quantize_action applies Gamma(T) to a stack of
+  k matrices without forming it: Majorana coefficients, the doubled lift as
+  exterior_map(T) C exterior_map(T)^T, and resynthesis, O(k 8^r) in all.
+  Both read the Majorana products from a MajoranaFrame, built per call.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ __all__ = [
     "exterior_map",
     "interleave_double",
     "second_quantize",
+    "MajoranaFrame",
+    "majorana_frame",
+    "second_quantize_action",
 ]
 
 
@@ -466,20 +475,73 @@ def _doubled_exterior(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _majorana_apply(rank: int, m: np.ndarray) -> np.ndarray:
+def _majorana_apply(frame: MajoranaFrame, m: np.ndarray) -> np.ndarray:
     """C @ m for the stacked Majorana basis C (column B is the vec'd product).
 
     Column B holds phase[B, r] at row (r ^ flip[B]) * dim + r, so the dim
     columns sharing a flip x form one dim x dim block that fills the rows
     (r ^ x) * dim + r of the result from their rows of m.
     """
-    flip, phase = _majorana_table(rank)
-    r = np.arange(phase.shape[1])
+    r = np.arange(frame.dim)
     out = np.empty((r.size * r.size, m.shape[1]), dtype=complex)
     for x in range(r.size):
-        masks = np.flatnonzero(flip == x)
-        out[(r ^ x) * r.size + r] = phase[masks].T @ m[masks]
+        masks = np.flatnonzero(frame.flip == x)
+        out[(r ^ x) * r.size + r] = frame.phase[masks].T @ m[masks]
     return out
+
+
+@dataclass(frozen=True)
+class MajoranaFrame:
+    """The ordered Majorana products over `rank` modes in the form second
+    quantization works with: the flip/phase table of _majorana_table and, for
+    every mask, its sign and its place (even part, odd part) after
+    _split_interleaved.  Built per call by majorana_frame; nothing is cached."""
+
+    rank: int
+    flip: np.ndarray = field(repr=False)
+    phase: np.ndarray = field(repr=False)
+    pair: np.ndarray = field(repr=False)
+    sign: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.rank
+
+    def coefficients(self, xs: np.ndarray) -> np.ndarray:
+        """Majorana coefficients tr(c_B^dagger X) / dim of a stack of matrices,
+        shape (k, 4^rank); the products over masks of one flip x read the
+        entries X[r ^ x, r]."""
+        r = np.arange(self.dim)
+        out = np.empty((xs.shape[0], self.flip.size), dtype=complex)
+        for x in range(r.size):
+            masks = np.flatnonzero(self.flip == x)
+            out[:, masks] = xs[:, r ^ x, r] @ self.phase[masks].conj().T
+        return out / self.dim
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """The matrices sum_B coeffs[:, B] c_B, shape (k, dim, dim)."""
+        return _majorana_apply(self, coeffs.T).T.reshape(-1, self.dim, self.dim)
+
+
+def majorana_frame(rank: int) -> MajoranaFrame:
+    """MajoranaFrame over `rank` modes; its 4^rank products obey the dimension cap."""
+    if (1 << (2 * rank)) > config.dim_cap():
+        raise SizeError("second quantization superoperator exceeds dimension cap")
+    flip, phase = _majorana_table(rank)
+    even, odd, sign = _split_interleaved(rank)
+    return MajoranaFrame(rank, flip, phase, (even << rank) | odd, sign)
+
+
+def _checked_contraction(t, rank_in: int, rank_out: int, tol: float) -> np.ndarray:
+    tt = np.asarray(t, dtype=float)
+    if tt.ndim != 2 or tt.shape != (rank_out, rank_in):
+        raise ShapeError(
+            f"contraction shape {tt.shape} does not match ranks ({rank_out}, {rank_in})")
+    if tt.size:
+        smax = float(np.linalg.svd(tt, compute_uv=False)[0])
+        if smax > 1.0 + tol:
+            raise PreconditionError(f"largest singular value {smax:.12f} exceeds 1")
+    return tt
 
 
 def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
@@ -492,22 +554,43 @@ def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
     operators to the Wick rule (apply t inside every factor), is functorial
     (compositions multiply), and is completely positive for contractions.
     """
-    tt = np.asarray(t, dtype=float)
-    if tt.ndim != 2 or tt.shape != (rep_out.rank, rep_in.rank):
-        raise ShapeError(
-            f"contraction shape {tt.shape} does not match ranks ({rep_out.rank}, {rep_in.rank})")
-    if tt.size:
-        smax = float(np.linalg.svd(tt, compute_uv=False)[0])
-        if smax > 1.0 + tol:
-            raise PreconditionError(f"largest singular value {smax:.12f} exceeds 1")
-    # each side of the doubled lift has 4^rank = dim^2 basis elements
-    if max(rep_in.dim, rep_out.dim) ** 2 > config.dim_cap():
-        raise SizeError("second quantization superoperator exceeds dimension cap")
+    tt = _checked_contraction(t, rep_in.rank, rep_out.rank, tol)
+    # each side of the doubled lift has 4^rank = dim^2 basis elements; the
+    # frames refuse a side over the dimension cap
+    frame_in, frame_out = majorana_frame(rep_in.rank), majorana_frame(rep_out.rank)
 
     # super = C_out lifted C_in^dagger / dim_in, the lift taken in the Majorana
     # basis: C^dagger C = dim * identity since the products are trace-orthogonal
-    right = _majorana_apply(rep_in.rank, _doubled_exterior(tt).T)
+    right = _majorana_apply(frame_in, _doubled_exterior(tt).T)
     np.conjugate(right, out=right)
-    super_op = _majorana_apply(rep_out.rank, right.T)
+    super_op = _majorana_apply(frame_out, right.T)
     super_op /= rep_in.dim
     return MarkovMap(dim_out=rep_out.dim, dim_in=rep_in.dim, super=super_op)
+
+
+def second_quantize_action(frame_in: MajoranaFrame, frame_out: MajoranaFrame, t,
+                           tol: float = config.TOL_NUM):
+    """Gamma(t) of second_quantize as a map on stacks of matrices, shape
+    (k, dim_in, dim_in) to (k, dim_out, dim_out), with no superoperator.
+
+    Each X is expanded in the Majorana products (coefficients a_A), lifted as
+    lam C lam^T with lam = exterior_map(t) and C[A_even, A_odd] = eps(A) a_A,
+    which is _doubled_exterior's identity read as two matrix products, and
+    resynthesized from eps(B) (lam C lam^T)[B_even, B_odd].  Every step costs
+    O(k 8^rank).  Same guards as second_quantize; the frames carry its
+    dimension cap.
+    """
+    tt = _checked_contraction(t, frame_in.rank, frame_out.rank, tol)
+    lam = exterior_map(tt)
+
+    def apply(xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=complex)
+        if xs.ndim != 3 or xs.shape[1:] != (frame_in.dim, frame_in.dim):
+            raise ShapeError(f"Gamma(t) needs a stack of {frame_in.dim} x {frame_in.dim} matrices")
+        signed = np.empty((xs.shape[0], frame_in.flip.size), dtype=complex)
+        signed[:, frame_in.pair] = frame_in.coefficients(xs) * frame_in.sign
+        lifted = lam @ signed.reshape(-1, frame_in.dim, frame_in.dim) @ lam.T
+        return frame_out.synthesize(
+            lifted.reshape(xs.shape[0], -1)[:, frame_out.pair] * frame_out.sign)
+
+    return apply

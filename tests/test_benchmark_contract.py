@@ -1,0 +1,79 @@
+"""What the benchmark in perfbench/ needs from the program.
+
+A benchmark run exits non-zero when one op fails its gate or an exception
+escapes it, including one raised by the traced run's counters.  These tests
+load perfbench/ without changing anything in it (no bytecode is written
+there) and check that contract on one seeded input of every shape of the
+workloads named in BENCHMARK.json.
+"""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dilation_lab
+from dilation_lab import GramSpace, build_fermion_rep, cli, second_quantize
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOAD_NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+SEED = 20261
+
+
+def _load(name):
+    """A perfbench module under a private name, with no bytecode written."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return {name: _load(name) for name in ("spans", "workloads", "run")}
+
+
+def test_every_timed_call_resolves(bench):
+    spans = bench["spans"]
+    for home, func_name, _ in spans.TIMED_CALLS:
+        assert callable(getattr(importlib.import_module(f"dilation_lab.{home}"), func_name))
+    for name in spans.PATCHED_MODULES:
+        assert getattr(dilation_lab, name) is importlib.import_module(f"dilation_lab.{name}")
+
+
+def test_second_quantize_result_feeds_its_counter(bench):
+    rep = build_fermion_rep(GramSpace.standard(2))
+    counts = bench["spans"].COUNTERS["second_quantize"](second_quantize(rep, rep, np.eye(2)))
+    assert counts == {"fock.second_quantize_calls": 1, "fock.superop_bytes": 16 * 16 * 16}
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+def test_every_shape_passes_the_gate_traced(bench, workload, tmp_path):
+    workloads, run, spans = bench["workloads"], bench["run"], bench["spans"]
+    tracer = spans.Tracer()
+    tracer.install(dilation_lab)
+    try:
+        for index, shape in enumerate(workloads.WORKLOADS[workload].shapes):
+            path = tmp_path / f"{shape.key}.json"
+            workloads.write_input(str(path), SEED, shape, index)
+            tracer.op = index
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(shape.argv(str(path)))
+            assert run.gate(shape, code, out.getvalue()) == [], shape.key
+    finally:
+        tracer.uninstall()
+    assert sorted(tracer.per_op()) == list(range(len(workloads.WORKLOADS[workload].shapes)))

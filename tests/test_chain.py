@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dilation_lab import chain as chain_module
+from dilation_lab import fock as fock_module
 from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol,
                           ShapeError, SizeError, build_beta, build_chain,
                           build_schaffer, embed_J, expectations, halmos_block,
@@ -176,6 +178,15 @@ def test_schaffer_validation():
             build_schaffer(np.array([[bad]]), window=1)
 
 
+def test_schaffer_window_space_obeys_the_dimension_cap(monkeypatch):
+    monkeypatch.setenv("DILATION_LAB_DIM_CAP", "10")
+    with pytest.raises(SizeError, match="window space dimension 11"):
+        build_schaffer(np.array([[0.5]]), window=5)
+    with pytest.raises(SizeError, match="window space dimension 18"):
+        build_schaffer(random_symmetric_contraction(rng(0), 2), window=4)
+    assert build_schaffer(np.array([[0.5]]), window=4).unitary.shape == (9, 9)
+
+
 def test_projection_sandwich_recovers_even_powers():
     dil = build_schaffer(np.array([[0.5]]), window=4)
     for n in range(3):
@@ -205,3 +216,43 @@ def test_gamma_factorization_small_matrices():
     assert verify_gamma_factorization(random_symmetric_contraction(gen, 2)) < 1e-11
     with pytest.raises(SizeError):
         verify_gamma_factorization(random_symmetric_contraction(gen, 3))
+
+
+def test_secondquant_verifiers_form_no_superoperator(monkeypatch):
+    calls = []
+    original = fock_module.second_quantize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock_module, "second_quantize", counted)
+    monkeypatch.setattr(chain_module, "second_quantize", counted, raising=False)
+    t = random_symmetric_contraction(rng(4), 2)
+    assert verify_rota_secondquant(t, window=1, n=1) < 1e-9
+    assert verify_gamma_factorization(t) < 1e-12
+    assert calls == []
+
+
+def test_rota_secondquant_applies_gamma_t_once_per_step(monkeypatch):
+    # Gamma(T) applied 2n times, never Gamma(T^(2n)): functoriality is checked
+    built = []
+    original = chain_module.second_quantize_action
+
+    def spy(frame_in, frame_out, t, *args):
+        apply = original(frame_in, frame_out, t, *args)
+        record = {"ranks": (frame_in.rank, frame_out.rank), "t": np.array(t), "calls": 0}
+        built.append(record)
+
+        def counted(xs):
+            record["calls"] += 1
+            return apply(xs)
+        return counted
+
+    monkeypatch.setattr(chain_module, "second_quantize_action", spy)
+    t = np.array([[0.5]])
+    assert verify_rota_secondquant(t, window=2, n=2) < 1e-9
+    base = [r for r in built if r["ranks"] == (1, 1)]
+    assert len(base) == 1
+    assert np.array_equal(base[0]["t"], t)
+    assert base[0]["calls"] == 4

@@ -167,6 +167,14 @@ def test_secondquant_on_subnormal_entries_warns_nothing():
     assert "Warning" not in err
 
 
+def test_window_over_dimension_cap_exits_two_at_once():
+    # a 10001 x 10001 dense window unitary would be formed without the cap
+    code, out, err = run_main("secondquant", {"matrix": [[0.5]], "window": 5000})
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: window space dimension 10001 exceeds dimension cap")
+
+
 @pytest.mark.parametrize("command, payload, row", [
     ("check-schur", {"symbol": [[1, 0.5], [0.2, 1]], "weights": [0.5, 0.5]},
      "symbol_psd"),
@@ -237,8 +245,19 @@ def test_bad_weights_exit_two_with_an_error(weights, message):
      "error: weights must hold numbers, got '0.5'"),
     ("check-schur", {"symbol": [[True, 0.5], [0.5, True]], "weights": [0.5, 0.5]}, (),
      "error: matrix entries must be numbers or [re, im] pairs, got True"),
+    ("fourier", {"group": {"table": [[0, 1.7], [1, 0]]}, "t": [1, 0.5]}, (),
+     "error: group table must hold integers, got 1.7"),
+    ("fourier", {"group": {"table": [[0, "1"], ["1", 0]]}, "t": [1, 0.5]}, (),
+     "error: group table must hold integers, got '1'"),
+    ("fourier", {"group": {"table": [[0, True], [True, 0]]}, "t": [1, 0.5]}, (),
+     "error: group table must hold integers, got True"),
+    ("fourier", {"group": {"table": [[0, [1]], [[1], 0]]}, "t": [1, 0.5]}, (),
+     "error: group table must hold integers, got [1]"),
+    ("fourier", {"group": {"table": [[0, 10 ** 30], [1, 0]]}, "t": [1, 0.5]}, (),
+     "error: group table must hold integers, got 1000000000000000000000000000000"),
 ], ids=["matrix-inf", "steps-negative", "window-float", "window-string", "t-nested",
-        "matrix-string", "t-string", "weights-string", "symbol-bool"])
+        "matrix-string", "t-string", "weights-string", "symbol-bool", "table-float",
+        "table-string", "table-bool", "table-nested", "table-huge"])
 def test_malformed_input_exits_two_with_an_error(command, payload, flags, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -393,7 +412,8 @@ def contraction_payloads(draw):
     return {"matrix": t.tolist(), "window": draw(st.sampled_from([1, 2]))}
 
 
-# 15 examples: a rank-6 window (m = 2, window = 1, --steps >= 1) costs about 3.5 s
+# 15 examples; the costliest, a rank-6 window (m = 2, window = 1, --steps >= 1),
+# takes a few tens of ms since the Fock rows act on field monomials
 @settings(max_examples=15, deadline=None)
 @given(contraction_payloads(), st.sampled_from([0, 1, 2]))
 def test_secondquant_reports_or_refuses_any_symmetric_matrix(payload, steps):

@@ -11,7 +11,7 @@ from dilation_lab import (GramSpace, PreconditionError, SchurSymbol, ShapeError,
                           choi_matrix, exterior_map, interleave_double,
                           second_quantize, verify_q_relation, wick_inverse)
 from dilation_lab.fock import (QWord, TruncatedQFock, _doubled_exterior, creation_apply,
-                               q_gram)
+                               majorana_frame, q_gram, second_quantize_action)
 from dilation_lab.matcore import dagger, max_abs, random_complex, rng
 
 Q_VALUES = (-0.9, -0.5, 0.0, 0.5, 0.9)
@@ -376,18 +376,20 @@ def _dense_second_quantize(rep_in, rep_out, t):
 
 
 @st.composite
-def real_contractions(draw):
-    """General contractions of any shape up to 4 x 4, orthogonal projections
-    and isometries."""
+def real_contractions(draw, max_dim=4, max_total=8):
+    """General contractions, orthogonal projections and isometries with at
+    most max_dim rows and columns, and at most max_total of both together."""
     kind = draw(st.sampled_from(["contraction", "projection", "isometry"]))
-    d_out = draw(st.integers(min_value=0, max_value=4))
+    top = min(max_dim, max_total // 2) if kind == "projection" else max_dim
+    d_out = draw(st.integers(min_value=0, max_value=top))
+    d_in_cap = min(max_dim, max_total - d_out)
     gen = rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     if kind == "contraction":
-        a = gen.standard_normal((d_out, draw(st.integers(min_value=0, max_value=4))))
+        a = gen.standard_normal((d_out, draw(st.integers(min_value=0, max_value=d_in_cap))))
         norm = np.linalg.norm(a, 2) if a.size else 1.0
         return a * draw(st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)) / norm
     q, _ = np.linalg.qr(gen.standard_normal((d_out, d_out)))
-    k = draw(st.integers(min_value=0, max_value=d_out))
+    k = draw(st.integers(min_value=0, max_value=min(d_out, d_in_cap)))
     return q[:, :k] if kind == "isometry" else q[:, :k] @ q[:, :k].T
 
 
@@ -405,6 +407,38 @@ def test_second_quantize_matches_dense_reference(t):
     g = second_quantize(rep_in, rep_out, t)
     assert max_abs(g.super - _dense_second_quantize(rep_in, rep_out, t)) <= 1e-13
     assert max_abs(_doubled_exterior(t) - exterior_map(interleave_double(t))) <= 1e-13
+
+
+# rank 6 on one side at most: a dense 6 -> 6 superoperator alone is 256 MiB
+@settings(max_examples=60, deadline=None)
+@given(real_contractions(max_dim=6), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(np.array([[0.6, 0.2, 0.0], [0.1, -0.5, 0.3]]), 2, 0)
+@example(np.array([[0.3, -0.2], [0.5, 0.1], [0.0, 0.4], [-0.1, 0.2], [0.2, 0.0], [0.1, 0.3]]), 2, 1)
+def test_second_quantize_action_matches_dense_path(t, k, seed):
+    """Gamma(t) applied to a random complex stack equals second_quantize's
+    superoperator applied one matrix at a time."""
+    rep_in, rep_out = _standard_rep(t.shape[1]), _standard_rep(t.shape[0])
+    gen = rng(seed)
+    xs = np.stack([random_complex(gen, rep_in.dim) for _ in range(k)])
+    act = second_quantize_action(majorana_frame(rep_in.rank), majorana_frame(rep_out.rank), t)
+    g = second_quantize(rep_in, rep_out, t)
+    assert max_abs(act(xs) - np.stack([g(x) for x in xs])) <= 1e-13
+
+
+def test_second_quantize_action_guards(monkeypatch):
+    frames = {rank: majorana_frame(rank) for rank in (2, 3)}
+    with pytest.raises(ShapeError):
+        second_quantize_action(frames[2], frames[3], np.eye(2))
+    with pytest.raises(PreconditionError):
+        second_quantize_action(frames[2], frames[2], 1.2 * np.eye(2))
+    with pytest.raises(ShapeError):
+        second_quantize_action(frames[2], frames[2], np.eye(2))(np.eye(4))
+    # the same cap as the dense superoperator: 4^rank basis elements per side
+    monkeypatch.setenv("DILATION_LAB_DIM_CAP", "63")
+    with pytest.raises(SizeError):
+        majorana_frame(3)
+    majorana_frame(2)
 
 
 def test_second_quantize_identity_is_exact_at_every_rank():
