@@ -328,14 +328,14 @@ class SchafferDilation:
 
     def orbit(self, stop: int) -> list[np.ndarray]:
         """U^k embed for k = 0..stop-1, one product per step."""
-        out = [self.embed]
+        out = [self.embed] if stop > 0 else []
         for _ in range(1, stop):
             out.append(self.unitary @ out[-1])
         return out
 
     def compress(self, k: int) -> np.ndarray:
         """P U^k restricted to the base space."""
-        return self.embed.T @ self.orbit(k + 1)[-1]
+        return self.embed.T @ np.linalg.matrix_power(self.unitary, k) @ self.embed
 
 
 def halmos_block(t: np.ndarray, d: np.ndarray) -> np.ndarray:

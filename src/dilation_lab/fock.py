@@ -17,12 +17,12 @@ Conventions
   powers of T doubled over the (real, imaginary) Majorana pairs, which is the
   unique trace-preserving unital completely positive extension of the Wick
   rule w-polynomial(v_1, ..., v_k) -> w-polynomial(T v_1, ..., T v_k).
-* Gamma(T) comes in two forms.  second_quantize returns the 4^r_out x 4^r_in
-  superoperator as a MarkovMap, for composition, Choi matrices and the
-  Markov certificates.  second_quantize_action applies Gamma(T) to a stack of
-  k matrices without forming it: Majorana coefficients, the doubled lift as
+* Gamma(T) is computed as an action on a stack of k matrices: Majorana
+  coefficients from a MajoranaFrame (built per call), the doubled lift as
   exterior_map(T) C exterior_map(T)^T, and resynthesis, O(k 8^r) in all.
-  Both read the Majorana products from a MajoranaFrame, built per call.
+  second_quantize_action returns that action; second_quantize applies it to
+  the 4^r matrix units and returns the 4^r_out x 4^r_in superoperator as a
+  MarkovMap, for composition, Choi matrices and the Markov certificates.
 """
 
 from __future__ import annotations
@@ -458,38 +458,6 @@ def _split_interleaved(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return even, odd, 1.0 - 2.0 * parity
 
 
-def _doubled_exterior(t: np.ndarray) -> np.ndarray:
-    """exterior_map(interleave_double(t)) from the exterior powers of t.
-
-    The doubled map is t on the even modes and t on the odd modes, so after
-    moving even modes first each minor is block diagonal:
-    entry [B, A] = eps(B) eps(A) lam[B_even, A_even] lam[B_odd, A_odd].
-    """
-    lam = exterior_map(t)
-    b_even, b_odd, b_sign = _split_interleaved(t.shape[0])
-    a_even, a_odd, a_sign = _split_interleaved(t.shape[1])
-    out = lam[np.ix_(b_even, a_even)]
-    out *= lam[np.ix_(b_odd, a_odd)]
-    out *= b_sign[:, None]
-    out *= a_sign
-    return out
-
-
-def _majorana_apply(frame: MajoranaFrame, m: np.ndarray) -> np.ndarray:
-    """C @ m for the stacked Majorana basis C (column B is the vec'd product).
-
-    Column B holds phase[B, r] at row (r ^ flip[B]) * dim + r, so the dim
-    columns sharing a flip x form one dim x dim block that fills the rows
-    (r ^ x) * dim + r of the result from their rows of m.
-    """
-    r = np.arange(frame.dim)
-    out = np.empty((r.size * r.size, m.shape[1]), dtype=complex)
-    for x in range(r.size):
-        masks = np.flatnonzero(frame.flip == x)
-        out[(r ^ x) * r.size + r] = frame.phase[masks].T @ m[masks]
-    return out
-
-
 @dataclass(frozen=True)
 class MajoranaFrame:
     """The ordered Majorana products over `rank` modes in the form second
@@ -507,20 +475,28 @@ class MajoranaFrame:
     def dim(self) -> int:
         return 1 << self.rank
 
-    def coefficients(self, xs: np.ndarray) -> np.ndarray:
-        """Majorana coefficients tr(c_B^dagger X) / dim of a stack of matrices,
-        shape (k, 4^rank); the products over masks of one flip x read the
-        entries X[r ^ x, r]."""
+    def coefficients(self, cols: np.ndarray) -> np.ndarray:
+        """Majorana coefficients tr(c_B^dagger X) / dim of the row-major vec'd
+        matrices X in the columns of cols, shape (4^rank, k); the products
+        over masks of one flip x read the entries X[r ^ x, r]."""
         r = np.arange(self.dim)
-        out = np.empty((xs.shape[0], self.flip.size), dtype=complex)
+        out = np.empty(cols.shape, dtype=complex)
         for x in range(r.size):
             masks = np.flatnonzero(self.flip == x)
-            out[:, masks] = xs[:, r ^ x, r] @ self.phase[masks].conj().T
-        return out / self.dim
+            out[masks] = self.phase[masks].conj() @ cols[(r ^ x) * r.size + r]
+        out /= self.dim
+        return out
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """The matrices sum_B coeffs[:, B] c_B, shape (k, dim, dim)."""
-        return _majorana_apply(self, coeffs.T).T.reshape(-1, self.dim, self.dim)
+        """The vec'd matrices sum_B coeffs[B, j] c_B as columns, shape
+        (dim^2, k); the products over masks of one flip x fill the entries
+        X[r ^ x, r]."""
+        r = np.arange(self.dim)
+        out = np.empty(coeffs.shape, dtype=complex)
+        for x in range(r.size):
+            masks = np.flatnonzero(self.flip == x)
+            out[(r ^ x) * r.size + r] = self.phase[masks].T @ coeffs[masks]
+        return out
 
 
 def majorana_frame(rank: int) -> MajoranaFrame:
@@ -544,6 +520,30 @@ def _checked_contraction(t, rank_in: int, rank_out: int, tol: float) -> np.ndarr
     return tt
 
 
+def _lift(frame_in: MajoranaFrame, frame_out: MajoranaFrame, lam: np.ndarray,
+          cols: np.ndarray) -> np.ndarray:
+    """Gamma(t) of the row-major vec'd matrices in the columns of cols, shape
+    (dim_in^2, k) to (dim_out^2, k), with lam = exterior_map(t).
+
+    Each X is expanded in the Majorana products (coefficients a_A) and lifted
+    through the doubled map, t on the even modes and t on the odd modes: after
+    moving even modes first (sign eps) each of its minors is block diagonal,
+    entry [B, A] = eps(B) eps(A) lam[B_even, A_even] lam[B_odd, A_odd].  So the
+    lift is lam C lam^T with C[A_even, A_odd] = eps(A) a_A, resynthesized from
+    eps(B) (lam C lam^T)[B_even, B_odd].  Every step costs O(k 8^rank).
+    """
+    k = cols.shape[1]
+    coeffs = frame_in.coefficients(cols)
+    coeffs *= frame_in.sign[:, None]
+    signed = np.empty_like(coeffs)
+    signed[frame_in.pair] = coeffs
+    # lam C for all k at once, then lam (lam C)[i] for every row i: lam C lam^T
+    half = (lam @ signed.reshape(frame_in.dim, -1)).reshape(frame_out.dim, frame_in.dim, k)
+    coeffs = (lam @ half).reshape(-1, k)[frame_out.pair]
+    coeffs *= frame_out.sign[:, None]
+    return frame_out.synthesize(coeffs)
+
+
 def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
                     tol: float = config.TOL_NUM) -> MarkovMap:
     """Second quantization of a real contraction t between generator spaces.
@@ -553,44 +553,37 @@ def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
     trace preserving and unital, restricts on polynomials in the field
     operators to the Wick rule (apply t inside every factor), is functorial
     (compositions multiply), and is completely positive for contractions.
+    Its columns are Gamma(t) of the matrix units, O(32^rank) in all.
     """
     tt = _checked_contraction(t, rep_in.rank, rep_out.rank, tol)
     # each side of the doubled lift has 4^rank = dim^2 basis elements; the
     # frames refuse a side over the dimension cap
     frame_in, frame_out = majorana_frame(rep_in.rank), majorana_frame(rep_out.rank)
-
-    # super = C_out lifted C_in^dagger / dim_in, the lift taken in the Majorana
-    # basis: C^dagger C = dim * identity since the products are trace-orthogonal
-    right = _majorana_apply(frame_in, _doubled_exterior(tt).T)
-    np.conjugate(right, out=right)
-    super_op = _majorana_apply(frame_out, right.T)
-    super_op /= rep_in.dim
+    lam = exterior_map(tt)
+    n_in = rep_in.dim ** 2
+    super_op = np.empty((rep_out.dim ** 2, n_in), dtype=complex)
+    # about CHUNK_BYTES per working array of the lift
+    column_bytes = np.dtype(complex).itemsize * max(n_in, super_op.shape[0])
+    step = max(1, config.CHUNK_BYTES // column_bytes)
+    for start in range(0, n_in, step):
+        units = np.eye(n_in, min(step, n_in - start), -start, dtype=complex)
+        super_op[:, start:start + units.shape[1]] = _lift(frame_in, frame_out, lam, units)
     return MarkovMap(dim_out=rep_out.dim, dim_in=rep_in.dim, super=super_op)
 
 
-def second_quantize_action(frame_in: MajoranaFrame, frame_out: MajoranaFrame, t,
-                           tol: float = config.TOL_NUM):
+def second_quantize_action(frame_in: MajoranaFrame, frame_out: MajoranaFrame, t):
     """Gamma(t) of second_quantize as a map on stacks of matrices, shape
-    (k, dim_in, dim_in) to (k, dim_out, dim_out), with no superoperator.
-
-    Each X is expanded in the Majorana products (coefficients a_A), lifted as
-    lam C lam^T with lam = exterior_map(t) and C[A_even, A_odd] = eps(A) a_A,
-    which is _doubled_exterior's identity read as two matrix products, and
-    resynthesized from eps(B) (lam C lam^T)[B_even, B_odd].  Every step costs
+    (k, dim_in, dim_in) to (k, dim_out, dim_out), with no superoperator:
     O(k 8^rank).  Same guards as second_quantize; the frames carry its
     dimension cap.
     """
-    tt = _checked_contraction(t, frame_in.rank, frame_out.rank, tol)
-    lam = exterior_map(tt)
+    lam = exterior_map(_checked_contraction(t, frame_in.rank, frame_out.rank, config.TOL_NUM))
 
     def apply(xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=complex)
         if xs.ndim != 3 or xs.shape[1:] != (frame_in.dim, frame_in.dim):
             raise ShapeError(f"Gamma(t) needs a stack of {frame_in.dim} x {frame_in.dim} matrices")
-        signed = np.empty((xs.shape[0], frame_in.flip.size), dtype=complex)
-        signed[:, frame_in.pair] = frame_in.coefficients(xs) * frame_in.sign
-        lifted = lam @ signed.reshape(-1, frame_in.dim, frame_in.dim) @ lam.T
-        return frame_out.synthesize(
-            lifted.reshape(xs.shape[0], -1)[:, frame_out.pair] * frame_out.sign)
+        images = _lift(frame_in, frame_out, lam, xs.reshape(xs.shape[0], -1).T)
+        return images.T.reshape(-1, frame_out.dim, frame_out.dim)
 
     return apply

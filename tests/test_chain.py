@@ -155,6 +155,17 @@ def test_schaffer_powers_match_below_the_horizon():
     assert abs(dil.compress(5)[0, 0] - 0.5 ** 5) > 0.01
 
 
+def test_schaffer_orbit_and_negative_powers():
+    t = random_symmetric_contraction(rng(2), 2)
+    dil = build_schaffer(t, window=2)
+    assert dil.orbit(0) == [] and dil.orbit(-1) == []
+    for k, image in enumerate(dil.orbit(5)):
+        np.testing.assert_allclose(
+            image, np.linalg.matrix_power(dil.unitary, k) @ dil.embed, atol=1e-13)
+    # U is orthogonal, so P U^-1 P = (P U P)^T = T for a symmetric T
+    np.testing.assert_allclose(dil.compress(-1), t, atol=1e-13)
+
+
 def test_schaffer_matrix_contraction():
     gen = rng(1)
     t = random_symmetric_contraction(gen, 2)
@@ -239,8 +250,8 @@ def test_rota_secondquant_applies_gamma_t_once_per_step(monkeypatch):
     built = []
     original = chain_module.second_quantize_action
 
-    def spy(frame_in, frame_out, t, *args):
-        apply = original(frame_in, frame_out, t, *args)
+    def spy(frame_in, frame_out, t):
+        apply = original(frame_in, frame_out, t)
         record = {"ranks": (frame_in.rank, frame_out.rank), "t": np.array(t), "calls": 0}
         built.append(record)
 

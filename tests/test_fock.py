@@ -10,7 +10,7 @@ from dilation_lab import (GramSpace, PreconditionError, SchurSymbol, ShapeError,
                           SizeError, build_fermion_rep, build_gram_space,
                           choi_matrix, exterior_map, interleave_double,
                           second_quantize, verify_q_relation, wick_inverse)
-from dilation_lab.fock import (QWord, TruncatedQFock, _doubled_exterior, creation_apply,
+from dilation_lab.fock import (QWord, TruncatedQFock, creation_apply,
                                majorana_frame, q_gram, second_quantize_action)
 from dilation_lab.matcore import dagger, max_abs, random_complex, rng
 
@@ -406,7 +406,6 @@ def test_second_quantize_matches_dense_reference(t):
     rep_in, rep_out = _standard_rep(t.shape[1]), _standard_rep(t.shape[0])
     g = second_quantize(rep_in, rep_out, t)
     assert max_abs(g.super - _dense_second_quantize(rep_in, rep_out, t)) <= 1e-13
-    assert max_abs(_doubled_exterior(t) - exterior_map(interleave_double(t))) <= 1e-13
 
 
 # rank 6 on one side at most: a dense 6 -> 6 superoperator alone is 256 MiB
