@@ -17,7 +17,10 @@ Both algebras are known exactly.  With E the even algebra of the field
 Majoranas, the past one at level q is M_n (x) E^(x)q (x) 1 and the future one
 U (M_n (x) 1^(x)q (x) E^(x)(N-q)) U, U = sum_i e_ii (x) w_i^(x)q (x) 1.  The
 product state commutes with U, so each expectation is per-leg projection onto
-E and a partial trace.
+E and a partial trace.  Both act block by block on the (i, j) blocks of
+M_n (x) A^(x)N, and every element the Markov rows feed them (J_q(e_ij),
+beta^p of a source unit) sits in one block, so the rows work on stacks of
+single tail x tail blocks instead of ambient matrices.
 
 All identities are local in the chain, so truncation at depth N is exact for
 indices <= N.  The same module carries the shifted unitary dilation of a
@@ -34,7 +37,7 @@ import numpy as np
 from . import config
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import FermionRep, build_fermion_rep, majorana_frame, second_quantize_action
-from .matcore import as_square, frobenius, hermitian_sqrt, matrix_units, max_abs
+from .matcore import dagger, frobenius, hermitian_sqrt, matrix_units, max_abs
 from .schur import GramSpace, SchurSymbol, build_gram_space, certify_symbol
 from .states import DiagonalState
 
@@ -99,13 +102,16 @@ _ENTRY_BYTES = np.dtype(complex).itemsize
 
 
 def _planned_bytes(n: int, leg: int, depth: int) -> int:
-    """Size that decides whether a rota run over this chain is admitted: the
-    shift check's source matrix units (one leg shallower; other batched work is
-    cut into chunks of config.CHUNK_BYTES), or the generator stack and basis of
-    a numerical closure of the chain algebras, which is no longer built.  The
-    closure terms stay because the cap is also the only bound on run time:
-    without them, shapes such as 4x4 rank 4 depth 2 would be admitted, and
-    their shift check runs for minutes."""
+    """Cost bound that decides whether a rota run over this chain is admitted.
+
+    Its terms are the sizes of arrays that the Markov rows once built: the
+    shift check's source matrix units (one leg shallower), and the generator
+    stack and basis of a numerical closure of the chain algebras.  Neither is
+    built now: the rows work on single blocks, the shift check lifts only the
+    source units whose traced legs agree, and batched work is cut into chunks
+    of config.CHUNK_BYTES.  The terms stand as a bound on run time, which
+    grows with them: without the closure terms, shapes such as 4x4 rank 4
+    depth 2 would be admitted, and their shift check runs for minutes."""
     dim = n * leg ** depth
     seed = 2 * (depth + 1) * n * n + 1
     closure = n * n * min(2 ** (n - 1), leg * leg // 2) ** depth
@@ -130,6 +136,31 @@ def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainS
     return ChainSpace(symbol, state, depth, gram, rep)
 
 
+# Block stacks: an element of M_n (x) A^(x)depth that sits in block (i, j)
+# is kept as its tail x tail block at [..., i, j, :, :] of an array of shape
+# (..., n, n, tail, tail).
+
+def _to_blocks(x: np.ndarray, n: int) -> np.ndarray:
+    """(..., n*t, n*t) matrices as block stacks (..., n, n, t, t)."""
+    t = x.shape[-1] // n
+    return np.swapaxes(x.reshape(*x.shape[:-2], n, t, n, t), -3, -2)
+
+
+def _from_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Block stacks (..., n, n, t, t) as (..., n*t, n*t) matrices."""
+    n, t = blocks.shape[-3], blocks.shape[-1]
+    return np.swapaxes(blocks, -3, -2).reshape(*blocks.shape[:-4], n * t, n * t)
+
+
+def _lift(powers: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """powers (x) x for two stacks of square matrices that broadcast, powers
+    on the leading legs: the block lift (w_i w_j)^(x)p (x) x_ij when powers
+    holds the pair powers and x a block stack."""
+    out = np.einsum("...ab,...cd->...acbd", powers, x)
+    side = powers.shape[-1] * x.shape[-1]
+    return out.reshape(*out.shape[:-4], side, side)
+
+
 def _pair_powers(chain: ChainSpace, q: int) -> np.ndarray:
     """(w_i w_j)^(x)q on the first q legs, shape (n, n, leg^q, leg^q)."""
     n = chain.input_dim
@@ -137,27 +168,42 @@ def _pair_powers(chain: ChainSpace, q: int) -> np.ndarray:
     pairs = np.einsum("iab,jbc->ijac", omegas, omegas)
     powers = np.ones((n, n, 1, 1), dtype=complex)
     for _ in range(q):
-        side = powers.shape[-1] * chain.leg_dim
-        powers = np.einsum("ijab,ijcd->ijacbd", powers, pairs).reshape(n, n, side, side)
+        powers = _lift(powers, pairs)
     return powers
 
 
+def _embed_blocks(chain: ChainSpace, q: int) -> np.ndarray:
+    """Block (i, j) of J_q(e_ij), (w_i w_j)^(x)q (x) 1, at [i, j]."""
+    powers = _pair_powers(chain, q)
+    return _lift(powers, np.eye(chain.tail_dim // powers.shape[-1], dtype=complex))
+
+
 def embed_J(chain: ChainSpace, q: int):
-    """Copy of the input algebra using the first q legs, as a callable."""
+    """Copy of the input algebra using the first q legs, as a callable on a
+    matrix or a stack."""
     if not 0 <= q <= chain.depth:
         raise PreconditionError("embedding index out of range")
-    powers = _pair_powers(chain, q)
-    rest = np.eye(chain.tail_dim // powers.shape[-1], dtype=complex)
-    n, dim = chain.input_dim, chain.ambient_dim
+    blocks = _embed_blocks(chain, q)
+    n = chain.input_dim
 
     def embed(x: np.ndarray) -> np.ndarray:
-        x = as_square(x, "chain input")
-        if x.shape[0] != n:
+        x = np.asarray(x, dtype=complex)
+        if x.ndim < 2 or x.shape[-2:] != (n, n):
             raise ShapeError("element dimension does not match the chain input")
-        blocks = np.einsum("ij,ijab,rs->iarjbs", x, powers, rest)
-        return blocks.reshape(dim, dim)
+        if not np.all(np.isfinite(x)):
+            raise ShapeError("chain input has non-finite entries")
+        return _from_blocks(x[..., None, None] * blocks)
 
     return embed
+
+
+def _beta_blocks(chain: ChainSpace, blocks: np.ndarray, power: int) -> np.ndarray:
+    """beta^power on block stacks: block (i, j) gains (w_i w_j) on a new
+    first leg at each step."""
+    pairs = _pair_powers(chain, 1)
+    for _ in range(power):
+        blocks = _lift(pairs, blocks)
+    return blocks
 
 
 def build_beta(chain: ChainSpace, x: np.ndarray) -> np.ndarray:
@@ -168,73 +214,78 @@ def build_beta(chain: ChainSpace, x: np.ndarray) -> np.ndarray:
     with leading batch axes.
     """
     n = chain.input_dim
-    sub_tail = chain.tail_dim // chain.leg_dim
-    sub_dim = n * sub_tail
+    sub_dim = n * chain.tail_dim // chain.leg_dim
     x = np.asarray(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != sub_dim or x.shape[-2] != sub_dim:
         raise ShapeError("element does not live one level below the chain")
-    lead = x.shape[:-2]
-    xr = x.reshape(*lead, n, sub_tail, n, sub_tail)
     # d_1 = sum_i e_ii (x) w_i (x) I is block diagonal, so block (i, j) of
     # d_1 (I_leg (x) x) d_1 is (w_i (x) x_ij)(w_j (x) I) = (w_i w_j) (x) x_ij
-    out = np.einsum("ijce,...iajb->...icajeb", _pair_powers(chain, 1), xr)
-    return out.reshape(*lead, chain.ambient_dim, chain.ambient_dim)
-
-
-def _beta_power(chain: ChainSpace, x: np.ndarray, power: int) -> np.ndarray:
-    out = x
-    for step in range(power):
-        target_depth = chain.depth - power + 1 + step
-        out = build_beta(chain.shallower(target_depth), out)
-    return out
+    return _from_blocks(_beta_blocks(chain, _to_blocks(x, n), 1))
 
 
 def _project_even(basis: np.ndarray, y: np.ndarray, slots: int) -> np.ndarray:
-    """Projection onto E on each leg of y, shape (batch, n, leg^slots, n,
+    """Projection onto E on each leg of a stack y of shape (..., leg^slots,
     leg^slots), through E's trace-orthonormal monomials (no leg^2 x leg^2
     projector).  The chain contracts with einsum loops, not BLAS: a
     multithreaded GEMM leaves OpenBLAS workers spinning for about 0.1 s of CPU
     after it returns, which on two cores slows whatever runs next."""
-    n, leg = y.shape[1], basis.shape[-1]
+    leg = basis.shape[-1]
     for s in range(slots):
         outer, inner = leg ** s, leg ** (slots - s - 1)
-        parts = y.reshape(-1, n, outer, leg, inner, n, outer, leg, inner)
-        coeffs = np.einsum("xioapjsbt,kab->xiopjstk", parts, basis.conj())
-        y = np.einsum("xiopjstk,kab->xioapjsbt", coeffs, basis).reshape(y.shape) / leg
+        parts = y.reshape(-1, outer, leg, inner, outer, leg, inner)
+        coeffs = np.einsum("xoapsbt,kab->xopstk", parts, basis.conj())
+        y = np.einsum("xopstk,kab->xoapsbt", coeffs, basis).reshape(y.shape)
+        y /= leg  # in place: one chunk-sized array fewer at the peak
     return y
 
 
-def expectations(chain: ChainSpace, n: int):
-    """(past, future) state-preserving expectations at level n onto the
-    algebras of J_0..J_n and of J_n..J_depth, for a matrix or a stack.
+def _block_expectations(chain: ChainSpace, n: int):
+    """(past, future) expectations at level n on block stacks (..., input,
+    input, tail, tail).
 
-    The past traces out legs n+1..depth and projects legs 1..n onto E.  The
-    future strips (w_i w_k)^(x)n from block (i, k) by the partial trace over
-    legs 1..n, projects the other legs onto E and puts the factor back.
+    Both act block by block.  The past traces out legs n+1..depth and projects
+    legs 1..n onto E, the same on every block, so it takes any stack of
+    tail x tail blocks.  The future strips (w_i w_k)^(x)n from block (i, k)
+    by the partial trace over legs 1..n, projects the other legs onto E and
+    puts the factor back.
     """
-    if not 0 <= n <= chain.depth:
-        raise PreconditionError("expectation level out of range")
-    size, dim, lower = chain.input_dim, chain.ambient_dim, chain.leg_dim ** n
+    lower = chain.leg_dim ** n
     upper = chain.tail_dim // lower
     prods = chain.rep.omega_products()
     basis = np.stack([p for mask, p in enumerate(prods) if mask.bit_count() % 2 == 0])
     powers = _pair_powers(chain, n)
 
-    def expect(x, blockwise) -> np.ndarray:
-        xa = np.asarray(x, dtype=complex)
-        if xa.ndim < 2 or xa.shape[-2:] != (dim, dim):
-            raise ShapeError(f"chain expectation needs {dim} x {dim} matrices")
-        return blockwise(xa.reshape(-1, size, lower, upper, size, lower, upper)).reshape(xa.shape)
+    def legs(blocks):
+        return blocks.reshape(*blocks.shape[:-2], lower, upper, lower, upper)
 
-    def past(t):
-        y = _project_even(basis, np.einsum("niarjbr->niajb", t) / upper, n)
-        return np.einsum("niajb,rs->niarjbs", y, np.eye(upper))
+    def past(blocks):
+        y = _project_even(basis, np.einsum("...arbr->...ab", legs(blocks)) / upper, n)
+        return _lift(y, np.eye(upper))
 
-    def future(t):
-        y = np.einsum("niarkbs,ikab->nirks", t, powers.conj()) / lower
-        return np.einsum("ikab,nirks->niarkbs", powers, _project_even(basis, y, chain.depth - n))
+    def future(blocks):
+        y = np.einsum("...arbs,...ab->...rs", legs(blocks), powers.conj()) / lower
+        return _lift(powers, _project_even(basis, y, chain.depth - n))
 
-    return (lambda x: expect(x, past)), (lambda x: expect(x, future))
+    return past, future
+
+
+def expectations(chain: ChainSpace, n: int):
+    """(past, future) state-preserving expectations at level n onto the
+    algebras of J_0..J_n and of J_n..J_depth, for a matrix or a stack."""
+    if not 0 <= n <= chain.depth:
+        raise PreconditionError("expectation level out of range")
+    size, dim = chain.input_dim, chain.ambient_dim
+
+    def on_matrices(blockwise):
+        def expect(x) -> np.ndarray:
+            xa = np.asarray(x, dtype=complex)
+            if xa.ndim < 2 or xa.shape[-2:] != (dim, dim):
+                raise ShapeError(f"chain expectation needs {dim} x {dim} matrices")
+            return _from_blocks(blockwise(_to_blocks(xa, size)))
+        return expect
+
+    past, future = _block_expectations(chain, n)
+    return on_matrices(past), on_matrices(future)
 
 
 def verify_embedding(chain: ChainSpace, q: int) -> dict[str, float]:
@@ -242,19 +293,25 @@ def verify_embedding(chain: ChainSpace, q: int) -> dict[str, float]:
     j = embed_J(chain, q)
     n = chain.input_dim
     units = matrix_units(n)
-    images = np.stack([j(u) for u in units])
+    images = j(units)
     unital = max_abs(j(np.eye(n)) - np.eye(chain.ambient_dim))
-    star = max(max_abs(j(u.conj().T) - img.conj().T)
-               for u, img in zip(units, images))
+    star = max_abs(j(dagger(units)) - dagger(images))
     phi_in = chain.state
     phi_out = chain.ambient_state
     state = max(abs(phi_in(u) - phi_out(img)) for u, img in zip(units, images))
-    mult = 0.0
-    for a, u in enumerate(units):
-        for b, v in enumerate(units):
-            mult = max(mult, max_abs(images[a] @ images[b] - j(u @ v)))
+    mult = max_abs(images[:, None] @ images[None, :] - j(units[:, None] @ units[None, :]))
     return {"unital": unital, "multiplicative": mult, "star": star,
             "state_preserving": state}
+
+
+def _traced_units(kept: int, traced: int, start: int, stop: int) -> np.ndarray:
+    """Matrix units e_{(a, r), (b, r)} of M_kept (x) M_traced, numbers start
+    to stop - 1 in (a, b, r) order: the units whose traced factors agree."""
+    a, b, r = np.unravel_index(np.arange(start, stop), (kept, kept, traced))
+    side = kept * traced
+    units = np.zeros((stop - start, side, side), dtype=complex)
+    units[np.arange(stop - start), a * traced + r, b * traced + r] = 1
+    return units
 
 
 def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float]:
@@ -265,51 +322,52 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
       shift:  E_{q]}(beta^(q-n)(x)) = beta^(q-n)(E_{n]}(x)) on the smaller chain
 
     checked on matrix-unit bases; the shift residual is 0 by construction
-    when q = n.
+    when q = n.  J_q(e_ij) sits in block (i, j), and so does beta^p(x) for x
+    in block (i, j); both expectations act block by block, so every row works
+    on single blocks.  A source unit whose legs n+1..depth-p differ maps to
+    exact zero on both sides of the shift identity, so only the units whose
+    traced legs agree are lifted.
     """
     if not 0 <= n <= q <= chain.depth:
         raise PreconditionError("need 0 <= n <= q <= depth")
-    units = matrix_units(chain.input_dim)
-    past_n, future_n = expectations(chain, n)
-    j_q, j_n, j_0 = embed_J(chain, q), embed_J(chain, n), embed_J(chain, 0)
-
-    t_step = chain.symbol.matrix ** (q - n)
-    t_level = chain.symbol.matrix ** n
-    past = max(max_abs(past_n(j_q(u)) - j_n(t_step * u)) for u in units)
-    future = max(max_abs(future_n(j_0(u)) - j_n(t_level * u)) for u in units)
+    past_n, future_n = _block_expectations(chain, n)
+    j_n = _embed_blocks(chain, n)
+    t_step = (chain.symbol.matrix ** (q - n))[:, :, None, None]
+    t_level = (chain.symbol.matrix ** n)[:, :, None, None]
+    past = max_abs(past_n(_embed_blocks(chain, q)) - t_step * j_n)
+    future = max_abs(future_n(_embed_blocks(chain, 0)) - t_level * j_n)
 
     power = q - n
     shift = 0.0
     if power > 0:
         src_depth = chain.depth - power
-        src_dim = chain.input_dim * chain.leg_dim ** src_depth
-        src_units = matrix_units(src_dim)
-        past_q = expectations(chain, q)[0]
+        past_q = _block_expectations(chain, q)[0]
         if src_depth >= 1:
-            src_past = expectations(chain.shallower(src_depth), n)[0]
+            src_past = _block_expectations(chain.shallower(src_depth), n)[0]
         else:
             src_past = lambda x: x  # depth-0 chain: the past at level 0 is everything
+        kept, traced = chain.leg_dim ** n, chain.leg_dim ** (src_depth - n)
+        count = kept * kept * traced
+        # each source unit is lifted into all input^2 blocks at once
         chunk = max(1, config.CHUNK_BYTES // (_ENTRY_BYTES * chain.ambient_dim ** 2))
-        for start in range(0, src_units.shape[0], chunk):
-            batch = src_units[start : start + chunk]
-            lifted = _beta_power(chain, batch, power)
-            lhs = past_q(lifted)
-            rhs = _beta_power(chain, src_past(batch), power)
+        for start in range(0, count, chunk):
+            units = _traced_units(kept, traced, start, min(start + chunk, count))[:, None, None]
+            lhs = past_q(_beta_blocks(chain, units, power))
+            rhs = _beta_blocks(chain, src_past(units), power)
             shift = max(shift, max_abs(lhs - rhs))
     return {"past": past, "future": future, "shift": shift}
 
 
 def verify_rota(chain: ChainSpace, n: int) -> float:
-    """Residual of J_0(T^(2n) x) = E_{0]}(E_{[n}(J_0(x))) on matrix units."""
+    """Residual of J_0(T^(2n) x) = E_{0]}(E_{[n}(J_0(x))) on matrix units,
+    each on its own block."""
     if not 1 <= n <= chain.depth:
         raise PreconditionError("need 1 <= n <= depth")
-    units = matrix_units(chain.input_dim)
-    past_0 = expectations(chain, 0)[0]
-    future_n = expectations(chain, n)[1]
-    j_0 = embed_J(chain, 0)
-    t_pow = chain.symbol.matrix ** (2 * n)
-    return max(max_abs(past_0(future_n(j_0(u))) - j_0(t_pow * u))
-               for u in units)
+    past_0 = _block_expectations(chain, 0)[0]
+    future_n = _block_expectations(chain, n)[1]
+    j_0 = _embed_blocks(chain, 0)
+    t_pow = (chain.symbol.matrix ** (2 * n))[:, :, None, None]
+    return max_abs(past_0(future_n(j_0)) - t_pow * j_0)
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,24 @@ def _entry(value) -> complex:
     raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got {value!r}")
 
 
+def _field(data: dict, name: str):
+    if name not in data:
+        raise ValueError(f"input is missing field {name!r}")
+    return data[name]
+
+
 def _parse_symbol(data: dict) -> tuple[SchurSymbol, DiagonalState]:
-    matrix = np.array([[_entry(v) for v in row] for row in data["symbol"]])
-    return SchurSymbol(matrix), DiagonalState(_real_array(data["weights"], "weights"))
+    rows = _field(data, "symbol")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"symbol must be a list of rows, got {rows!r}")
+    matrix = np.array([[_entry(v) for v in row] for row in rows])
+    return SchurSymbol(matrix), DiagonalState(_real_array(_field(data, "weights"), "weights"))
 
 
 def _parse_group(data: dict) -> FourierSymbol:
-    spec = data["group"]
+    spec = _field(data, "group")
     if isinstance(spec, dict):
-        group = FiniteGroup(_int_table(spec["table"]))
+        group = FiniteGroup(_int_table(_field(spec, "table")))
     elif spec == "s3":
         group = symmetric_group(3)
     elif isinstance(spec, str) and spec.startswith("cyclic:"):
@@ -98,12 +107,12 @@ def _parse_group(data: dict) -> FourierSymbol:
         group = dihedral_group(int(spec.split(":", 1)[1]))
     else:
         raise ValueError(f"unknown group spec {spec!r}")
-    return FourierSymbol(group, _real_array(data["t"], "t"))
+    return FourierSymbol(group, _real_array(_field(data, "t"), "t"))
 
 
 def _parse_contraction(data: dict, window_flag: int | None) -> tuple[np.ndarray, int]:
-    matrix = _real_array(data["matrix"], "matrix")
-    window = data["window"] if window_flag is None else window_flag
+    matrix = _real_array(_field(data, "matrix"), "matrix")
+    window = _field(data, "window") if window_flag is None else window_flag
     if not (_is_number(window) and isinstance(window, int)):
         raise ValueError(f"window must be an integer, got {window!r}")
     return matrix, window

@@ -9,8 +9,8 @@ from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol,
                           verify_embedding, verify_gamma_factorization,
                           verify_markov_property, verify_ppnp, verify_rota,
                           verify_rota_secondquant)
-from dilation_lab.matcore import (matrix_unit, max_abs, random_complex,
-                                  random_symmetric_contraction, rng)
+from dilation_lab.matcore import (matrix_unit, matrix_units, max_abs, random_complex,
+                                  random_symmetric_contraction, random_weights, rng)
 
 T2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 UNIFORM2 = DiagonalState([0.5, 0.5])
@@ -33,8 +33,9 @@ def test_build_chain_validation(monkeypatch):
 
 
 def test_chain_over_byte_cap_is_refused():
-    # ambient dimension 512 passes DIM_CAP, but the shift check alone would
-    # hold 128^4 complex matrix-unit entries (4.3 GB)
+    # ambient dimension 512 passes DIM_CAP, but the cost bound does not: the
+    # shift check's full set of source units would be 128^4 complex entries
+    # (4.3 GB), although only those with agreeing traced legs are built
     with pytest.raises(SizeError, match="cap"):
         _chain(4)
     assert _chain(3).ambient_dim == 128  # criterion 5's chain stays admitted
@@ -66,6 +67,29 @@ def test_embeddings_are_state_preserving_homomorphisms():
             assert max(report.values()) < 1e-12
     with pytest.raises(PreconditionError):
         embed_J(_chain(1), 2)
+
+
+def test_embed_J_matches_kronecker_products_on_stacks():
+    # J_q(x) = sum_ij x_ij e_ij (x) (w_i w_j)^(x)q (x) 1, here on a (3, 1) stack
+    chain = _chain(2)
+    gen = rng(12)
+    stack = np.stack([random_complex(gen, 2) for _ in range(3)]).reshape(3, 1, 2, 2)
+    for q in range(3):
+        expected = np.zeros((3, 1, chain.ambient_dim, chain.ambient_dim), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                pair = chain.rep.generator_omega(i) @ chain.rep.generator_omega(j)
+                factor = np.eye(1)
+                for _ in range(q):
+                    factor = np.kron(factor, pair)
+                block = np.kron(matrix_unit(2, i, j),
+                                np.kron(factor, np.eye(chain.leg_dim ** (2 - q))))
+                expected += stack[..., i, j, None, None] * block
+        assert max_abs(embed_J(chain, q)(stack) - expected) <= 1e-15
+    with pytest.raises(ShapeError):
+        embed_J(chain, 1)(np.eye(3))
+    with pytest.raises(ShapeError, match="non-finite"):
+        embed_J(chain, 1)(np.full((2, 2), np.nan))
 
 
 def test_beta_is_a_state_preserving_homomorphism():
@@ -118,6 +142,118 @@ def test_markov_property_all_levels_depth_two():
             assert max(report.values()) < 1e-12, (n, q, report)
     with pytest.raises(PreconditionError):
         verify_markov_property(chain, 2, 1)
+
+
+def _dense_beta_power(chain, x, power):
+    """beta^power through build_beta, one leg at a time, on full matrices."""
+    for step in range(power):
+        x = build_beta(chain.shallower(chain.depth - power + 1 + step), x)
+    return x
+
+
+def _dense_markov_property(chain, n, q):
+    """Reference for verify_markov_property on full ambient matrices: every
+    source unit of the shift check lifted, none skipped."""
+    units = matrix_units(chain.input_dim)
+    past_n, future_n = expectations(chain, n)
+    j_q, j_n, j_0 = embed_J(chain, q), embed_J(chain, n), embed_J(chain, 0)
+    t_step = chain.symbol.matrix ** (q - n)
+    t_level = chain.symbol.matrix ** n
+    past = max(max_abs(past_n(j_q(u)) - j_n(t_step * u)) for u in units)
+    future = max(max_abs(future_n(j_0(u)) - j_n(t_level * u)) for u in units)
+    power, shift = q - n, 0.0
+    if power > 0:
+        src_depth = chain.depth - power
+        src_units = matrix_units(chain.input_dim * chain.leg_dim ** src_depth)
+        past_q = expectations(chain, q)[0]
+        src_past = expectations(chain.shallower(src_depth), n)[0] if src_depth else (lambda x: x)
+        lhs = past_q(_dense_beta_power(chain, src_units, power))
+        rhs = _dense_beta_power(chain, src_past(src_units), power)
+        shift = max_abs(lhs - rhs)
+    return {"past": past, "future": future, "shift": shift}
+
+
+def _gram_chain(gen, n, rank, depth):
+    """Chain over the Gram matrix of n random unit vectors in R^rank."""
+    v = gen.standard_normal((n, rank))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    t = v @ v.T
+    np.fill_diagonal(t, 1.0)
+    return build_chain(SchurSymbol((t + t.T) / 2), DiagonalState(random_weights(gen, n)), depth)
+
+
+@pytest.mark.parametrize("n, rank, depth", [(2, 2, 2), (3, 3, 1), (3, 2, 2), (3, 1, 3)],
+                         ids=["2x2-r2-d2", "3x3-r3-d1", "3x3-r2-d2", "3x3-r1-d3"])
+def test_markov_rows_match_dense_reference(n, rank, depth):
+    gen = rng(9400 + 100 * n + 10 * rank + depth)
+    for _ in range(2):
+        chain = _gram_chain(gen, n, rank, depth)
+        for lo in range(depth + 1):
+            for hi in range(lo, depth + 1):
+                assert verify_markov_property(chain, lo, hi) == \
+                    _dense_markov_property(chain, lo, hi), (lo, hi)
+
+
+def test_markov_rows_match_dense_reference_off_the_identity(monkeypatch):
+    # a projection that misses E by an entry-dependent 1e-3 makes the shift
+    # rows nonzero, so the comparison sees the lifted units; it still maps
+    # zero to zero, so the skipped units stay exact zeros
+    original = chain_module._project_even
+
+    def skewed(basis, y, slots):
+        out = original(basis, y, slots)
+        side = out.shape[-1]
+        return out * (1 + 1e-3 * np.arange(side * side).reshape(side, side) / side ** 2)
+
+    monkeypatch.setattr(chain_module, "_project_even", skewed)
+    for chain in (_chain(2), _gram_chain(rng(9500), 3, 2, 2)):
+        for lo in range(3):
+            for hi in range(lo + 1, 3):
+                report = verify_markov_property(chain, lo, hi)
+                assert report == _dense_markov_property(chain, lo, hi), (lo, hi)
+                assert report["shift"] > 1e-6
+
+
+def test_traced_units_are_the_units_with_agreeing_traced_legs():
+    kept, traced = 3, 4
+    side = kept * traced
+    units = chain_module._traced_units(kept, traced, 0, kept * kept * traced)
+    agree = np.eye(traced, dtype=bool)[None, :, None, :]
+    expected = matrix_units(side)[np.broadcast_to(agree, (kept, traced, kept, traced)).ravel()]
+    assert units.shape == expected.shape
+
+    def positions(stack):
+        return sorted(np.flatnonzero(stack.reshape(len(stack), -1)) % (side * side))
+
+    assert positions(units) == positions(expected)
+    assert np.array_equal(chain_module._traced_units(kept, traced, 5, 9), units[5:9])
+
+
+def test_shift_check_is_the_same_in_small_chunks(monkeypatch):
+    chain = _gram_chain(rng(9501), 2, 2, 2)
+    whole = [verify_markov_property(chain, 0, q) for q in (1, 2)]
+    monkeypatch.setattr(chain_module.config, "CHUNK_BYTES", 1)
+    assert [verify_markov_property(chain, 0, q) for q in (1, 2)] == whole
+
+
+def test_shift_units_with_unequal_traced_legs_vanish_on_both_sides():
+    # the shift check skips these units: at (n, q) = (0, 1) on a depth-2 chain
+    # the source chain has depth 1 and its one leg is traced out
+    chain, n, q = _chain(2), 0, 1
+    src = chain.shallower(1)
+    leg = chain.leg_dim
+    past_q = expectations(chain, q)[0]
+    src_past = expectations(src, n)[0]
+    units = matrix_units(src.ambient_dim).reshape(2, leg, 2, leg, src.ambient_dim,
+                                                  src.ambient_dim)
+    agree = np.eye(leg, dtype=bool)[None, :, None, :]
+    skipped = units[~np.broadcast_to(agree, (2, leg, 2, leg))]
+    assert skipped.shape[0] == 4 * leg * (leg - 1)
+    lhs = past_q(_dense_beta_power(chain, skipped, 1))
+    rhs = _dense_beta_power(chain, src_past(skipped), 1)
+    assert np.all(lhs == 0) and np.all(rhs == 0)
+    kept = units[np.broadcast_to(agree, (2, leg, 2, leg))]
+    assert max_abs(past_q(_dense_beta_power(chain, kept, 1))) > 0
 
 
 def test_rota_reversal_identity():

@@ -425,3 +425,57 @@ def test_secondquant_reports_or_refuses_any_symmetric_matrix(payload, steps):
     else:
         report = json.loads(out, parse_constant=_no_constant)
         assert report["pass"] == (code == 0)
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("check-schur", {"symbol": [[1, 0.5], [0.5, 1]]}, "weights"),
+    ("check-schur", {"weights": [0.5, 0.5]}, "symbol"),
+    ("rota", {"symbol": [[1, 0.5], [0.5, 1]]}, "weights"),
+    ("rota", {"weights": [0.5, 0.5]}, "symbol"),
+    ("fourier", {"t": [1, 0.5]}, "group"),
+    ("fourier", {"group": "cyclic:2"}, "t"),
+    ("fourier", {"group": {}, "t": [1, 0.5]}, "table"),
+    ("secondquant", {"window": 1}, "matrix"),
+    ("secondquant", {"matrix": [[0.5]]}, "window"),
+], ids=["schur-weights", "schur-symbol", "rota-weights", "rota-symbol", "fourier-group",
+        "fourier-t", "fourier-table", "secondquant-matrix", "secondquant-window"])
+def test_missing_field_is_named(command, payload, field):
+    code, out, err = run_main(command, payload)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: input is missing field '{field}'\n"
+
+
+@pytest.mark.parametrize("symbol", [3, [3, 4], "ab", {"0": [1]}],
+                         ids=["int", "flat-list", "string", "object"])
+def test_symbol_that_is_not_a_list_of_rows_is_refused(symbol):
+    for command in ("check-schur", "rota"):
+        code, out, err = run_main(command, {"symbol": symbol, "weights": [1]})
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: symbol must be a list of rows, got ")
+        assert "not iterable" not in err
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_rota_fixture_stdout_matches_golden(depth):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["rota", "--depth", str(depth), "--steps", str(depth)])
+    assert code == 0, err.getvalue()
+    assert out.getvalue() == _golden(f"rota-fixture-depth{depth}.json")
+
+
+@pytest.mark.parametrize("key", sorted(ILL_CONDITIONED))
+def test_ill_conditioned_stdout_matches_golden(key):
+    code, out, err = run_main("rota", ILL_CONDITIONED[key], "--depth", "2", "--steps", "2")
+    assert code == 0, err
+    assert out == _golden(f"rota-ill-{key}-depth2.json")
