@@ -30,7 +30,7 @@ identity up to the wrap horizon) and its second-quantized counterpart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,13 +61,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainSpace:
-    """Truncated chain M_n (x) A^(x)depth with its product state."""
+    """Truncated chain M_n (x) A^(x)depth with its product state, and two
+    arrays build_chain computes once: pairs[i, j] = w_i w_j on one leg and
+    even_basis, the even field monomials (a trace-orthogonal basis of E)."""
 
     symbol: SchurSymbol
     state: DiagonalState
     depth: int
     gram: GramSpace
     rep: FermionRep
+    pairs: np.ndarray = field(repr=False)
+    even_basis: np.ndarray = field(repr=False)
 
     @property
     def input_dim(self) -> int:
@@ -95,7 +99,8 @@ class ChainSpace:
             return self
         if not 1 <= depth < self.depth:
             raise PreconditionError("shallower depth out of range")
-        return ChainSpace(self.symbol, self.state, depth, self.gram, self.rep)
+        return ChainSpace(self.symbol, self.state, depth, self.gram, self.rep,
+                          self.pairs, self.even_basis)
 
 
 _ENTRY_BYTES = np.dtype(complex).itemsize
@@ -133,7 +138,11 @@ def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainS
     if planned > config.BYTE_CAP:
         raise SizeError(f"chain at depth {depth} plans {planned} bytes, "
                         f"over the {config.BYTE_CAP} byte cap")
-    return ChainSpace(symbol, state, depth, gram, rep)
+    omegas = np.stack([rep.generator_omega(i) for i in range(symbol.dim)])
+    pairs = np.einsum("iab,jbc->ijac", omegas, omegas)
+    even_basis = np.stack([p for mask, p in enumerate(rep.omega_products())
+                           if mask.bit_count() % 2 == 0])
+    return ChainSpace(symbol, state, depth, gram, rep, pairs, even_basis)
 
 
 # Block stacks: an element of M_n (x) A^(x)depth that sits in block (i, j)
@@ -164,11 +173,9 @@ def _lift(powers: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _pair_powers(chain: ChainSpace, q: int) -> np.ndarray:
     """(w_i w_j)^(x)q on the first q legs, shape (n, n, leg^q, leg^q)."""
     n = chain.input_dim
-    omegas = np.stack([chain.rep.generator_omega(i) for i in range(n)])
-    pairs = np.einsum("iab,jbc->ijac", omegas, omegas)
     powers = np.ones((n, n, 1, 1), dtype=complex)
     for _ in range(q):
-        powers = _lift(powers, pairs)
+        powers = _lift(powers, chain.pairs)
     return powers
 
 
@@ -200,9 +207,8 @@ def embed_J(chain: ChainSpace, q: int):
 def _beta_blocks(chain: ChainSpace, blocks: np.ndarray, power: int) -> np.ndarray:
     """beta^power on block stacks: block (i, j) gains (w_i w_j) on a new
     first leg at each step."""
-    pairs = _pair_powers(chain, 1)
     for _ in range(power):
-        blocks = _lift(pairs, blocks)
+        blocks = _lift(chain.pairs, blocks)
     return blocks
 
 
@@ -251,20 +257,18 @@ def _block_expectations(chain: ChainSpace, n: int):
     """
     lower = chain.leg_dim ** n
     upper = chain.tail_dim // lower
-    prods = chain.rep.omega_products()
-    basis = np.stack([p for mask, p in enumerate(prods) if mask.bit_count() % 2 == 0])
     powers = _pair_powers(chain, n)
 
     def legs(blocks):
         return blocks.reshape(*blocks.shape[:-2], lower, upper, lower, upper)
 
     def past(blocks):
-        y = _project_even(basis, np.einsum("...arbr->...ab", legs(blocks)) / upper, n)
+        y = _project_even(chain.even_basis, np.einsum("...arbr->...ab", legs(blocks)) / upper, n)
         return _lift(y, np.eye(upper))
 
     def future(blocks):
         y = np.einsum("...arbs,...ab->...rs", legs(blocks), powers.conj()) / lower
-        return _lift(powers, _project_even(basis, y, chain.depth - n))
+        return _lift(powers, _project_even(chain.even_basis, y, chain.depth - n))
 
     return past, future
 
@@ -348,8 +352,9 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
             src_past = lambda x: x  # depth-0 chain: the past at level 0 is everything
         kept, traced = chain.leg_dim ** n, chain.leg_dim ** (src_depth - n)
         count = kept * kept * traced
-        # each source unit is lifted into all input^2 blocks at once
-        chunk = max(1, config.CHUNK_BYTES // (_ENTRY_BYTES * chain.ambient_dim ** 2))
+        # each source unit is lifted into all input^2 blocks at once, and the
+        # past at level q holds about 4 such lifted stacks at the same time
+        chunk = max(1, config.CHUNK_BYTES // (4 * _ENTRY_BYTES * chain.ambient_dim ** 2))
         for start in range(0, count, chunk):
             units = _traced_units(kept, traced, start, min(start + chunk, count))[:, None, None]
             lhs = past_q(_beta_blocks(chain, units, power))

@@ -11,8 +11,11 @@ Invariance of the span under the modular flow of the state is a genuine
 precondition (no state-preserving expectation exists otherwise), so it is
 checked at sampled times before projecting.
 
-The chain's algebras are known exactly and `chain.expectations` projects onto
-them in closed form; this general path serves `dilation.verify_even_closure`.
+No other module calls this path: the chain's algebras are known exactly, and
+`dilation.verify_even_closure` checks generators.  It stays as a library
+function for algebras known only by generators, as the tests' independent
+reference for the chain expectations, and because the benchmark's tracer
+(perfbench/spans.py) times `word_closure` by name.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ TOL_RANK = 1e-10
 # Hard ceiling on any constructed Hilbert space dimension.
 DIM_CAP = 4096
 
-# Batched work (closure products, shift-check lifts) is cut into chunks of
-# about this many bytes.
+# Batched work is cut into chunks so that the chunk-sized arrays alive at once
+# (a caller divides by their number) take about this many bytes.
 CHUNK_BYTES = 2 ** 26
 
 # A chain whose largest planned array exceeds this many bytes is refused

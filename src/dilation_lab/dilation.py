@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .condexp import word_closure
 from .errors import PreconditionError, ShapeError
 from .fock import FermionRep, build_fermion_rep
 from .matcore import (as_square, block_conjugate, dagger, matrix_units, max_abs, random_complex,
@@ -323,19 +322,18 @@ def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,
 
 
 def verify_even_closure(bundle: DilationBundle, tol: float = config.TOL_NUM) -> float:
-    """Largest odd-parity component in the algebra generated by pi and rho images.
+    """Largest odd-parity component of the algebra generated by pi and rho images.
 
-    The generated algebra should sit inside matrices (x) even fermion part:
-    every closure element must commute with 1 (x) parity.
+    The algebra should sit inside matrices (x) even fermion part, the fixed
+    points of conjugation by P = 1 (x) parity.  That conjugation is a
+    *-automorphism, so it fixes the algebra exactly when it fixes the
+    generators: the residual is max |P g P - g| over the images of the matrix
+    units (or of the domain basis, when set).
     """
     if bundle.rep is None:
         raise PreconditionError("bundle does not carry a fermion representation")
-    n = bundle.input_dim
-    units = matrix_units(n)
-    gens = [bundle.pi(u) for u in units] + [bundle.rho(u) for u in units]
-    algebra = word_closure(gens)
-    par = tensor_product(np.eye(n, dtype=complex), bundle.rep.parity())
-    worst = 0.0
-    for b in algebra.basis:
-        worst = max(worst, max_abs(par @ b @ par - b))
-    return worst
+    xs = matrix_units(bundle.input_dim) if bundle.domain_basis is None else bundle.domain_basis
+    # P is diagonal: entry (a, b) of P g P - g is (signs[a] signs[b] - 1) g_ab
+    signs = np.tile(np.diagonal(bundle.rep.parity()), bundle.input_dim)
+    flips = np.outer(signs, signs) - 1
+    return max(max_abs(flips * mor(x)) for mor in (bundle.pi, bundle.rho) for x in xs)

@@ -251,12 +251,12 @@ class FermionRep:
     creation[k] implements l(f_k) in the wedge basis (bitmask order); the
     embedding rows express external generators e_i in the orthonormal f-basis,
     so omega applied to a row reproduces <e_i, e_j> as two-point functions.
+    Every method computes its result on each call; nothing is cached.
     """
 
     rank: int
     embedding: np.ndarray
     creation: tuple[np.ndarray, ...] = field(repr=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -279,10 +279,7 @@ class FermionRep:
         return c + dagger(c)
 
     def generator_omega(self, i: int) -> np.ndarray:
-        key = ("gen_omega", i)
-        if key not in self._cache:
-            self._cache[key] = self.omega(self.embedding[i])
-        return self._cache[key]
+        return self.omega(self.embedding[i])
 
     def vacuum_state(self, x) -> complex:
         """tau(x) = <vacuum, x vacuum>; equals the normalized matrix trace on
@@ -294,23 +291,17 @@ class FermionRep:
 
     def parity(self) -> np.ndarray:
         """(-1)^N in the wedge basis; conjugation by it grades the algebra."""
-        key = "parity"
-        if key not in self._cache:
-            signs = np.array([(-1.0) ** mask.bit_count() for mask in range(self.dim)])
-            self._cache[key] = np.diag(signs).astype(complex)
-        return self._cache[key]
+        signs = np.array([(-1.0) ** mask.bit_count() for mask in range(self.dim)])
+        return np.diag(signs).astype(complex)
 
     def majoranas(self) -> tuple[np.ndarray, ...]:
         """Self-adjoint anticommuting generators: pairs (l+l*, i(l-l*)) per mode."""
-        key = "majoranas"
-        if key not in self._cache:
-            out = []
-            for k in range(self.rank):
-                c = self.creation[k]
-                out.append(c + dagger(c))
-                out.append(1j * (c - dagger(c)))
-            self._cache[key] = tuple(out)
-        return self._cache[key]
+        out = []
+        for k in range(self.rank):
+            c = self.creation[k]
+            out.append(c + dagger(c))
+            out.append(1j * (c - dagger(c)))
+        return tuple(out)
 
     def majorana_products(self) -> tuple[np.ndarray, ...]:
         """Ordered products over subsets of the 2*rank Majoranas (bitmask order);
@@ -323,16 +314,13 @@ class FermionRep:
 
     def omega_products(self) -> tuple[np.ndarray, ...]:
         """Ordered products of w(f_k) over subsets of {0..rank-1} (bitmask order)."""
-        key = "omega_products"
-        if key not in self._cache:
-            omegas = [self.creation[k] + dagger(self.creation[k]) for k in range(self.rank)]
-            prods: list[np.ndarray | None] = [None] * self.dim
-            prods[0] = np.eye(self.dim, dtype=complex)
-            for mask in range(1, self.dim):
-                low = (mask & -mask).bit_length() - 1
-                prods[mask] = omegas[low] @ prods[mask ^ (1 << low)]
-            self._cache[key] = tuple(prods)
-        return self._cache[key]
+        omegas = [self.creation[k] + dagger(self.creation[k]) for k in range(self.rank)]
+        prods: list[np.ndarray | None] = [None] * self.dim
+        prods[0] = np.eye(self.dim, dtype=complex)
+        for mask in range(1, self.dim):
+            low = (mask & -mask).bit_length() - 1
+            prods[mask] = omegas[low] @ prods[mask ^ (1 << low)]
+        return tuple(prods)
 
 
 def build_fermion_rep(gram: GramSpace, rank_cap: int = config.FERMION_RANK_CAP) -> FermionRep:

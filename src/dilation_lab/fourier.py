@@ -12,7 +12,7 @@ then dilates the multiplier: phi~(Lam(g) W Lam(h) W) = delta_{gh,e} t_g.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,11 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Finite group given by its Cayley table (table[g, h] = gh)."""
+    """Finite group given by its Cayley table (table[g, h] = gh); identity and inverse derived."""
 
     table: np.ndarray
-    identity: int = -1
-    inverse: np.ndarray | None = None
+    identity: int = field(init=False)
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.int64)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,20 @@ def test_shift_check_is_the_same_in_small_chunks(monkeypatch):
     whole = [verify_markov_property(chain, 0, q) for q in (1, 2)]
     monkeypatch.setattr(chain_module.config, "CHUNK_BYTES", 1)
     assert [verify_markov_property(chain, 0, q) for q in (1, 2)] == whole
+
+
+def test_shift_check_working_set_stays_near_one_chunk():
+    # row (2, 3) of `rota --depth 3` on the shipped fixture: the past at
+    # q = depth holds several arrays of the lifted chunk's size at once, and
+    # the chunk is sized so that together they stay near CHUNK_BYTES
+    chain = _chain(3)
+    tracemalloc.start()
+    try:
+        assert verify_markov_property(chain, 2, 3)["shift"] <= 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * chain_module.config.CHUNK_BYTES
 
 
 def test_shift_units_with_unequal_traced_legs_vanish_on_both_sides():

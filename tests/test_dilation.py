@@ -72,6 +72,30 @@ def test_even_closure_of_the_image():
     assert verify_even_closure(bundle) < 1e-10
 
 
+def test_even_closure_on_a_crossed_bundle():
+    # the generators are the images of the group basis, not of matrix units
+    bundle = build_crossed_dilation(random_posdef_symbol(cyclic_group(3), rng(5)))
+    assert bundle.domain_basis is not None
+    assert verify_even_closure(bundle) == 0.0
+
+
+def test_even_closure_reports_an_odd_leak():
+    # rho over the blocks (w_0, 1) sends e_01 to the odd w_0 in block (0, 1)
+    bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
+    blocks = np.stack([bundle.rep.generator_omega(0), np.eye(bundle.rep.dim)])
+    leaky = dataclasses.replace(
+        bundle, rho=lambda x: block_conjugate(blocks, np.asarray(x, dtype=complex)))
+    assert verify_even_closure(leaky) > 0.5
+
+
+def test_even_closure_on_a_full_rank_5x5_bundle():
+    # ambient dimension 160: a numerical closure of the images is out of reach
+    symbol = SchurSymbol(random_unital_psd_symbol(rng(11), 5))
+    bundle = build_dilation(symbol, DiagonalState(random_weights(rng(12), 5)))
+    assert bundle.gram.rank == 5
+    assert verify_even_closure(bundle) <= 1e-12
+
+
 def test_rank_one_symbol_collapses_the_legs():
     # the all-ones symbol has a single Gram direction, so both morphisms agree
     bundle = build_dilation(SchurSymbol(np.ones((2, 2))), UNIFORM2)

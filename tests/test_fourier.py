@@ -63,6 +63,17 @@ def test_group_validation():
         cyclic_group(0)
 
 
+def test_group_derived_fields_are_not_parameters():
+    # identity and inverse come from the table; a caller cannot pass them
+    table = cyclic_group(3).table
+    with pytest.raises(TypeError):
+        FiniteGroup(table, identity=1)
+    with pytest.raises(TypeError):
+        FiniteGroup(table, inverse=np.arange(3))
+    group = FiniteGroup(table)
+    assert group.identity == 0 and list(group.inverse) == [0, 2, 1]
+
+
 def test_symbol_validation():
     g = cyclic_group(3)
     with pytest.raises(ShapeError):
