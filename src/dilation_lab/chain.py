@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpace:
     """Truncated chain M_n (x) A^(x)depth with its product state, and two
     arrays build_chain computes once: pairs[i, j] = w_i w_j on one leg and
@@ -378,7 +378,7 @@ def verify_rota(chain: ChainSpace, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Shifted unitary dilation of a symmetric contraction.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchafferDilation:
     """Exact unitary on a cyclic window of 2W+1 slots dilating T on slot 0."""
 

@@ -91,6 +91,8 @@ def _parse_symbol(data: dict) -> tuple[SchurSymbol, DiagonalState]:
     rows = _field(data, "symbol")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError(f"symbol must be a list of rows, got {rows!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("symbol rows must all have the same length")
     matrix = np.array([[_entry(v) for v in row] for row in rows])
     return SchurSymbol(matrix), DiagonalState(_real_array(_field(data, "weights"), "weights"))
 

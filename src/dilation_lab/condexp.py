@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubalgebraBasis:
     """Hilbert-Schmidt-orthonormal basis of a star-subalgebra of M_dim."""
 

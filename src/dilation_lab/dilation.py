@@ -26,7 +26,7 @@ from .fock import FermionRep, build_fermion_rep
 from .matcore import (as_square, block_conjugate, dagger, matrix_units, max_abs, random_complex,
                       rng, tensor_product)
 from .schur import GramSpace, SchurSymbol, apply_multiplier, build_gram_space, certify_symbol
-from .states import DiagonalState, modular_conjugate
+from .states import DiagonalState
 
 __all__ = [
     "DilationBundle",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilationBundle:
     """Ambient algebra data dilating one (or a convex family of) multiplier(s)."""
 
@@ -173,25 +173,40 @@ def _product_residual(images, rows, cols, a: int, b: int, target) -> float:
                max_abs(target_rows[:, ~cols[b]]))
 
 
-def _unit_product_residual(n: int, mor, images, rows, cols) -> float:
-    """max |mor(e_ij) mor(e_kl) - delta_jk mor(e_il)| over all ordered unit pairs.
+def _unit_blocks(n: int, images, rows, cols):
+    """Index sets and compact blocks of the unit images, when they fit one pattern.
 
     images[i n + j] is mor(e_ij); rows and cols mark its nonzero rows and
     columns.  When every mor(e_ij) lives on S_i x S_j for disjoint index sets
-    S_i of one size, the n^3 products with j = k are one batched matmul of
-    the compact S_i x S_j blocks, and a pair with j != k shares no inner
-    index, so its product is exactly zero against mor(0).  Any other support
-    pattern takes each pair on its own support.
+    S_i of one size s, returns idx, the (n, s) array listing each S_i, and
+    the (n, n, s, s) blocks of mor(e_ij) on S_i x S_j.  Otherwise None.
     """
     dim = images.shape[-1]
-    zero = mor(np.zeros((n, n), dtype=complex))
     sets = rows[::n]  # S_i: the rows of mor(e_i0)
     sizes = sets.sum(axis=1)
-    if (np.all(rows.reshape(n, n, dim) == sets[:, None]) and np.all(cols.reshape(n, n, dim) == sets)
+    if not (np.all(rows.reshape(n, n, dim) == sets[:, None])
+            and np.all(cols.reshape(n, n, dim) == sets)
             and np.all(sizes == sizes[0]) and sets.sum(axis=0).max() <= 1):
-        idx = np.nonzero(sets)[1].reshape(n, -1)
-        blocks = np.stack([images[a][np.ix_(idx[a // n], idx[a % n])] for a in range(n * n)])
-        blocks = blocks.reshape(n, n, *blocks.shape[1:])
+        return None
+    idx = np.nonzero(sets)[1].reshape(n, -1)
+    at = np.arange(n)
+    blocks = images.reshape(n, n, dim, dim)[at[:, None, None, None], at[None, :, None, None],
+                                            idx[:, None, :, None], idx[None, :, None, :]]
+    return idx, blocks
+
+
+def _unit_product_residual(n: int, mor, images, rows, cols, pattern) -> float:
+    """max |mor(e_ij) mor(e_kl) - delta_jk mor(e_il)| over all ordered unit pairs.
+
+    images[i n + j] is mor(e_ij); rows and cols mark its nonzero rows and
+    columns, and pattern is their _unit_blocks.  With a pattern, the n^3
+    products with j = k are one batched matmul of the compact blocks, and a
+    pair with j != k shares no inner index, so its product is exactly zero
+    against mor(0).  Without one, each pair is taken on its own support.
+    """
+    zero = mor(np.zeros((n, n), dtype=complex))
+    if pattern is not None:
+        blocks = pattern[1]
         # block_ij block_jl against block_il, for every i, j, l
         return max(max_abs(blocks[:, :, None] @ blocks[None] - blocks[:, None]), max_abs(zero))
     worst = 0.0
@@ -203,6 +218,28 @@ def _unit_product_residual(n: int, mor, images, rows, cols) -> float:
     return worst
 
 
+def _unit_sample_residual(n: int, images, rows, cols, pattern, b: int, y) -> float:
+    """max |mor(e_ij) mor(y) - sum_l y_jl mor(e_il)| over all units e_ij.
+
+    images[b] is mor(y) and images[i n + j] is mor(e_ij); the target is
+    mor(e_ij y) by linearity, read from the unit images.  With a pattern (see
+    _unit_blocks), mor(e_ij) mor(y) is block_ij times rows S_j of mor(y), and
+    the target is y_jl block_il in columns S_l, both on rows S_i: all n^2
+    products are one batched matmul, and outside rows S_i both sides are
+    exactly zero.  Without one, each unit is taken on its own support.
+    """
+    if pattern is None:
+        return max(_product_residual(images, rows, cols, i * n + j, b,
+                                     np.tensordot(y[j], images[i * n : (i + 1) * n], axes=1))
+                   for i in range(n) for j in range(n))
+    idx, blocks = pattern
+    products = blocks @ images[b][idx]
+    targets = np.zeros_like(products)
+    targets[..., idx.reshape(-1)] = np.einsum("jl,ilab->ijalb", y, blocks).reshape(
+        products.shape[:3] + (-1,))
+    return max_abs(products - targets)
+
+
 def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
                            seed: int | None = None,
                            t_samples=config.T_SAMPLES) -> dict[str, MorphismReport]:
@@ -211,11 +248,15 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
 
     The inputs are the matrix units (or the domain basis) and seeded random
     elements.  Every product of two images is formed only on its support,
-    read from the images.  Products of unit images cover every ordered pair
-    and take their targets from e_ij e_kl = delta_jk e_il, so they call
-    neither pi nor rho (see _unit_product_residual); the star row on e_ij
-    reuses the image of e_ji.  Pairs with a random element, and the modular
-    row, compare with the morphism applied to the product.
+    read from the images.  The targets of unit products follow from
+    e_ij e_kl = delta_jk e_il and those of unit x sample products from
+    e_ij y = sum_l y_jl e_il, both read from the unit images (see
+    _unit_product_residual and _unit_sample_residual); the star row on e_ij
+    reuses the image of e_ji, and the modular row on e_ij compares with the
+    phase of sigma_t(e_ij) = (w_i / w_j)^{-it} e_ij times its image.  So a
+    unit calls neither pi nor rho beyond its own image.  Products of two
+    random elements, their adjoints and their modular images go through the
+    morphism.
     """
     n = bundle.input_dim
     eye_n = np.eye(n, dtype=complex)
@@ -231,8 +272,9 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
         coeffs = random_complex(gen, samples, basis.shape[0])
         xs += list(np.tensordot(coeffs, basis, axes=1))
 
-    # sigma_t on the ambient algebra is entrywise multiplication by these phases
-    ambient_phases = [bundle.ambient_state.modular_phases(t) for t in t_samples]
+    # sigma_t on either algebra is entrywise multiplication by these phases
+    flows = [(bundle.input_state.modular_phases(t), bundle.ambient_state.modular_phases(t))
+             for t in t_samples]
     out = {}
     for name, mor in (("pi", bundle.pi), ("rho", bundle.rho)):
         images = np.stack([mor(x) for x in xs])
@@ -245,13 +287,22 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
             adjoint = images[(a % n) * n + a // n] if a < units else mor(dagger(x))
             star = max(star, max_abs(adjoint - dagger(mx)))
             preserve = max(preserve, abs(bundle.input_state(x) - bundle.ambient_phi(mx)))
-            for t, phases in zip(t_samples, ambient_phases):
-                rhs = mor(modular_conjugate(bundle.input_state, x, t))
-                modular = max(modular, max_abs(phases * mx - rhs))
-        mult = _unit_product_residual(n, mor, images[:units], rows[:units],
-                                      cols[:units]) if units else 0.0
-        for a in range(len(xs)):
-            for b in range(max(a, units), len(xs)):
+            for phases, ambient in flows:
+                if a < units:
+                    defect = (ambient - phases[divmod(a, n)]) * mx
+                else:
+                    defect = ambient * mx - mor(phases * x)
+                modular = max(modular, max_abs(defect))
+        mult = 0.0
+        if units:
+            pattern = _unit_blocks(n, images[:units], rows[:units], cols[:units])
+            mult = _unit_product_residual(n, mor, images[:units], rows[:units],
+                                          cols[:units], pattern)
+            for b in range(units, len(xs)):
+                mult = max(mult, _unit_sample_residual(n, images, rows, cols, pattern,
+                                                       b, xs[b]))
+        for a in range(units, len(xs)):
+            for b in range(a, len(xs)):
                 mult = max(mult, _product_residual(images, rows, cols, a, b,
                                                    mor(xs[a] @ xs[b])))
         out[name] = MorphismReport(unital=unital, multiplicative=mult, star=star,
@@ -321,7 +372,7 @@ def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,
                              bundle.rho, bundle.pi, pairs)
 
 
-def verify_even_closure(bundle: DilationBundle, tol: float = config.TOL_NUM) -> float:
+def verify_even_closure(bundle: DilationBundle) -> float:
     """Largest odd-parity component of the algebra generated by pi and rho images.
 
     The algebra should sit inside matrices (x) even fermion part, the fixed

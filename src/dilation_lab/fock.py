@@ -61,7 +61,7 @@ __all__ = [
 # q-deformed word combinatorics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QWord:
     """A word of vectors; vectors[i] is the i-th tensor factor."""
 
@@ -244,7 +244,7 @@ def _majorana_table(rank: int) -> tuple[np.ndarray, np.ndarray]:
     return flip, phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FermionRep:
     """Concrete antisymmetric Fock representation over R^rank.
 
@@ -446,7 +446,7 @@ def _split_interleaved(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return even, odd, 1.0 - 2.0 * parity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MajoranaFrame:
     """The ordered Majorana products over `rank` modes in the form second
     quantization works with: the flip/phase table of _majorana_table and, for

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurSymbol:
     """Wrapper around the symbol matrix of an entrywise multiplier."""
 
@@ -86,7 +86,7 @@ class SymbolReport:
                 f"{what} must be unital, PSD, self-adjoint; got {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramSpace:
     """Row vectors v_i with <v_i, v_j> reproducing a PSD symbol.
 

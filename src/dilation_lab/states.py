@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalState:
     """Faithful state with diagonal density diag(weights)."""
 
@@ -86,7 +86,7 @@ class DiagonalState:
         return DiagonalState(np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovMap:
     """Linear map between matrix algebras, stored as a superoperator.
 

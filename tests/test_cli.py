@@ -457,6 +457,15 @@ def test_symbol_that_is_not_a_list_of_rows_is_refused(symbol):
         assert "not iterable" not in err
 
 
+def test_ragged_symbol_rows_are_refused():
+    for command in ("check-schur", "rota"):
+        code, out, err = run_main(command, {"symbol": [[1, 0.5, 0.2], [0.5, 1]],
+                                            "weights": [0.5, 0.5]})
+        assert code == 2
+        assert out == ""
+        assert err == "error: symbol rows must all have the same length\n"
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -479,3 +488,12 @@ def test_ill_conditioned_stdout_matches_golden(key):
     code, out, err = run_main("rota", ILL_CONDITIONED[key], "--depth", "2", "--steps", "2")
     assert code == 0, err
     assert out == _golden(f"rota-ill-{key}-depth2.json")
+
+
+@pytest.mark.parametrize("command", ["check-schur", "fourier"])
+def test_fixture_stdout_matches_golden(command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command])
+    assert code == 0, err.getvalue()
+    assert out.getvalue() == _golden(f"{command}-fixture.json")

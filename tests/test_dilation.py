@@ -13,7 +13,7 @@ from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol,
                           symmetric_group, verify_even_closure, verify_factorization,
                           verify_morphism_markov)
 from dilation_lab.dilation import MorphismReport
-from dilation_lab.matcore import (block_conjugate, dagger, matrix_unit, max_abs,
+from dilation_lab.matcore import (block_conjugate, dagger, matrix_unit, matrix_units, max_abs,
                                   random_complex, random_unital_psd_symbol,
                                   random_weights, rng)
 from dilation_lab.states import modular_conjugate
@@ -94,6 +94,12 @@ def test_even_closure_on_a_full_rank_5x5_bundle():
     bundle = build_dilation(symbol, DiagonalState(random_weights(rng(12), 5)))
     assert bundle.gram.rank == 5
     assert verify_even_closure(bundle) <= 1e-12
+
+
+def test_even_closure_takes_no_tolerance():
+    bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
+    with pytest.raises(TypeError):
+        verify_even_closure(bundle, tol=config.TOL_NUM)
 
 
 def test_rank_one_symbol_collapses_the_legs():
@@ -319,8 +325,8 @@ def test_morphism_reports_match_dense_products_on_other_bundles():
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
                                   _convex_bundle], ids=["schur", "convex"])
 def test_unit_pairs_call_no_morphism(make, monkeypatch):
-    # every ordered unit pair is one block product of the batched route:
-    # neither a dense product nor a call of pi or rho
+    # every unit x unit and unit x sample product is one block product of the
+    # batched routes: neither a support product nor a call of pi or rho
     bundle = make()
     calls = {"pi": 0, "rho": 0}
 
@@ -338,12 +344,50 @@ def test_unit_pairs_call_no_morphism(make, monkeypatch):
                                          rho=counted("rho", bundle.rho))
     samples, units = 3, 9
     verify_morphism_markov(counted_bundle, samples=samples, seed=1)
-    xs = units + samples
-    random_pairs = units * samples + samples * (samples + 1) // 2
-    # images, the unit, mor(0), random adjoints, modular images, random pair targets
-    expected = xs + 2 + samples + xs * len(config.T_SAMPLES) + random_pairs
+    random_pairs = samples * (samples + 1) // 2
+    # images, the unit, mor(0), random adjoints, modular images of the random
+    # samples, random x random targets
+    expected = units + samples + 2 + samples + samples * len(config.T_SAMPLES) + random_pairs
     assert calls == {"pi": expected, "rho": expected}
     assert len(products) == 2 * random_pairs
+
+
+def _unit_sample_routes(bundle, samples, seed):
+    """Per leg: the batched unit x sample residual of each sample, and the
+    per-pair _product_residual route on the same targets."""
+    n = bundle.input_dim
+    gen = rng(seed)
+    xs = list(matrix_units(n)) + [random_complex(gen, n) for _ in range(samples)]
+    routes = []
+    for mor in (bundle.pi, bundle.rho):
+        images = np.stack([mor(x) for x in xs])
+        nonzero = images != 0
+        rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
+        pattern = dilation_module._unit_blocks(n, images[:n * n], rows[:n * n], cols[:n * n])
+        assert pattern is not None
+        for b in range(n * n, len(xs)):
+            batched = dilation_module._unit_sample_residual(n, images, rows, cols, pattern,
+                                                            b, xs[b])
+            per_pair = dilation_module._unit_sample_residual(n, images, rows, cols, None,
+                                                             b, xs[b])
+            routes.append((batched, per_pair))
+    return routes
+
+
+@pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
+                                  _convex_bundle], ids=["schur", "convex"])
+def test_batched_unit_sample_residual_matches_per_pair_route(make):
+    for batched, per_pair in _unit_sample_routes(make(), samples=4, seed=3):
+        assert abs(batched - per_pair) <= 1e-15
+
+
+def test_conjugate_linear_pi_fails_multiplicativity():
+    # x -> conj(x) (x) 1 is multiplicative and star-preserving but not linear:
+    # the unit x sample targets, read from the unit images by linearity, see it
+    bundle = build_dilation(SchurSymbol(T3), STATE3)
+    eye_f = np.eye(bundle.rep.dim)
+    bad = dataclasses.replace(bundle, pi=lambda x: np.kron(np.conj(x), eye_f))
+    assert verify_morphism_markov(bad, samples=2, seed=1)["pi"].multiplicative > config.TOL_NUM
 
 
 def test_leaked_unit_images_fail_multiplicativity():

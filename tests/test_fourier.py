@@ -13,7 +13,7 @@ from dilation_lab import (FiniteGroup, FourierSymbol, PreconditionError,
                           symmetric_group, verify_covariance,
                           verify_fourier_identity, verify_morphism_markov)
 from dilation_lab.states import DiagonalState
-from dilation_lab.matcore import dagger, max_abs, rng
+from dilation_lab.matcore import block_conjugate, dagger, max_abs, rng
 
 
 def test_cyclic_table_is_addition():
@@ -289,3 +289,18 @@ def test_swapped_rotations_break_field_covariance():
     residuals = verify_covariance(bad)
     assert residuals["field_covariance"] > config.TOL_NUM
     assert residuals["field_covariance"] == _dense_covariance(bad)
+
+
+def test_scaled_rho_block_breaks_the_fourier_identity():
+    # rho through one block 1.01 W_1: still a map on the span, but its
+    # pairings with pi no longer give delta_{gh,e} t_g
+    group = cyclic_group(3)
+    t = random_posdef_symbol(group, rng(13))
+    bundle = build_crossed_dilation(t)
+    f = bundle.rep.dim
+    blocks = np.stack([bundle.d[u * f : (u + 1) * f, u * f : (u + 1) * f]
+                       for u in range(group.order)])
+    blocks[1] *= 1.01
+    bad = dataclasses.replace(bundle, rho=lambda x: block_conjugate(blocks, np.asarray(x)))
+    assert verify_fourier_identity(bundle, t, samples=4, seed=2) <= config.TOL_NUM
+    assert verify_fourier_identity(bad, t, samples=4, seed=2) > config.TOL_NUM
