@@ -28,11 +28,10 @@ from .fourier import (CrossedBundle, FiniteGroup, FourierSymbol, build_crossed_d
                       verify_covariance, verify_fourier_identity)
 from .fock import verify_q_relation
 from .matcore import dagger, frobenius, max_abs, tensor_product, vec
-from .schur import (GramSpace, SchurSymbol, SymbolReport, apply_multiplier,
-                    build_gram_space, certify_symbol, compose_symbols,
-                    multiplier_map)
-from .states import (DiagonalState, MarkovMap, certify_markov, choi_matrix,
-                     gns_inner, markov_residuals, modular_conjugate, star_adjoint)
+from .schur import (GramSpace, SchurSymbol, apply_multiplier, build_gram_space,
+                    certify_symbol, compose_symbols, multiplier_map)
+from .states import (DiagonalState, MarkovMap, choi_matrix, gns_inner,
+                     markov_residuals, modular_conjugate, star_adjoint)
 
 __version__ = "0.1.0"
 
@@ -40,10 +39,10 @@ __all__ = [
     "ChainSpace", "ConditionalExpectation", "CrossedBundle", "DiagonalState", "DilationBundle", "DilationLabError",
     "FermionRep", "FiniteGroup", "FourierSymbol", "GramSpace", "MarkovMap",
     "NotExpectationError", "NotPsdError", "PreconditionError", "SchafferDilation",
-    "SchurSymbol", "ShapeError", "SizeError", "SubalgebraBasis", "SymbolReport",
+    "SchurSymbol", "ShapeError", "SizeError", "SubalgebraBasis",
     "apply_multiplier", "build_beta", "build_chain", "build_crossed_dilation",
     "build_dilation", "build_fermion_rep", "build_gram_space", "build_group_algebra",
-    "build_schaffer", "certify_markov", "certify_posdef", "certify_symbol",
+    "build_schaffer", "certify_posdef", "certify_symbol",
     "choi_matrix", "compose_symbols", "conditional_expectation",
     "convex_combination_dilation", "cyclic_group", "dagger", "dihedral_group",
     "dim_cap", "embed_J", "expectations", "exterior_map", "frobenius", "gns_inner",

@@ -38,7 +38,7 @@ from . import config
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import FermionRep, build_fermion_rep, majorana_frame, second_quantize_action
 from .matcore import dagger, frobenius, hermitian_sqrt, matrix_units, max_abs
-from .schur import GramSpace, SchurSymbol, build_gram_space, certify_symbol
+from .schur import GramSpace, SchurSymbol, build_gram_space, require_symbol
 from .states import DiagonalState
 
 __all__ = [
@@ -124,7 +124,7 @@ def _planned_bytes(n: int, leg: int, depth: int) -> int:
 
 
 def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainSpace:
-    certify_symbol(symbol).require()
+    require_symbol(symbol)
     if state.dim != symbol.dim:
         raise ShapeError("state dimension does not match symbol")
     if depth < 1:

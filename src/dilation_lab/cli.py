@@ -27,7 +27,7 @@ from .fourier import (FourierSymbol, FiniteGroup, build_crossed_dilation, certif
                       cyclic_group, dihedral_group, symmetric_group,
                       verify_covariance, verify_fourier_identity)
 from .matcore import max_abs
-from .schur import GramSpace, SchurSymbol, certify_symbol, multiplier_map
+from .schur import GramSpace, SchurSymbol, certify_symbol, multiplier_map, symbol_tolerances
 from .states import DiagonalState, markov_residuals
 
 
@@ -137,25 +137,25 @@ class Checks:
 def run_check_schur(args) -> tuple[Checks, int]:
     symbol, state = _parse_symbol(_load_json(args.input, "schur2.json"))
     checks = Checks()
-    report = certify_symbol(symbol, tol=args.tol)
-    checks.add("symbol_unital", report.unital_residual, args.tol)
-    checks.add("symbol_self_adjoint", report.self_adjoint_residual, args.tol)
-    checks.add("symbol_psd", report.psd_residual, config.TOL_PSD)
+    tols = symbol_tolerances(args.tol)
+    certified = all([checks.add(f"symbol_{name}", residual, tols[name])
+                     for name, residual in certify_symbol(symbol, tol=args.tol).items()])
 
     mres = markov_residuals(multiplier_map(symbol), state)
     checks.add("markov_unital", mres["unital"], args.tol)
-    # certify_markov allows a Choi Hermiticity defect up to --tol but negative
-    # mass only up to TOL_PSD; rescaling the defect keeps one tol on the row.
+    # a CP map's Choi matrix is Hermitian within --tol and has negative
+    # eigenvalue mass within TOL_PSD; rescaling the defect by TOL_PSD / --tol
+    # judges both on one row against TOL_PSD.
     checks.add("markov_cp", max(mres["cp_negative"],
                                 mres["cp_hermitian"] * config.TOL_PSD / args.tol),
                config.TOL_PSD)
     checks.add("markov_state_preserving", mres["state_preserving"], args.tol)
     checks.add("markov_modular", mres["modular"], args.tol)
 
-    if not report.ok:
+    if not certified:
         return checks, 1
 
-    bundle = build_dilation(symbol, state)
+    bundle = build_dilation(symbol, state, tol=args.tol)
     d = bundle.d
     w = bundle.ambient_state.weights
     checks.add("d_self_adjoint", max_abs(d - d.conj().T), config.TOL_EXACT)
@@ -171,8 +171,8 @@ def run_check_schur(args) -> tuple[Checks, int]:
     morphisms = verify_morphism_markov(bundle, samples=max(2, args.samples // 4),
                                        seed=args.seed)
     for prop in ("unital", "multiplicative", "star", "state_preserving", "modular"):
-        worst = max(getattr(rep, prop) for rep in morphisms.values())
-        checks.add(f"morphism_{prop}", worst, args.tol)
+        checks.add(f"morphism_{prop}",
+                   max(morphisms[f"pi_{prop}"], morphisms[f"rho_{prop}"]), args.tol)
     checks.add("star_swap",
                star_swap_check(bundle, symbol, state,
                                samples=args.samples, seed=args.seed),
@@ -182,10 +182,10 @@ def run_check_schur(args) -> tuple[Checks, int]:
 
 def run_rota(args) -> tuple[Checks, int]:
     symbol, state = _parse_symbol(_load_json(args.input, "schur2.json"))
-    chain = build_chain(symbol, state, args.depth)
     if not 1 <= args.steps <= args.depth:
         raise DilationLabError(
             f"steps {args.steps} must lie in 1..depth ({args.depth})")
+    chain = build_chain(symbol, state, args.depth)
     checks = Checks()
     for n in range(args.depth + 1):
         for q in range(n, args.depth + 1):
@@ -200,14 +200,13 @@ def run_rota(args) -> tuple[Checks, int]:
 def run_fourier(args) -> tuple[Checks, int]:
     symbol = _parse_group(_load_json(args.input, "group_z2.json"))
     checks = Checks()
-    report = certify_posdef(symbol, tol=args.tol)
-    checks.add("posdef_unital", report.unital_residual, args.tol)
-    checks.add("posdef_self_adjoint", report.self_adjoint_residual, args.tol)
-    checks.add("posdef_psd", report.psd_residual, config.TOL_PSD)
-    if not report.ok:
+    tols = symbol_tolerances(args.tol)
+    certified = all([checks.add(f"posdef_{name}", residual, tols[name])
+                     for name, residual in certify_posdef(symbol, tol=args.tol).items()])
+    if not certified:
         return checks, 1
 
-    bundle = build_crossed_dilation(symbol)
+    bundle = build_crossed_dilation(symbol, tol=args.tol)
     w = bundle.d
     checks.add("w_self_adjoint", max_abs(w - w.conj().T), config.TOL_EXACT)
     checks.add("w_squares_to_identity",
@@ -267,22 +266,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dilation-lab",
         description="Verify multiplier dilation identities at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand takes --tol and --seed; these are its integer flags
     specs = {
-        "check-schur": "factorize and dilate an entrywise multiplier",
-        "rota": "chain Markov and iterated-expectation identities",
-        "fourier": "group multiplier dilation in the crossed product",
-        "secondquant": "shifted unitary dilation and its Fock lift",
+        "check-schur": ("factorize and dilate an entrywise multiplier", {"samples": 20}),
+        "rota": ("chain Markov and iterated-expectation identities",
+                 {"depth": 2, "steps": 1}),
+        "fourier": ("group multiplier dilation in the crossed product", {"samples": 20}),
+        "secondquant": ("shifted unitary dilation and its Fock lift",
+                        {"window": None, "steps": 2}),
     }
-    for name, help_text in specs.items():
+    for name, (help_text, flags) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", nargs="?", default=None,
                        help="JSON input file (defaults to the shipped fixture)")
         p.add_argument("--tol", type=float, default=config.TOL_NUM)
         p.add_argument("--seed", type=int, default=config.DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=20)
-        p.add_argument("--depth", type=int, default=2)
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--steps", type=int, default=1 if name == "rota" else 2)
+        for flag, default in flags.items():
+            p.add_argument(f"--{flag}", type=int, default=default)
     return parser
 
 
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     if not (np.isfinite(args.tol) and args.tol > 0):
         print(f"error: tolerance must be a positive finite number, got {args.tol}", file=sys.stderr)
         return 2
-    if args.samples < 0:
+    if getattr(args, "samples", 0) < 0:
         print(f"error: samples must be nonnegative, got {args.samples}", file=sys.stderr)
         return 2
     start = time.perf_counter()

@@ -36,7 +36,6 @@ __all__ = [
     "ConditionalExpectation",
     "conditional_expectation",
     "verify_expectation",
-    "ExpectationReport",
 ]
 
 
@@ -98,15 +97,14 @@ def _products(gmats: np.ndarray, fmats: np.ndarray) -> np.ndarray:
     return prods.reshape(g, n, f, n).transpose(0, 2, 1, 3).reshape(g * f, n * n)
 
 
-def word_closure(generators: Sequence[np.ndarray],
-                 tol_rank: float = config.TOL_RANK) -> SubalgebraBasis:
+def word_closure(generators: Sequence[np.ndarray]) -> SubalgebraBasis:
     """Close a generating set under adjoints and products (a Krylov closure).
 
     G is an orthonormal basis of span{I, generators, their adjoints}, and the
     closure starts from it.  Each round multiplies the frontier (the elements
     the last round added) on the left by G, and keeps the products that are new
     modulo the current basis (see `_extend`).  The cutoff is
-    tol_rank * scale, with scale the largest product norm of the round before
+    TOL_RANK * scale, with scale the largest product norm of the round before
     projection: a relative cutoff per candidate would promote round-off in
     near-zero products to new directions.  A round that adds nothing ends the
     closure, and the basis, orthonormal in M_n, never exceeds n^2 elements.
@@ -122,13 +120,13 @@ def word_closure(generators: Sequence[np.ndarray],
 
     seed = [np.eye(n, dtype=complex)] + gens + [dagger(g) for g in gens]
     seed = np.stack(seed).reshape(-1, n * n)
-    cutoff = tol_rank * float(np.linalg.norm(seed, axis=1).max())
+    cutoff = config.TOL_RANK * float(np.linalg.norm(seed, axis=1).max())
     gmats = _extend(seed[:0], seed, cutoff).reshape(-1, n, n)
     basis = gmats.reshape(-1, n * n)
     frontier = gmats
     step = max(1, config.CHUNK_BYTES // gmats.nbytes)  # frontier elements per chunk
     while frontier.shape[0]:
-        cutoff = tol_rank * _largest_product_norm(gmats, frontier)
+        cutoff = config.TOL_RANK * _largest_product_norm(gmats, frontier)
         start = basis.shape[0]
         for lo in range(0, frontier.shape[0], step):
             cands = _products(gmats, frontier[lo : lo + step])
@@ -141,18 +139,17 @@ class ConditionalExpectation:
     """State-preserving conditional expectation onto one subalgebra.
 
     Built once per (state, algebra): construction raises NotExpectationError
-    when the span fails modular invariance at the sampled times, and forms the
-    GNS Gram system.  With an invariant span the projection is the unique
-    state-preserving conditional expectation; calling it projects a matrix or
-    a stack of matrices with leading batch axes.
+    when the span fails modular invariance at the times config.T_SAMPLES,
+    and forms the GNS Gram system.  With an invariant span the projection is
+    the unique state-preserving conditional expectation; calling it projects
+    a matrix or a stack of matrices with leading batch axes.
     """
 
     def __init__(self, state: DiagonalState, algebra: SubalgebraBasis,
-                 t_samples=config.T_SAMPLES, tol: float = config.TOL_NUM,
-                 tol_rank: float = config.TOL_RANK):
+                 tol: float = config.TOL_NUM):
         if state.dim != algebra.dim:
             raise ShapeError("conditional_expectation dimension mismatch")
-        for t in t_samples:
+        for t in config.T_SAMPLES:
             phases = state.modular_phases(t)
             for b in algebra.basis:
                 resid = algebra.span_residual(phases * b)
@@ -160,7 +157,6 @@ class ConditionalExpectation:
                     raise NotExpectationError(
                         f"span is not modular-invariant at t={t}: residual {resid:.3e}")
         self.algebra = algebra
-        self.tol_rank = tol_rank
         # <a, b> = phi(a* b) = sum_pq w_p conj(a_qp) b_qp; half[s, p, q] = w_p conj(a_s[q, p])
         self.half = state.weights[None, :, None] * np.conj(algebra.basis).transpose(0, 2, 1)
         self.gram = np.einsum("spq,tqp->st", self.half, algebra.basis, optimize=True)
@@ -175,33 +171,21 @@ class ConditionalExpectation:
         lead = xa.shape[:-2]
         flat = xa.reshape(-1, n, n)
         rhs = np.einsum("spq,bqp->sb", self.half, flat, optimize=True)
-        coeff = solve_psd(self.gram, rhs, self.tol_rank)
+        coeff = solve_psd(self.gram, rhs)
         out = np.tensordot(coeff.T, self.algebra.basis, axes=1)
         return out.reshape(*lead, n, n)
 
 
 def conditional_expectation(state: DiagonalState, algebra: SubalgebraBasis, x,
-                            t_samples=config.T_SAMPLES,
-                            tol: float = config.TOL_NUM,
-                            tol_rank: float = config.TOL_RANK) -> np.ndarray:
+                            tol: float = config.TOL_NUM) -> np.ndarray:
     """One-shot ConditionalExpectation(state, algebra)(x)."""
-    return ConditionalExpectation(state, algebra, t_samples, tol, tol_rank)(x)
-
-
-@dataclass(frozen=True)
-class ExpectationReport:
-    idempotence: float
-    bimodule: float
-    positivity: float
-    state_preservation: float
-
-    def max_residual(self) -> float:
-        return max(self.idempotence, self.bimodule, self.positivity, self.state_preservation)
+    return ConditionalExpectation(state, algebra, tol)(x)
 
 
 def verify_expectation(state: DiagonalState, algebra: SubalgebraBasis, samples: int = 8,
-                       seed: int | None = None, tol: float = config.TOL_NUM) -> ExpectationReport:
-    """Spot-check the expectation properties on seeded random elements."""
+                       seed: int | None = None, tol: float = config.TOL_NUM) -> dict[str, float]:
+    """Residuals of the expectation properties on seeded random elements:
+    idempotence, bimodule, positivity and state_preservation."""
     n = algebra.dim
     gen = np.random.default_rng(config.DEFAULT_SEED if seed is None else seed)
     expect = ConditionalExpectation(state, algebra, tol=tol)
@@ -222,5 +206,5 @@ def verify_expectation(state: DiagonalState, algebra: SubalgebraBasis, samples: 
         a = np.tensordot(ca, algebra.basis, axes=1)
         b = np.tensordot(cb, algebra.basis, axes=1)
         bimod = max(bimod, float(np.linalg.norm(expect(a @ x @ b) - a @ ex @ b)))
-    return ExpectationReport(idempotence=idem, bimodule=bimod,
-                             positivity=posit, state_preservation=preserve)
+    return {"idempotence": idem, "bimodule": bimod, "positivity": posit,
+            "state_preservation": preserve}

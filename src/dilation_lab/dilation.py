@@ -25,7 +25,7 @@ from .errors import PreconditionError, ShapeError
 from .fock import FermionRep, build_fermion_rep
 from .matcore import (as_square, block_conjugate, dagger, matrix_units, max_abs, random_complex,
                       rng, tensor_product)
-from .schur import GramSpace, SchurSymbol, apply_multiplier, build_gram_space, certify_symbol
+from .schur import GramSpace, SchurSymbol, apply_multiplier, build_gram_space, require_symbol
 from .states import DiagonalState
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "build_dilation",
     "verify_factorization",
     "verify_morphism_markov",
-    "MorphismReport",
     "convex_combination_dilation",
     "star_swap_check",
     "verify_even_closure",
@@ -62,13 +61,14 @@ class DilationBundle:
 
 def build_dilation(symbol: SchurSymbol, state: DiagonalState,
                    tol: float = config.TOL_NUM) -> DilationBundle:
-    """Construct the fermionic dilation bundle for a certified symbol."""
-    certify_symbol(symbol, tol=tol).require()
+    """Construct the fermionic dilation bundle for a symbol that is unital and
+    self-adjoint within tol and PSD within TOL_PSD."""
+    require_symbol(symbol, tol)
     n = symbol.dim
     if state.dim != n:
         raise ShapeError("state dimension does not match symbol")
 
-    gram = build_gram_space(symbol)
+    gram = build_gram_space(symbol, tol)
     rep = build_fermion_rep(gram)
     fock_dim = rep.dim
     eye_f = np.eye(fock_dim, dtype=complex)
@@ -141,19 +141,6 @@ def verify_factorization(bundle: DilationBundle, symbol: SchurSymbol,
         raise ShapeError("verify_factorization dimension mismatch")
     pairs = _random_pairs(bundle.input_dim, samples, seed)
     return _pairing_residual(bundle, state, symbol, bundle.pi, bundle.rho, pairs)
-
-
-@dataclass(frozen=True)
-class MorphismReport:
-    unital: float
-    multiplicative: float
-    star: float
-    state_preserving: float
-    modular: float
-
-    def max_residual(self) -> float:
-        return max(self.unital, self.multiplicative, self.star,
-                   self.state_preserving, self.modular)
 
 
 def _product_residual(images, rows, cols, a: int, b: int, target) -> float:
@@ -241,10 +228,13 @@ def _unit_sample_residual(n: int, images, rows, cols, pattern, b: int, y) -> flo
 
 
 def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
-                           seed: int | None = None,
-                           t_samples=config.T_SAMPLES) -> dict[str, MorphismReport]:
-    """Check pi and rho are unital state-preserving *-morphisms intertwining
-    the modular flows of the input and ambient states.
+                           seed: int | None = None) -> dict[str, float]:
+    """Residuals of pi and rho being unital state-preserving *-morphisms
+    intertwining the modular flows of the input and ambient states.
+
+    Keys are "<leg>_<property>" for leg pi or rho and property unital,
+    multiplicative, star, state_preserving or modular; the flows are
+    sampled at config.T_SAMPLES.
 
     The inputs are the matrix units (or the domain basis) and seeded random
     elements.  Every product of two images is formed only on its support,
@@ -274,7 +264,7 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
 
     # sigma_t on either algebra is entrywise multiplication by these phases
     flows = [(bundle.input_state.modular_phases(t), bundle.ambient_state.modular_phases(t))
-             for t in t_samples]
+             for t in config.T_SAMPLES]
     out = {}
     for name, mor in (("pi", bundle.pi), ("rho", bundle.rho)):
         images = np.stack([mor(x) for x in xs])
@@ -305,8 +295,9 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
             for b in range(a, len(xs)):
                 mult = max(mult, _product_residual(images, rows, cols, a, b,
                                                    mor(xs[a] @ xs[b])))
-        out[name] = MorphismReport(unital=unital, multiplicative=mult, star=star,
-                                   state_preserving=preserve, modular=modular)
+        out.update({f"{name}_unital": unital, f"{name}_multiplicative": mult,
+                    f"{name}_star": star, f"{name}_state_preserving": preserve,
+                    f"{name}_modular": modular})
     return out
 
 

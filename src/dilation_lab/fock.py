@@ -323,10 +323,10 @@ class FermionRep:
         return tuple(prods)
 
 
-def build_fermion_rep(gram: GramSpace, rank_cap: int = config.FERMION_RANK_CAP) -> FermionRep:
+def build_fermion_rep(gram: GramSpace) -> FermionRep:
     """Fermion representation over the quotient space of a Gram factorization."""
-    if gram.rank > rank_cap:
-        raise SizeError(f"rank {gram.rank} exceeds fermion cap {rank_cap}")
+    if gram.rank > config.FERMION_RANK_CAP:
+        raise SizeError(f"rank {gram.rank} exceeds fermion cap {config.FERMION_RANK_CAP}")
     if (1 << gram.rank) > config.dim_cap():
         raise SizeError(f"Fock dimension 2^{gram.rank} exceeds dimension cap")
     return FermionRep(rank=gram.rank, embedding=np.asarray(gram.embedding, dtype=float),

@@ -21,7 +21,7 @@ from .dilation import DilationBundle
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import build_fermion_rep, exterior_map
 from .matcore import block_conjugate, direct_sum, max_abs, rng, tensor_product
-from .schur import SchurSymbol, SymbolReport, certify_symbol, build_gram_space
+from .schur import SchurSymbol, build_gram_space, certify_symbol, require_symbol
 from .states import DiagonalState
 
 __all__ = [
@@ -168,9 +168,9 @@ def schur_symbol_matrix(symbol: FourierSymbol) -> np.ndarray:
     return symbol.values[symbol.group.table[:, symbol.group.inverse]]
 
 
-def certify_posdef(symbol: FourierSymbol, tol: float = config.TOL_NUM,
-                   tol_psd: float = config.TOL_PSD) -> SymbolReport:
-    return certify_symbol(SchurSymbol(gram_matrix(symbol)), tol=tol, tol_psd=tol_psd)
+def certify_posdef(symbol: FourierSymbol, tol: float = config.TOL_NUM) -> dict[str, float]:
+    """certify_symbol residuals of the Gram matrix (t_{g^-1 h})."""
+    return certify_symbol(SchurSymbol(gram_matrix(symbol)), tol=tol)
 
 
 def _coefficients(group: FiniteGroup, x: np.ndarray, lam: np.ndarray,
@@ -233,10 +233,11 @@ def _require_crossed(bundle: DilationBundle) -> None:
 def build_crossed_dilation(symbol: FourierSymbol,
                            tol: float = config.TOL_NUM) -> CrossedBundle:
     """Dilation bundle for the multiplier of a certified positive-definite t."""
-    certify_posdef(symbol, tol=tol).require("coefficients")
+    gram = SchurSymbol(gram_matrix(symbol))
+    require_symbol(gram, tol, "coefficients")
     group = symbol.group
     m = group.order
-    space = build_gram_space(SchurSymbol(gram_matrix(symbol)))
+    space = build_gram_space(gram, tol)
     rep = build_fermion_rep(space)
     if m * rep.dim > config.dim_cap():
         raise SizeError("crossed-product dimension exceeds cap")

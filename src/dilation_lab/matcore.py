@@ -138,11 +138,12 @@ def eig_hermitian(a, tol: float = config.TOL_NUM):
     return w, v
 
 
-def hermitian_sqrt(a, tol_psd: float = config.TOL_PSD) -> np.ndarray:
-    """PSD square root B with B @ B = a; small negative eigenvalues are clamped to 0."""
+def hermitian_sqrt(a) -> np.ndarray:
+    """PSD square root B with B @ B = a; eigenvalues down to -TOL_PSD are clamped to 0."""
     w, v = eig_hermitian(a)
-    if w[0] < -tol_psd:
-        raise NotPsdError(f"hermitian_sqrt input has eigenvalue {w[0]:.3e} < -{tol_psd:.1e}")
+    if w[0] < -config.TOL_PSD:
+        raise NotPsdError(f"hermitian_sqrt input has eigenvalue {w[0]:.3e} "
+                          f"< -{config.TOL_PSD:.1e}")
     root = np.sqrt(np.clip(w, 0.0, None))
     out = (v * root) @ dagger(v)
     # real symmetric input stays real on the nose
@@ -151,17 +152,17 @@ def hermitian_sqrt(a, tol_psd: float = config.TOL_PSD) -> np.ndarray:
     return out
 
 
-def solve_psd(gram, rhs, tol_rank: float = config.TOL_RANK) -> np.ndarray:
+def solve_psd(gram, rhs) -> np.ndarray:
     """Minimum-norm least-squares solve of a PSD Gram system.
 
-    Singular values below tol_rank times the largest are treated as zero, so
+    Singular values below TOL_RANK times the largest are treated as zero, so
     consistent rank-deficient systems resolve to the minimum-norm solution.
     """
     g = as_square(gram, "gram")
     b = np.asarray(rhs, dtype=complex)
     if b.shape[0] != g.shape[0]:
         raise ShapeError(f"rhs length {b.shape[0]} does not match gram size {g.shape[0]}")
-    sol, *_ = np.linalg.lstsq(g, b, rcond=tol_rank)
+    sol, *_ = np.linalg.lstsq(g, b, rcond=config.TOL_RANK)
     return sol
 
 

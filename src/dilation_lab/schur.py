@@ -21,11 +21,12 @@ from .states import MarkovMap
 
 __all__ = [
     "SchurSymbol",
-    "SymbolReport",
     "GramSpace",
     "apply_multiplier",
     "multiplier_map",
     "certify_symbol",
+    "symbol_tolerances",
+    "require_symbol",
     "build_gram_space",
     "compose_symbols",
 ]
@@ -43,47 +44,6 @@ class SchurSymbol:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class SymbolReport:
-    """Residuals of a symbol's three properties; the verdicts threshold them.
-
-    psd_residual is the negative eigenvalue mass of the Hermitian part.  When
-    the symbol is not Hermitian within tol, min_eigenvalue is None and
-    psd_residual adds the Hermiticity defect, so the PSD verdict fails
-    whenever tol >= tol_psd.
-    """
-
-    unital_residual: float
-    self_adjoint_residual: float
-    psd_residual: float
-    min_eigenvalue: float | None
-    tol: float
-    tol_psd: float
-
-    @property
-    def unital(self) -> bool:
-        return self.unital_residual <= self.tol
-
-    @property
-    def self_adjoint(self) -> bool:
-        return self.self_adjoint_residual <= self.tol
-
-    @property
-    def psd(self) -> bool:
-        return self.psd_residual <= self.tol_psd
-
-    @property
-    def ok(self) -> bool:
-        """Unital, PSD and self-adjoint: the symbol of a Markov multiplier."""
-        return self.unital and self.psd and self.self_adjoint
-
-    def require(self, what: str = "symbol") -> None:
-        """Raise PreconditionError unless the symbol is certified."""
-        if not self.ok:
-            raise PreconditionError(
-                f"{what} must be unital, PSD, self-adjoint; got {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,44 +89,59 @@ def multiplier_map(symbol: SchurSymbol) -> MarkovMap:
     return MarkovMap(n, n, np.diag(symbol.matrix.reshape(-1)))
 
 
-def certify_symbol(symbol: SchurSymbol, tol: float = config.TOL_NUM,
-                   tol_psd: float = config.TOL_PSD) -> SymbolReport:
-    """Unitality, positivity, and self-adjointness of the symbol.
+def certify_symbol(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> dict[str, float]:
+    """Residuals of unitality, self-adjointness and positivity of the symbol.
 
-    For a symbol Hermitian within tol the psd verdict is min eig >= -tol_psd,
-    which matches the Choi test of the induced map; a larger Hermiticity
-    defect counts into the PSD residual.
-    self_adjoint means real symmetric: the multiplier equals its GNS adjoint
-    for every faithful diagonal state exactly in that case.
+    psd is the negative eigenvalue mass of the Hermitian part; when the
+    Hermiticity defect exceeds tol it counts into psd as well, so a symbol
+    that is not Hermitian within tol fails psd at any tolerance below tol.
+    For a symbol Hermitian within tol, psd <= TOL_PSD matches the Choi test
+    of the induced map.  self_adjoint means real symmetric: the multiplier
+    equals its GNS adjoint for every faithful diagonal state exactly then.
     """
     t = symbol.matrix
     herm_defect = max_abs(t - t.conj().T)
-    w = np.linalg.eigvalsh((t + t.conj().T) / 2)
-    negative = max(0.0, -float(w[0]))
-    hermitian = herm_defect <= tol
-    return SymbolReport(
-        unital_residual=max_abs(np.diagonal(t) - 1.0),
-        self_adjoint_residual=max(max_abs(t - t.T), max_abs(t.imag)),
-        psd_residual=negative if hermitian else herm_defect + negative,
-        min_eigenvalue=float(w[0]) if hermitian else None,
-        tol=tol, tol_psd=tol_psd)
+    negative = max(0.0, -float(np.linalg.eigvalsh((t + t.conj().T) / 2)[0]))
+    return {"unital": max_abs(np.diagonal(t) - 1.0),
+            "self_adjoint": max(max_abs(t - t.T), max_abs(t.imag)),
+            "psd": negative if herm_defect <= tol else herm_defect + negative}
 
 
-def build_gram_space(symbol: SchurSymbol, tol_rank: float = config.TOL_RANK,
-                     tol_psd: float = config.TOL_PSD) -> GramSpace:
+def symbol_tolerances(tol: float) -> dict[str, float]:
+    """Tolerance of each certify_symbol residual for the symbol of a Markov
+    multiplier: unital and self-adjoint within tol, PSD within TOL_PSD."""
+    return {"unital": tol, "self_adjoint": tol, "psd": config.TOL_PSD}
+
+
+def require_symbol(symbol: SchurSymbol, tol: float = config.TOL_NUM,
+                   what: str = "symbol") -> None:
+    """Raise PreconditionError unless every certify_symbol residual is within
+    its symbol_tolerances(tol), naming each one that is not."""
+    tols = symbol_tolerances(tol)
+    failed = [f"{name} residual {residual:.1e} > tol {tols[name]:.1e}"
+              for name, residual in certify_symbol(symbol, tol).items()
+              if not residual <= tols[name]]
+    if failed:
+        raise PreconditionError(f"{what} must be unital, PSD, self-adjoint: "
+                                + "; ".join(failed))
+
+
+def build_gram_space(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> GramSpace:
     """Factor a real symmetric PSD symbol as a Gram matrix of row vectors.
 
-    Eigendirections with eigenvalue below tol_rank times the largest are
-    dropped, so rank-deficient symbols embed into their honest quotient.
+    A symbol real and symmetric within tol is accepted, and the eigensolver
+    reads the lower triangle of its real part.  Eigendirections with
+    eigenvalue below TOL_RANK times the largest are dropped, so rank-deficient
+    symbols embed into their honest quotient.
     """
     t = symbol.matrix
-    if max_abs(t - t.T) > config.TOL_NUM or max_abs(t.imag) > config.TOL_NUM:
+    if max_abs(t - t.T) > tol or max_abs(t.imag) > tol:
         raise ShapeError("build_gram_space needs a real symmetric symbol")
-    w, v = eig_hermitian(t.real.astype(complex))
-    if w[0] < -tol_psd:
+    w, v = eig_hermitian(t.real.astype(complex), tol)
+    if w[0] < -config.TOL_PSD:
         raise NotPsdError(f"symbol has eigenvalue {w[0]:.3e}, not PSD")
     w = np.clip(w, 0.0, None)
-    keep = w > tol_rank * max(w[-1], 0.0)
+    keep = w > config.TOL_RANK * max(w[-1], 0.0)
     if not np.any(keep):
         raise NotPsdError("symbol is numerically zero; no Gram space")
     cols = np.flatnonzero(keep)[::-1]  # largest eigenvalue first

@@ -5,15 +5,14 @@ diagonal density D; the associated functional is phi(x) = trace(D x).  Linear
 maps on M_n are stored as n^2 x n^2 superoperators acting on row-major
 vectorized matrices.  A map earns the name "Markov" for phi when it is unital,
 completely positive, preserves phi, and commutes with the modular flow
-sigma_t(x) = D^{-it} x D^{it}; each property is certified numerically and
-recorded as a tri-state flag (True / False / None for unchecked).
+sigma_t(x) = D^{-it} x D^{it}; markov_residuals measures each property, and
+the caller sets the residuals against its tolerances.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "modular_conjugate",
     "gns_inner",
     "choi_matrix",
-    "certify_markov",
     "star_adjoint",
 ]
 
@@ -91,16 +89,12 @@ class MarkovMap:
     """Linear map between matrix algebras, stored as a superoperator.
 
     `super` has shape (dim_out**2, dim_in**2) and acts on row-major vec'd
-    matrices.  The four certification flags are None until checked.
+    matrices.
     """
 
     dim_out: int
     dim_in: int
     super: np.ndarray
-    unital: bool | None = None
-    cp: bool | None = None
-    state_preserving: bool | None = None
-    modular_intertwining: bool | None = None
 
     def __post_init__(self):
         s = np.asarray(self.super, dtype=complex)
@@ -181,14 +175,14 @@ def choi_matrix(m: MarkovMap) -> np.ndarray:
     return m.super.reshape(k, k, n, n).transpose(2, 0, 3, 1).reshape(n * k, n * k)
 
 
-def markov_residuals(m: MarkovMap, state: DiagonalState,
-                     t_samples: Iterable[float] = config.T_SAMPLES) -> dict[str, float]:
+def markov_residuals(m: MarkovMap, state: DiagonalState) -> dict[str, float]:
     """Numeric residuals behind the four Markov properties.
 
     Keys: unital, cp, state_preserving, modular, which all vanish exactly for
     a Markov operator.  cp is the sum of cp_hermitian (the Choi matrix's
     Hermiticity defect) and cp_negative (the negative eigenvalue mass of its
-    Hermitian part), which are also returned.
+    Hermitian part), which are also returned.  The modular flow is sampled
+    at config.T_SAMPLES.
     """
     n = m.dimension
     if state.dim != n:
@@ -206,7 +200,7 @@ def markov_residuals(m: MarkovMap, state: DiagonalState,
     state_preserving = max_abs(phi_row @ m.super - phi_row)
 
     modular = 0.0
-    for t in t_samples:
+    for t in config.T_SAMPLES:
         sig = modular_superoperator(state, t)
         modular = max(modular, max_abs(m.super @ sig - sig @ m.super))
     return {"unital": unital, "cp": herm_defect + negative,
@@ -214,29 +208,11 @@ def markov_residuals(m: MarkovMap, state: DiagonalState,
             "state_preserving": state_preserving, "modular": modular}
 
 
-def certify_markov(m: MarkovMap, state: DiagonalState,
-                   t_samples: Iterable[float] = config.T_SAMPLES,
-                   tol: float = config.TOL_NUM,
-                   tol_psd: float = config.TOL_PSD) -> MarkovMap:
-    """Threshold the Markov residuals of a square map against a state.
-
-    Returns a copy of the map with every flag set to the verified verdict.
-    The CP verdict keeps its own sign tolerance: the Choi matrix must be
-    Hermitian within tol and its spectrum bounded below by -tol_psd.
-    """
-    res = markov_residuals(m, state, t_samples)
-    return dataclasses.replace(
-        m, unital=res["unital"] <= tol,
-        cp=res["cp_hermitian"] <= tol and res["cp_negative"] <= tol_psd,
-        state_preserving=res["state_preserving"] <= tol,
-        modular_intertwining=res["modular"] <= tol)
-
-
 def star_adjoint(m: MarkovMap, state: DiagonalState) -> MarkovMap:
     """Adjoint for the bilinear pairing phi(x m(y)) = phi(adj(x) y).
 
     Solved on matrix units: with phi = trace(D .), the defining identity pins
-    adj(e_kl)[j, i] = w_k * m(e_ij)[l, k] / w_j.  Flags are reset to unchecked.
+    adj(e_kl)[j, i] = w_k * m(e_ij)[l, k] / w_j.
     """
     n = m.dimension
     if state.dim != n:

@@ -14,10 +14,10 @@ import numpy as np
 
 from dilation_lab import (DiagonalState, GramSpace, SchurSymbol,
                           build_crossed_dilation, build_chain, build_dilation,
-                          build_fermion_rep, build_schaffer, certify_markov,
-                          certify_symbol, choi_matrix,
-                          convex_combination_dilation, cyclic_group, embed_J,
-                          expectations, multiplier_map, random_posdef_symbol,
+                          build_fermion_rep, build_schaffer, certify_symbol,
+                          choi_matrix, config, convex_combination_dilation,
+                          cyclic_group, embed_J, expectations, markov_residuals,
+                          multiplier_map, random_posdef_symbol,
                           second_quantize, star_adjoint, star_swap_check,
                           symmetric_group, verify_factorization,
                           verify_fourier_identity, verify_gamma_factorization,
@@ -137,9 +137,11 @@ def test_criterion_04_cp_verdict_matches_symbol_verdict(capsys):
             np.fill_diagonal(t, 1.0)
         symbol = SchurSymbol(t)
         state = DiagonalState(random_weights(gen, n))
-        from_choi = certify_markov(multiplier_map(symbol), state).cp
-        from_symbol = certify_symbol(symbol).psd
-        if bool(from_choi) != bool(from_symbol):
+        res = markov_residuals(multiplier_map(symbol), state)
+        from_choi = (res["cp_hermitian"] <= config.TOL_NUM
+                     and res["cp_negative"] <= config.TOL_PSD)
+        from_symbol = certify_symbol(symbol)["psd"] <= config.TOL_PSD
+        if from_choi != from_symbol:
             disagreements.append(trial)
     ok = not disagreements
     _report(capsys, 4, "Choi positivity agrees with symbol positivity", ok,

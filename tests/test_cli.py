@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilation_lab import DiagonalState, SchurSymbol, certify_markov, cli, config, multiplier_map
+from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol, build_dilation,
+                          cli, config, markov_residuals, multiplier_map)
 
 COMMANDS = ["check-schur", "rota", "fourier", "secondquant"]
 
@@ -189,6 +190,59 @@ def test_non_hermitian_symbol_is_reported(command, payload, row):
     assert 0 < psd["residual"] < float("inf")
 
 
+# each symbol is off by 1e-8: outside the default tolerance, inside 1e-6
+@pytest.mark.parametrize("command, payload, last_row", [
+    ("check-schur", {"symbol": [[1.00000001, 0.5], [0.5, 1.0]], "weights": [0.5, 0.5]},
+     "star_swap"),
+    ("check-schur", {"symbol": [[1.0, 0.50000001], [0.5, 1.0]], "weights": [0.5, 0.5]},
+     "star_swap"),
+    ("fourier", {"group": "cyclic:2", "t": [1.00000001, 0.5]}, "fourier_identity"),
+], ids=["schur-unital", "schur-symmetric", "fourier-unital"])
+def test_looser_tol_builds_the_symbol_its_rows_pass(command, payload, last_row):
+    code, out, err = run_main(command, payload, "--tol", "1e-6")
+    assert code in (0, 1), err
+    report = json.loads(out, parse_constant=_no_constant)
+    assert report["pass"] == (code == 0)
+    assert all(check["pass"] for check in report["checks"][:3])
+    assert report["checks"][-1]["name"] == last_row
+
+
+def test_symbol_precondition_names_each_failing_residual():
+    symbol = SchurSymbol(np.array([[1.00000001, 1.5], [1.5, 1.0]]))
+    with pytest.raises(PreconditionError) as info:
+        build_dilation(symbol, DiagonalState([0.5, 0.5]))
+    message = str(info.value)
+    assert "unital residual 1.0e-08 > tol 1.0e-09" in message
+    assert "psd residual 5.0e-01 > tol 1.0e-10" in message
+    assert "self_adjoint" not in message and "Report" not in message
+
+
+def test_rota_refuses_steps_before_building_the_chain():
+    # a symbol the chain builder refuses, and a depth over its byte cap: the
+    # steps error comes first in both cases
+    bad = {"symbol": [[1, 1.5], [1.5, 1]], "weights": [0.5, 0.5]}
+    good = {"symbol": [[1, 0.5], [0.5, 1]], "weights": [0.5, 0.5]}
+    for payload, depth in ((bad, 2), (good, 4)):
+        code, out, err = run_main("rota", payload, "--depth", str(depth), "--steps", "9")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: steps 9 must lie in 1..depth ({depth})\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check-schur", "--depth"), ("check-schur", "--window"), ("check-schur", "--steps"),
+    ("rota", "--samples"), ("rota", "--window"),
+    ("fourier", "--depth"), ("fourier", "--window"), ("fourier", "--steps"),
+    ("secondquant", "--samples"), ("secondquant", "--depth"),
+])
+def test_flag_the_subcommand_does_not_read_is_refused(command, flag):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+        cli.main([command, f"{flag}=1"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}=1" in err.getvalue()
+
+
 def test_negative_samples_exit_two():
     result = run_cli("check-schur", "--samples", "-3")
     assert result.returncode == 2
@@ -200,14 +254,14 @@ def test_negative_samples_exit_two():
     assert code == 0 and report["pass"] is True
 
 
-@pytest.mark.parametrize("flags, message", [
-    (("--tol", "nan"), "error: tolerance must be a positive finite number"),
-    (("--tol", "inf"), "error: tolerance must be a positive finite number"),
-    (("--tol", "0"), "error: tolerance must be a positive finite number"),
-    (("--samples", "-1"), "error: samples must be nonnegative"),
+@pytest.mark.parametrize("command, flags, message", [
+    ("rota", ("--tol", "nan"), "error: tolerance must be a positive finite number"),
+    ("rota", ("--tol", "inf"), "error: tolerance must be a positive finite number"),
+    ("rota", ("--tol", "0"), "error: tolerance must be a positive finite number"),
+    ("check-schur", ("--samples", "-1"), "error: samples must be nonnegative"),
 ], ids=["tol-nan", "tol-inf", "tol-zero", "samples-negative"])
-def test_bad_flags_exit_two_with_an_error(flags, message):
-    code, out, err = run_main("rota", {"symbol": [[1, 0.5], [0.5, 1]], "weights": [0.5, 0.5]},
+def test_bad_flags_exit_two_with_an_error(command, flags, message):
+    code, out, err = run_main(command, {"symbol": [[1, 0.5], [0.5, 1]], "weights": [0.5, 0.5]},
                               *flags)
     assert code == 2
     assert out == ""
@@ -293,16 +347,18 @@ def test_ill_conditioned_symbols_certify_at_depth_two(key):
     assert all(check["pass"] for check in report["checks"])
 
 
-def test_markov_cp_row_matches_certify_markov():
-    # a Choi Hermiticity defect of 5e-10 is within --tol, as certify_markov allows
+def test_markov_cp_row_applies_both_tolerances():
+    # the Choi matrix may be non-Hermitian up to --tol, but its negative
+    # eigenvalue mass is held to TOL_PSD: a defect of 5e-10 passes the row
     payload = {"symbol": [[1, 0.5], [0.5000000005, 1]], "weights": [0.5, 0.5]}
-    _, report = run_in_process("check-schur", payload)
-    row = next(check for check in report["checks"] if check["name"] == "markov_cp")
     symbol = SchurSymbol(np.array(payload["symbol"], dtype=complex))
-    verdict = certify_markov(multiplier_map(symbol), DiagonalState(payload["weights"])).cp
-    assert row["tol"] == config.TOL_PSD
-    assert row["pass"] == verdict
-    assert row["pass"] is True
+    res = markov_residuals(multiplier_map(symbol), DiagonalState(payload["weights"]))
+    assert res["cp_negative"] <= config.TOL_PSD < res["cp_hermitian"] <= config.TOL_NUM
+    for flags, passed in (((), True), (("--tol", "4e-10"), False)):
+        _, report = run_in_process("check-schur", payload, *flags)
+        row = next(check for check in report["checks"] if check["name"] == "markov_cp")
+        assert row["tol"] == config.TOL_PSD
+        assert row["pass"] is passed
 
 
 ENTRIES = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,

@@ -4,7 +4,9 @@ A field whose default is a fresh dict, list or set is a mutable container
 that a frozen dataclass can still fill behind its fields' backs: a hidden
 cache.  Derived values are computed where they are used, or kept as explicit
 fields set by the builder.  A dataclass holding arrays compares by identity
-(eq=False): a generated __eq__ would compare the arrays and raise.
+(eq=False): a generated __eq__ would compare the arrays and raise.  Nor does
+a dataclass carry a verdict or a tolerance: verifiers return residuals, and
+the caller judges each one against its tolerance.
 """
 
 import dataclasses
@@ -37,6 +39,14 @@ def test_no_dataclass_field_defaults_to_a_mutable_container():
               for cls in _package_dataclasses() for f in dataclasses.fields(cls)
               if f.default_factory in MUTABLE_FACTORIES]
     assert hidden == []
+
+
+def test_no_dataclass_holds_a_verdict_or_a_tolerance():
+    # annotations are strings under `from __future__ import annotations`
+    judged = [f"{cls.__module__}.{cls.__name__}.{f.name}"
+              for cls in _package_dataclasses() for f in dataclasses.fields(cls)
+              if "bool" in str(f.type) or f.name.startswith("tol")]
+    assert judged == []
 
 
 def _holds_arrays(cls) -> bool:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dilation_lab import (DiagonalState, GramSpace, NotPsdError, SchurSymbol,
                           ShapeError, apply_multiplier, build_gram_space,
-                          certify_markov, certify_symbol, compose_symbols,
+                          certify_symbol, compose_symbols, config, markov_residuals,
                           multiplier_map)
 from dilation_lab.matcore import (max_abs, random_complex, random_unital_psd_symbol,
                                   random_weights, rng)
@@ -32,25 +32,29 @@ def test_multiplier_map_superoperator_is_diagonal():
 
 def test_certify_symbol_worked_cases():
     good = certify_symbol(SchurSymbol(np.array([[1.0, 0.5], [0.5, 1.0]])))
-    assert good.unital and good.psd and good.self_adjoint
-    assert abs(good.min_eigenvalue - 0.5) < 1e-12
+    assert good == {"unital": 0.0, "self_adjoint": 0.0, "psd": 0.0}
 
+    # the smallest eigenvalue is -0.5
     indefinite = certify_symbol(SchurSymbol(np.array([[1.0, 1.5], [1.5, 1.0]])))
-    assert indefinite.unital and not indefinite.psd
-    assert abs(indefinite.min_eigenvalue + 0.5) < 1e-12
+    assert indefinite["unital"] == 0.0
+    assert abs(indefinite["psd"] - 0.5) < 1e-12
 
     off_diagonal = certify_symbol(SchurSymbol(np.array([[0.9, 0.1], [0.1, 0.9]])))
-    assert not off_diagonal.unital and off_diagonal.psd
+    assert abs(off_diagonal["unital"] - 0.1) < 1e-12
+    assert off_diagonal["psd"] == 0.0
 
 
 def test_certify_symbol_hermitian_complex_is_psd_but_not_self_adjoint():
     t = np.array([[1.0, 1j], [-1j, 1.0]])
     report = certify_symbol(SchurSymbol(t))
-    assert report.psd and not report.self_adjoint
-    assert abs(report.min_eigenvalue) < 1e-12
+    assert report["psd"] < 1e-12
+    assert report["self_adjoint"] == 2.0
 
-    skew = certify_symbol(SchurSymbol(np.array([[1.0, 0.4], [0.6, 1.0]])))
-    assert not skew.psd and skew.min_eigenvalue is None
+    # a Hermiticity defect of 0.2 over tol counts into psd, although the
+    # Hermitian part has eigenvalues 0.5 and 1.5
+    skew = SchurSymbol(np.array([[1.0, 0.4], [0.6, 1.0]]))
+    assert abs(certify_symbol(skew)["psd"] - 0.2) < 1e-12
+    assert certify_symbol(skew, tol=0.3)["psd"] == 0.0
 
 
 def test_gram_space_cholesky_cross_check():
@@ -87,6 +91,14 @@ def test_gram_space_rejects_bad_symbols():
         build_gram_space(SchurSymbol(np.array([[1.0, 1j], [-1j, 1.0]])))
 
 
+def test_gram_space_accepts_a_symbol_symmetric_within_tol():
+    t = np.array([[1.0, 0.50000001], [0.5, 1.0]])
+    with pytest.raises(ShapeError):
+        build_gram_space(SchurSymbol(t))
+    space = build_gram_space(SchurSymbol(t), tol=1e-6)
+    np.testing.assert_allclose(space.gram(), np.tril(t) + np.tril(t, -1).T, atol=1e-14)
+
+
 def test_gram_space_standard_and_validation():
     std = GramSpace.standard(3)
     np.testing.assert_allclose(std.gram(), np.eye(3))
@@ -105,7 +117,7 @@ def test_compose_symbols_hadamard():
         multiplier_map(c).super)
     # Schur product of unital PSD symbols stays unital PSD
     report = certify_symbol(c)
-    assert report.unital and report.psd
+    assert report["unital"] <= config.TOL_NUM and report["psd"] <= config.TOL_PSD
 
 
 def test_multiplier_of_psd_symbol_is_markov_for_any_faithful_state():
@@ -114,9 +126,9 @@ def test_multiplier_of_psd_symbol_is_markov_for_any_faithful_state():
         t = random_unital_psd_symbol(gen, n)
         w = 0.05 + gen.random(n)
         st = DiagonalState(w / w.sum())
-        certified = certify_markov(multiplier_map(SchurSymbol(t)), st)
-        assert certified.unital and certified.cp
-        assert certified.state_preserving and certified.modular_intertwining
+        res = markov_residuals(multiplier_map(SchurSymbol(t)), st)
+        assert max(res["unital"], res["state_preserving"], res["modular"]) <= config.TOL_NUM
+        assert res["cp_hermitian"] <= config.TOL_NUM and res["cp_negative"] <= config.TOL_PSD
 
 
 @st.composite
@@ -139,5 +151,9 @@ def real_symbols(draw):
 @settings(max_examples=100, deadline=None)
 @given(real_symbols())
 def test_choi_verdict_equals_symbol_verdict(case):
+    # each verdict at the default tolerances, as the CLI's markov_cp and
+    # symbol_psd rows judge them
     symbol, state = case
-    assert certify_markov(multiplier_map(symbol), state).cp == certify_symbol(symbol).psd
+    res = markov_residuals(multiplier_map(symbol), state)
+    choi_cp = res["cp_hermitian"] <= config.TOL_NUM and res["cp_negative"] <= config.TOL_PSD
+    assert choi_cp == (certify_symbol(symbol)["psd"] <= config.TOL_PSD)

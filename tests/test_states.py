@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dilation_lab import (DiagonalState, MarkovMap, PreconditionError, SchurSymbol,
-                          ShapeError, certify_markov, choi_matrix, gns_inner,
+                          ShapeError, choi_matrix, config, gns_inner,
                           markov_residuals, modular_conjugate, multiplier_map,
                           star_adjoint)
 from dilation_lab.matcore import dagger, matrix_unit, max_abs, random_complex, rng
@@ -156,15 +156,15 @@ def test_markov_residuals_flag_broken_maps():
     assert res["cp"] > 0.1
 
 
-def test_certify_markov_sets_flags():
+def test_markov_residuals_of_a_good_and_a_bad_multiplier():
     t = np.array([[1.0, 0.5], [0.5, 1.0]])
     st = DiagonalState(np.array([0.6, 0.4]))
-    good = certify_markov(multiplier_map(SchurSymbol(t)), st)
-    assert good.unital and good.cp and good.state_preserving and good.modular_intertwining
-    bad = certify_markov(multiplier_map(SchurSymbol(np.array([[1.0, 1.5], [1.5, 1.0]]))), st)
-    assert bad.unital and not bad.cp
+    good = markov_residuals(multiplier_map(SchurSymbol(t)), st)
+    assert max(good.values()) <= 1e-12
+    bad = markov_residuals(multiplier_map(SchurSymbol(np.array([[1.0, 1.5], [1.5, 1.0]]))), st)
+    assert bad["unital"] <= 1e-12 and bad["cp_negative"] > config.TOL_PSD
     with pytest.raises(ShapeError):
-        certify_markov(MarkovMap.identity(3), st)
+        markov_residuals(MarkovMap.identity(3), st)
 
 
 def test_star_adjoint_defining_identity():
