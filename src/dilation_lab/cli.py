@@ -26,7 +26,7 @@ from .fock import build_fermion_rep, second_quantize
 from .fourier import (FourierSymbol, FiniteGroup, build_crossed_dilation, certify_posdef,
                       cyclic_group, dihedral_group, symmetric_group,
                       verify_covariance, verify_fourier_identity)
-from .matcore import max_abs
+from .matcore import dagger, max_abs
 from .schur import GramSpace, SchurSymbol, certify_symbol, multiplier_map, symbol_tolerances
 from .states import DiagonalState, markov_residuals
 
@@ -134,6 +134,22 @@ class Checks:
         return all(row["pass"] for row in self.rows)
 
 
+def _add_symmetry_rows(checks: Checks, name: str, bundle, centralizer: bool) -> None:
+    """Rows of the bundle's symmetry being self-adjoint, squaring to the
+    identity and, when asked, commuting with the ambient density.  Each is
+    read from the diagonal blocks: off them the symmetry and every product
+    here are exactly zero."""
+    blocks = bundle.blocks
+    checks.add(f"{name}_self_adjoint", max_abs(blocks - dagger(blocks)), config.TOL_EXACT)
+    checks.add(f"{name}_squares_to_identity",
+               max_abs(blocks @ blocks - np.eye(blocks.shape[-1])), config.TOL_EXACT)
+    if centralizer:
+        # block i of d D - D d, with the density's block D_i = diag(w[i])
+        w = bundle.ambient_state.weights.reshape(blocks.shape[:2])
+        checks.add(f"{name}_in_centralizer",
+                   max_abs(blocks * w[:, None, :] - w[:, :, None] * blocks), config.TOL_EXACT)
+
+
 def run_check_schur(args) -> tuple[Checks, int]:
     symbol, state = _parse_symbol(_load_json(args.input, "schur2.json"))
     checks = Checks()
@@ -156,13 +172,7 @@ def run_check_schur(args) -> tuple[Checks, int]:
         return checks, 1
 
     bundle = build_dilation(symbol, state, tol=args.tol)
-    d = bundle.d
-    w = bundle.ambient_state.weights
-    checks.add("d_self_adjoint", max_abs(d - d.conj().T), config.TOL_EXACT)
-    checks.add("d_squares_to_identity",
-               max_abs(d @ d - np.eye(bundle.ambient_dim)), config.TOL_EXACT)
-    # d D - D d with the diagonal density D = diag(w), as broadcasts
-    checks.add("d_in_centralizer", max_abs(d * w[None, :] - w[:, None] * d), config.TOL_EXACT)
+    _add_symmetry_rows(checks, "d", bundle, centralizer=True)
 
     checks.add("factorization",
                verify_factorization(bundle, symbol, state,
@@ -207,10 +217,7 @@ def run_fourier(args) -> tuple[Checks, int]:
         return checks, 1
 
     bundle = build_crossed_dilation(symbol, tol=args.tol)
-    w = bundle.d
-    checks.add("w_self_adjoint", max_abs(w - w.conj().T), config.TOL_EXACT)
-    checks.add("w_squares_to_identity",
-               max_abs(w @ w - np.eye(bundle.ambient_dim)), config.TOL_EXACT)
+    _add_symmetry_rows(checks, "w", bundle, centralizer=False)
     for name, residual in verify_covariance(bundle).items():
         checks.add(name, residual, args.tol)
     checks.add("fourier_identity",

@@ -15,16 +15,16 @@ bilinear adjoint swaps the roles of pi and rho up to symbol transposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import config
-from .errors import PreconditionError, ShapeError
+from .errors import PreconditionError, ShapeError, SizeError
 from .fock import FermionRep, build_fermion_rep
-from .matcore import (as_square, block_conjugate, dagger, matrix_units, max_abs, random_complex,
-                      rng, tensor_product)
+from .matcore import (as_square, block_conjugate, dagger, direct_sum, matrix_units, max_abs,
+                      random_complex, rng)
 from .schur import GramSpace, SchurSymbol, apply_multiplier, build_gram_space, require_symbol
 from .states import DiagonalState
 
@@ -41,22 +41,68 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DilationBundle:
-    """Ambient algebra data dilating one (or a convex family of) multiplier(s)."""
+    """Ambient algebra data dilating one (or a convex family of) multiplier(s).
 
-    input_dim: int
-    ambient_dim: int
+    The ambient algebra is M_n (x) M_f with the product state input_state
+    (x) fiber_state.  blocks is the (n, f, f) stack of the diagonal blocks of
+    the symmetry d = sum_i e_ii (x) blocks[i], so d itself is never formed.
+    """
+
     input_state: DiagonalState
-    ambient_state: DiagonalState
-    d: np.ndarray
+    fiber_state: DiagonalState
+    blocks: np.ndarray
     pi: Callable[[np.ndarray], np.ndarray]
     rho: Callable[[np.ndarray], np.ndarray]
     gram: GramSpace | None = None
     rep: FermionRep | None = None
     # pi/rho may be partial: when set, their domain is the span of this basis
     domain_basis: tuple[np.ndarray, ...] | None = None
+    ambient_state: DiagonalState = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ambient_state", DiagonalState(
+            np.kron(self.input_state.weights, self.fiber_state.weights)))
+
+    @property
+    def input_dim(self) -> int:
+        return self.blocks.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[1]
 
     def ambient_phi(self, x: np.ndarray) -> complex:
         return complex(np.dot(self.ambient_state.weights, np.diagonal(x)))
+
+
+def _block_bundle(state: DiagonalState, fiber: DiagonalState, parts,
+                  project: Callable[[np.ndarray], np.ndarray] | None = None,
+                  kind: type[DilationBundle] = DilationBundle) -> DilationBundle:
+    """The bundle of `kind` over M_n (x) M_f with the product state state (x) fiber.
+
+    parts() returns the (n, f, f) diagonal blocks of the symmetry d and the
+    other fields of `kind`.  The blocks alone hold n f^2 entries, so parts
+    runs only once the ambient dimension n f is within the dimension cap;
+    this is the one place where that dimension meets the cap.  Then
+    pi(x) = x (x) 1 and rho(x) = d pi(x) d, each of project(x) when a
+    projection onto the domain is given.
+    """
+    n, f = state.dim, fiber.dim
+    if n * f > config.dim_cap():
+        raise SizeError(f"ambient dimension {n * f} exceeds cap {config.dim_cap()}")
+    blocks, fields = parts()
+    eye_f = np.eye(f, dtype=complex)
+    if project is None:
+        def project(x: np.ndarray) -> np.ndarray:
+            return as_square(x, "morphism argument")
+
+    def pi(x: np.ndarray) -> np.ndarray:
+        return np.kron(project(x), eye_f)
+
+    def rho(x: np.ndarray) -> np.ndarray:
+        return block_conjugate(blocks, project(x))
+
+    return kind(input_state=state, fiber_state=fiber, blocks=blocks, pi=pi, rho=rho, **fields)
 
 
 def build_dilation(symbol: SchurSymbol, state: DiagonalState,
@@ -64,37 +110,16 @@ def build_dilation(symbol: SchurSymbol, state: DiagonalState,
     """Construct the fermionic dilation bundle for a symbol that is unital and
     self-adjoint within tol and PSD within TOL_PSD."""
     require_symbol(symbol, tol)
-    n = symbol.dim
-    if state.dim != n:
+    if state.dim != symbol.dim:
         raise ShapeError("state dimension does not match symbol")
-
     gram = build_gram_space(symbol, tol)
-    rep = build_fermion_rep(gram)
-    fock_dim = rep.dim
-    eye_f = np.eye(fock_dim, dtype=complex)
-    omegas = np.stack([rep.generator_omega(i) for i in range(n)])
-    d = np.zeros((n * fock_dim, n * fock_dim), dtype=complex)
-    for i in range(n):
-        d[i * fock_dim : (i + 1) * fock_dim, i * fock_dim : (i + 1) * fock_dim] = omegas[i]
 
-    def pi(x: np.ndarray) -> np.ndarray:
-        return tensor_product(as_square(x, "pi argument"), eye_f)
+    def parts():
+        rep = build_fermion_rep(gram)
+        blocks = np.stack([rep.generator_omega(i) for i in range(symbol.dim)])
+        return blocks, {"gram": gram, "rep": rep}
 
-    def rho(x: np.ndarray) -> np.ndarray:
-        return block_conjugate(omegas, as_square(x, "rho argument"))
-
-    ambient_weights = np.repeat(state.weights, fock_dim) / fock_dim
-    return DilationBundle(
-        input_dim=n,
-        ambient_dim=n * fock_dim,
-        input_state=state,
-        ambient_state=DiagonalState(ambient_weights),
-        d=d,
-        pi=pi,
-        rho=rho,
-        gram=gram,
-        rep=rep,
-    )
+    return _block_bundle(state, DiagonalState.tracial(1 << gram.rank), parts)
 
 
 def _random_pairs(n: int, samples: int, seed: int | None):
@@ -304,8 +329,9 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
 def convex_combination_dilation(bundles, weights) -> DilationBundle:
     """Direct-sum bundle dilating the convex combination of the dilated maps.
 
-    All bundles must share the input algebra and input state; the ambient
-    state is the weighted direct sum, so the factorization identity adds up.
+    All bundles must share the input algebra and input state; the fiber state
+    is the weighted direct sum, so the factorization identity adds up.  The
+    sum is a plain block bundle over all of M_n.
     """
     bundles = list(bundles)
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -321,34 +347,11 @@ def convex_combination_dilation(bundles, weights) -> DilationBundle:
         if max_abs(b.input_state.weights - base_state.weights) > config.TOL_NUM:
             raise PreconditionError("bundles must share the input state")
 
-    dims = [b.ambient_dim for b in bundles]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    total = int(offsets[-1])
-
-    def embed_blocks(blocks):
-        out = np.zeros((total, total), dtype=complex)
-        for o, dim_b, blk in zip(offsets, dims, blocks):
-            out[o : o + dim_b, o : o + dim_b] = blk
-        return out
-
-    def pi(x):
-        return embed_blocks([b.pi(x) for b in bundles])
-
-    def rho(x):
-        return embed_blocks([b.rho(x) for b in bundles])
-
-    d_total = embed_blocks([b.d for b in bundles])
-    ambient_weights = np.concatenate(
-        [wi * b.ambient_state.weights for wi, b in zip(w, bundles)])
-    return DilationBundle(
-        input_dim=n,
-        ambient_dim=total,
-        input_state=base_state,
-        ambient_state=DiagonalState(ambient_weights),
-        d=d_total,
-        pi=pi,
-        rho=rho,
-    )
+    # block i of the sum is the direct sum of the bundles' blocks i, so the
+    # ambient algebra is M_n (x) (F_1 + F_2 + ...) with the reweighted fibers
+    fiber = np.concatenate([wi * b.fiber_state.weights for wi, b in zip(w, bundles)])
+    return _block_bundle(base_state, DiagonalState(fiber), lambda: (
+        np.stack([direct_sum([b.blocks[i] for b in bundles]) for i in range(n)]), {}))
 
 
 def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .dilation import DilationBundle
+from .dilation import DilationBundle, _block_bundle
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import build_fermion_rep, exterior_map
-from .matcore import block_conjugate, direct_sum, max_abs, rng, tensor_product
+from .matcore import max_abs, rng
 from .schur import SchurSymbol, build_gram_space, certify_symbol, require_symbol
 from .states import DiagonalState
 
@@ -236,43 +236,23 @@ def build_crossed_dilation(symbol: FourierSymbol,
     gram = SchurSymbol(gram_matrix(symbol))
     require_symbol(gram, tol, "coefficients")
     group = symbol.group
-    m = group.order
     space = build_gram_space(gram, tol)
-    rep = build_fermion_rep(space)
-    if m * rep.dim > config.dim_cap():
-        raise SizeError("crossed-product dimension exceeds cap")
-
     lam = build_group_algebra(group)
-    actions = _translation_action(space.embedding, group)
-    rotations = np.stack([exterior_map(actions[g]) for g in range(m)])
-    eye_f = np.eye(rep.dim, dtype=complex)
-    w_blocks = _covariant_blocks(group, rotations, rep.omega(space.embedding[group.identity]))
+
+    def parts():
+        rep = build_fermion_rep(space)
+        actions = _translation_action(space.embedding, group)
+        rotations = np.stack([exterior_map(a) for a in actions])
+        blocks = _covariant_blocks(group, rotations, rep.omega(space.embedding[group.identity]))
+        return blocks, {"gram": space, "rep": rep, "domain_basis": tuple(lam), "symbol": symbol,
+                        "lam": lam, "actions": actions, "rotations": rotations}
 
     def project(x: np.ndarray) -> np.ndarray:
-        return np.tensordot(_coefficients(group, x, lam, tol), lam, axes=1)
+        # span membership is judged at TOL_NUM: tol bounds the coefficients only
+        return np.tensordot(_coefficients(group, x, lam, config.TOL_NUM), lam, axes=1)
 
-    def pi(x: np.ndarray) -> np.ndarray:
-        return tensor_product(project(x), eye_f)
-
-    def rho(x: np.ndarray) -> np.ndarray:
-        return block_conjugate(w_blocks, project(x))
-
-    return CrossedBundle(
-        input_dim=m,
-        ambient_dim=m * rep.dim,
-        input_state=DiagonalState(np.full(m, 1.0 / m)),
-        ambient_state=DiagonalState(np.full(m * rep.dim, 1.0 / (m * rep.dim))),
-        d=direct_sum(w_blocks),
-        pi=pi,
-        rho=rho,
-        gram=space,
-        rep=rep,
-        domain_basis=tuple(np.asarray(lam[g], dtype=complex) for g in range(m)),
-        symbol=symbol,
-        lam=lam,
-        actions=actions,
-        rotations=rotations,
-    )
+    return _block_bundle(DiagonalState.tracial(group.order), DiagonalState.tracial(1 << space.rank),
+                         parts, project, CrossedBundle)
 
 
 def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,

@@ -24,7 +24,7 @@ from dilation_lab import (DiagonalState, GramSpace, SchurSymbol,
                           verify_markov_property, verify_ppnp, verify_rota,
                           verify_rota_secondquant)
 from dilation_lab.fock import QWord, q_gram
-from dilation_lab.matcore import (dagger, frobenius, matrix_unit, max_abs,
+from dilation_lab.matcore import (dagger, direct_sum, frobenius, matrix_unit, max_abs,
                                   random_symmetric_contraction,
                                   random_unital_psd_symbol, random_weights,
                                   rng)
@@ -75,7 +75,7 @@ def test_criterion_02_generator_symmetry_in_the_centralizer(capsys):
         bundles.append(build_crossed_dilation(
             random_posdef_symbol(cyclic_group(m), gen)))
     for bundle in bundles:
-        d = bundle.d
+        d = direct_sum(bundle.blocks)
         dens = bundle.ambient_state.density()
         worst = max(worst,
                     frobenius(d - dagger(d)),

@@ -77,3 +77,4 @@ def test_every_shape_passes_the_gate_traced(bench, workload, tmp_path):
     finally:
         tracer.uninstall()
     assert sorted(tracer.per_op()) == list(range(len(workloads.WORKLOADS[workload].shapes)))
+

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol, build_dilation,
                           cli, config, markov_residuals, multiplier_map)
+from dilation_lab.matcore import random_unital_psd_symbol, random_weights, rng
 
 COMMANDS = ["check-schur", "rota", "fourier", "secondquant"]
 
@@ -126,6 +128,20 @@ def test_depth_over_byte_cap_exits_two():
     assert result.returncode == 2
     assert "cap" in result.stderr
     assert result.stdout == ""
+
+
+def test_full_rank_9x9_check_schur_is_refused_at_once():
+    # ambient dimension 9 * 2^9 = 4608 is over the dimension cap: the bundle
+    # is refused before anything of ambient size is formed
+    gen = rng(3)
+    payload = {"symbol": random_unital_psd_symbol(gen, 9).tolist(),
+               "weights": random_weights(gen, 9).tolist()}
+    start = time.perf_counter()
+    code, out, err = run_main("check-schur", payload)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
 
 
 def test_large_window_skips_oversized_fock_checks():

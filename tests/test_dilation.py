@@ -12,8 +12,8 @@ from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol,
                           cyclic_group, random_posdef_symbol, star_swap_check,
                           symmetric_group, verify_even_closure, verify_factorization,
                           verify_morphism_markov)
-from dilation_lab.matcore import (block_conjugate, dagger, matrix_unit, matrix_units, max_abs,
-                                  random_complex, random_unital_psd_symbol,
+from dilation_lab.matcore import (block_conjugate, dagger, direct_sum, matrix_unit, matrix_units,
+                                  max_abs, random_complex, random_unital_psd_symbol,
                                   random_weights, rng)
 from dilation_lab.states import modular_conjugate
 
@@ -45,7 +45,7 @@ def test_factorization_recovers_the_map():
 
 def test_generator_is_a_symmetry_in_the_centralizer():
     bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
-    d = bundle.d
+    d = direct_sum(bundle.blocks)
     assert max_abs(d - dagger(d)) < 1e-12
     assert max_abs(d @ d - np.eye(bundle.ambient_dim)) < 1e-12
     rho_amb = bundle.ambient_state.density()
@@ -193,7 +193,7 @@ def symbols_and_states(draw):
 def test_block_rho_matches_dense_conjugation(case):
     symbol, state, gen = case
     bundle = build_dilation(symbol, state)
-    n, d = symbol.dim, bundle.d
+    n, d = symbol.dim, direct_sum(bundle.blocks)
     for x in [matrix_unit(n, 0, n - 1), random_complex(gen, n)]:
         assert max_abs(bundle.rho(x) - d @ bundle.pi(x) @ d) <= 1e-13
 
@@ -295,10 +295,24 @@ def test_morphism_reports_match_dense_products(case):
 
 
 def _convex_bundle():
-    # fock dimensions 8 and 2: block i of the sum is not rows 10 i .. 10 i + 9
+    # fock dimensions 8 and 2: block i of the sum is the direct sum of the
+    # two bundles' blocks i, of size 10
     rank_one = build_dilation(SchurSymbol(np.ones((3, 3))), STATE3)
     return convex_combination_dilation([build_dilation(SchurSymbol(T3), STATE3), rank_one],
                                        [0.4, 0.6])
+
+
+def _permuted_bundle():
+    # the ambient basis reordered from (i, k) to (k, i): the unit images of
+    # e_ij sit on the non-contiguous index sets {k n + i}.  The tracial input
+    # state makes the ambient state uniform, so the reordering keeps it.
+    bundle = build_dilation(SchurSymbol(T3), DiagonalState.tracial(3))
+    perm = np.arange(bundle.ambient_dim).reshape(3, -1).T.reshape(-1)
+
+    def permuted(mor):
+        return lambda x: mor(x)[np.ix_(perm, perm)]
+
+    return dataclasses.replace(bundle, pi=permuted(bundle.pi), rho=permuted(bundle.rho))
 
 
 def _rotated_bundle():
@@ -316,6 +330,7 @@ def test_morphism_reports_match_dense_products_on_other_bundles():
     mixed = _convex_bundle()
     assert mixed.ambient_dim == 8 * 3 + 2 * 3
     _assert_morphism_reports_match(mixed, samples=3, seed=5)
+    _assert_morphism_reports_match(_permuted_bundle(), samples=3, seed=5)
     _assert_morphism_reports_match(_rotated_bundle(), samples=3, seed=5)
     for group in (cyclic_group(3), symmetric_group(3)):
         bundle = build_crossed_dilation(random_posdef_symbol(group, rng(5)))
@@ -323,7 +338,8 @@ def test_morphism_reports_match_dense_products_on_other_bundles():
 
 
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
-                                  _convex_bundle], ids=["schur", "convex"])
+                                  _convex_bundle, _permuted_bundle],
+                         ids=["schur", "convex", "permuted"])
 def test_unit_pairs_call_no_morphism(make, monkeypatch):
     # every unit x unit and unit x sample product is one block product of the
     # batched routes: neither a support product nor a call of pi or rho
@@ -375,7 +391,8 @@ def _unit_sample_routes(bundle, samples, seed):
 
 
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
-                                  _convex_bundle], ids=["schur", "convex"])
+                                  _convex_bundle, _permuted_bundle],
+                         ids=["schur", "convex", "permuted"])
 def test_batched_unit_sample_residual_matches_per_pair_route(make):
     for batched, per_pair in _unit_sample_routes(make(), samples=4, seed=3):
         assert abs(batched - per_pair) <= 1e-15

@@ -13,7 +13,7 @@ from dilation_lab import (FiniteGroup, FourierSymbol, PreconditionError,
                           symmetric_group, verify_covariance,
                           verify_fourier_identity, verify_morphism_markov)
 from dilation_lab.states import DiagonalState
-from dilation_lab.matcore import block_conjugate, dagger, max_abs, rng
+from dilation_lab.matcore import block_conjugate, dagger, direct_sum, matrix_unit, max_abs, rng
 
 
 def test_cyclic_table_is_addition():
@@ -181,7 +181,7 @@ def test_crossed_dilation_properties(group):
     assert verify_fourier_identity(bundle, t, samples=8, seed=6) < 1e-10
     cov = verify_covariance(bundle)
     assert max(cov.values()) < 1e-10
-    w = bundle.d
+    w = direct_sum(bundle.blocks)
     assert max_abs(w - dagger(w)) < 1e-12
     assert max_abs(w @ w - np.eye(bundle.ambient_dim)) < 1e-12
     assert max(verify_morphism_markov(bundle, samples=5, seed=7).values()) < 1e-10
@@ -212,6 +212,18 @@ def test_crossed_dilation_respects_dimension_cap(monkeypatch):
     t = random_posdef_symbol(symmetric_group(3), rng(8))
     with pytest.raises(SizeError):
         build_crossed_dilation(t)
+
+
+def test_projection_checks_the_span_at_the_numerical_tolerance():
+    # the symbol tolerance admits the coefficients; it does not widen the
+    # group algebra span, which stays checked at TOL_NUM
+    group = cyclic_group(3)
+    bundle = build_crossed_dilation(random_posdef_symbol(group, rng(5)), tol=1e-6)
+    off_span = bundle.lam[1] + 5e-7 * matrix_unit(3, 0, 1)
+    for leg in (bundle.pi, bundle.rho):
+        with pytest.raises(PreconditionError):
+            leg(off_span)
+        leg(bundle.lam[1])
 
 
 def test_covariance_requires_a_crossed_bundle():
@@ -269,7 +281,7 @@ REFERENCE_GROUPS = [cyclic_group(3), cyclic_group(4), symmetric_group(3), dihedr
 def test_block_paths_match_dense_references(group):
     t = random_posdef_symbol(group, rng(11))
     bundle = build_crossed_dilation(t)
-    d = bundle.d
+    d = direct_sum(bundle.blocks)
     for g in range(group.order):
         x = bundle.lam[g]
         assert max_abs(bundle.rho(x) - d @ bundle.pi(x) @ d) <= 1e-13
@@ -295,9 +307,7 @@ def test_scaled_rho_block_breaks_the_fourier_identity():
     group = cyclic_group(3)
     t = random_posdef_symbol(group, rng(13))
     bundle = build_crossed_dilation(t)
-    f = bundle.rep.dim
-    blocks = np.stack([bundle.d[u * f : (u + 1) * f, u * f : (u + 1) * f]
-                       for u in range(group.order)])
+    blocks = bundle.blocks.copy()
     blocks[1] *= 1.01
     bad = dataclasses.replace(bundle, rho=lambda x: block_conjugate(blocks, np.asarray(x)))
     assert verify_fourier_identity(bundle, t, samples=4, seed=2) <= config.TOL_NUM
