@@ -195,15 +195,15 @@ def multiplier_apply(symbol: FourierSymbol, x: np.ndarray,
 def _translation_action(embedding: np.ndarray, group: FiniteGroup) -> np.ndarray:
     """Orthogonal matrices O_g with O_g (row h) = row gh, stacked over g.
 
-    Left invariance of t makes h -> gh isometric on the embedding rows, so
-    the least-squares solution on the spanning rows is exactly orthogonal.
+    The embedding columns are orthogonal, with norms sqrt(eigenvalue), so
+    the embedding over its column norms is an orthonormal basis B of the
+    Gram range.  Left invariance of t makes the row permutation h -> gh
+    leave that range invariant, and O_g = (B^T B[gh])^T is its orthogonal
+    matrix in the basis B.  No system is solved against the Gram's
+    eigenvalues, so O_g stays orthogonal however small they are.
     """
-    gram = embedding.T @ embedding
-    ops = np.empty((group.order, embedding.shape[1], embedding.shape[1]))
-    for g in range(group.order):
-        target = embedding[group.table[g]]
-        ops[g] = np.linalg.solve(gram, embedding.T @ target).T
-    return ops
+    basis = embedding / np.linalg.norm(embedding, axis=0)
+    return np.swapaxes(basis[group.table], 1, 2) @ basis
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
