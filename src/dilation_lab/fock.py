@@ -488,9 +488,12 @@ class MajoranaFrame:
 
 
 def majorana_frame(rank: int) -> MajoranaFrame:
-    """MajoranaFrame over `rank` modes; its 4^rank products obey the dimension cap."""
-    if (1 << (2 * rank)) > config.dim_cap():
-        raise SizeError("second quantization superoperator exceeds dimension cap")
+    """MajoranaFrame over `rank` modes; its phase table, 4^rank products of
+    2^rank phases each, obeys the byte cap."""
+    table_bytes = np.dtype(complex).itemsize * 8 ** rank
+    if table_bytes > config.BYTE_CAP:
+        raise SizeError(f"Majorana frame over {rank} modes takes {table_bytes} bytes, "
+                        f"over the {config.BYTE_CAP} byte cap")
     flip, phase = _majorana_table(rank)
     even, odd, sign = _split_interleaved(rank)
     return MajoranaFrame(rank, flip, phase, (even << rank) | odd, sign)
@@ -544,11 +547,13 @@ def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
     Its columns are Gamma(t) of the matrix units, O(32^rank) in all.
     """
     tt = _checked_contraction(t, rep_in.rank, rep_out.rank, tol)
-    # each side of the doubled lift has 4^rank = dim^2 basis elements; the
-    # frames refuse a side over the dimension cap
+    n_in = rep_in.dim ** 2
+    super_bytes = np.dtype(complex).itemsize * rep_out.dim ** 2 * n_in
+    if super_bytes > config.BYTE_CAP:
+        raise SizeError(f"second quantization superoperator takes {super_bytes} bytes, "
+                        f"over the {config.BYTE_CAP} byte cap")
     frame_in, frame_out = majorana_frame(rep_in.rank), majorana_frame(rep_out.rank)
     lam = exterior_map(tt)
-    n_in = rep_in.dim ** 2
     super_op = np.empty((rep_out.dim ** 2, n_in), dtype=complex)
     # about CHUNK_BYTES per working array of the lift
     column_bytes = np.dtype(complex).itemsize * max(n_in, super_op.shape[0])
@@ -562,8 +567,8 @@ def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
 def second_quantize_action(frame_in: MajoranaFrame, frame_out: MajoranaFrame, t):
     """Gamma(t) of second_quantize as a map on stacks of matrices, shape
     (k, dim_in, dim_in) to (k, dim_out, dim_out), with no superoperator:
-    O(k 8^rank).  Same guards as second_quantize; the frames carry its
-    dimension cap.
+    O(k 8^rank).  The contraction is checked as in second_quantize; the
+    frames carry their own byte cap.
     """
     lam = exterior_map(_checked_contraction(t, frame_in.rank, frame_out.rank, config.TOL_NUM))
 

@@ -78,3 +78,24 @@ def test_every_shape_passes_the_gate_traced(bench, workload, tmp_path):
         tracer.uninstall()
     assert sorted(tracer.per_op()) == list(range(len(workloads.WORKLOADS[workload].shapes)))
 
+
+# Inputs of the benchmark's `defects` workload that failed their gate before
+# the fixes they name: seed 1, by shape and op index.
+DEFECT_OPS = [
+    # secondquant --window 3 dropped its rota_secondquant rows
+    ("m1-w3", 0),
+    # autocorrelation draws whose translation action lost orthogonality
+    ("s3", 0), ("s3", 13), ("s3", 23), ("s3", 33),
+]
+
+
+@pytest.mark.parametrize("key, index", DEFECT_OPS, ids=[f"{k}-{i}" for k, i in DEFECT_OPS])
+def test_defect_inputs_pass_the_gate(bench, key, index, tmp_path):
+    workloads, run = bench["workloads"], bench["run"]
+    shape = workloads.WORKLOADS["defects"].shape(key)
+    path = tmp_path / f"{key}.json"
+    workloads.write_input(str(path), 1, shape, index)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(shape.argv(str(path)))
+    assert run.gate(shape, code, out.getvalue()) == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dilation_lab import (GramSpace, PreconditionError, SchurSymbol, ShapeError,
                           SizeError, build_fermion_rep, build_gram_space,
-                          choi_matrix, exterior_map, interleave_double,
+                          choi_matrix, config, exterior_map, interleave_double,
                           second_quantize, verify_q_relation, wick_inverse)
 from dilation_lab.fock import (QWord, TruncatedQFock, creation_apply,
                                majorana_frame, q_gram, second_quantize_action)
@@ -433,11 +433,20 @@ def test_second_quantize_action_guards(monkeypatch):
         second_quantize_action(frames[2], frames[2], 1.2 * np.eye(2))
     with pytest.raises(ShapeError):
         second_quantize_action(frames[2], frames[2], np.eye(2))(np.eye(4))
-    # the same cap as the dense superoperator: 4^rank basis elements per side
-    monkeypatch.setenv("DILATION_LAB_DIM_CAP", "63")
+    # the frame's phase table takes 16 * 8^rank bytes, bounded by the byte cap
+    monkeypatch.setattr(config, "BYTE_CAP", 16 * 8 ** 3 - 1)
     with pytest.raises(SizeError):
         majorana_frame(3)
     majorana_frame(2)
+
+
+def test_second_quantize_guards_its_superoperator_by_bytes(monkeypatch):
+    # 16^rank complex entries: over the cap at rank 2, while both frames fit
+    rep = _standard_rep(2)
+    monkeypatch.setattr(config, "BYTE_CAP", 16 * 16 ** 2 - 1)
+    majorana_frame(2)
+    with pytest.raises(SizeError):
+        second_quantize(rep, rep, np.eye(2))
 
 
 def test_second_quantize_identity_is_exact_at_every_rank():
