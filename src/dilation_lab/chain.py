@@ -123,13 +123,16 @@ def _planned_bytes(n: int, leg: int, depth: int) -> int:
     return _ENTRY_BYTES * max((dim // leg) ** 4, seed * dim * dim, closure * dim * dim)
 
 
-def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int) -> ChainSpace:
-    require_symbol(symbol)
+def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int,
+                tol: float = config.TOL_NUM) -> ChainSpace:
+    """The chain of `depth` legs over a symbol that is unital and self-adjoint
+    within tol and PSD within TOL_PSD."""
+    require_symbol(symbol, tol)
     if state.dim != symbol.dim:
         raise ShapeError("state dimension does not match symbol")
     if depth < 1:
         raise PreconditionError("chain depth must be >= 1")
-    gram = build_gram_space(symbol)
+    gram = build_gram_space(symbol, tol)
     rep = build_fermion_rep(gram)
     if symbol.dim * rep.dim ** depth > config.dim_cap():
         raise SizeError(

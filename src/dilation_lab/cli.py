@@ -195,7 +195,7 @@ def run_rota(args) -> tuple[Checks, int]:
     if not 1 <= args.steps <= args.depth:
         raise DilationLabError(
             f"steps {args.steps} must lie in 1..depth ({args.depth})")
-    chain = build_chain(symbol, state, args.depth)
+    chain = build_chain(symbol, state, args.depth, tol=args.tol)
     checks = Checks()
     for n in range(args.depth + 1):
         for q in range(n, args.depth + 1):

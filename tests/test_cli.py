@@ -144,6 +144,14 @@ def test_full_rank_9x9_check_schur_is_refused_at_once():
     assert "cap" in err
 
 
+def test_rota_tolerance_reaches_the_chain_builder():
+    # the unit diagonal is off by 1e-8: within --tol 1e-6, outside TOL_NUM
+    payload = {"symbol": [[1.00000001, 0.5], [0.5, 1.0]], "weights": [0.5, 0.5]}
+    code, out, err = run_main("rota", payload, "--tol", "1e-6")
+    assert code in (0, 1), err
+    assert json.loads(out)["pass"] == (code == 0)
+
+
 def test_large_window_skips_oversized_fock_checks():
     result = run_cli("secondquant", "--window", "4")
     assert result.returncode == 0, result.stderr
