@@ -134,20 +134,13 @@ class Checks:
         return all(row["pass"] for row in self.rows)
 
 
-def _add_symmetry_rows(checks: Checks, name: str, bundle, centralizer: bool) -> None:
-    """Rows of the bundle's symmetry being self-adjoint, squaring to the
-    identity and, when asked, commuting with the ambient density.  Each is
-    read from the diagonal blocks: off them the symmetry and every product
-    here are exactly zero."""
-    blocks = bundle.blocks
+def _add_symmetry_rows(checks: Checks, name: str, blocks: np.ndarray) -> None:
+    """Rows of the symmetry with these diagonal blocks being self-adjoint and
+    squaring to the identity.  Each is read from the blocks: off them the
+    symmetry and its square are exactly zero."""
     checks.add(f"{name}_self_adjoint", max_abs(blocks - dagger(blocks)), config.TOL_EXACT)
     checks.add(f"{name}_squares_to_identity",
                max_abs(blocks @ blocks - np.eye(blocks.shape[-1])), config.TOL_EXACT)
-    if centralizer:
-        # block i of d D - D d, with the density's block D_i = diag(w[i])
-        w = bundle.ambient_state.weights.reshape(blocks.shape[:2])
-        checks.add(f"{name}_in_centralizer",
-                   max_abs(blocks * w[:, None, :] - w[:, :, None] * blocks), config.TOL_EXACT)
 
 
 def run_check_schur(args) -> tuple[Checks, int]:
@@ -172,7 +165,12 @@ def run_check_schur(args) -> tuple[Checks, int]:
         return checks, 1
 
     bundle = build_dilation(symbol, state, tol=args.tol)
-    _add_symmetry_rows(checks, "d", bundle, centralizer=True)
+    _add_symmetry_rows(checks, "d", bundle.blocks)
+    # block i of d D - D d, with the density's block D_i = diag(w[i])
+    w = bundle.ambient_state.weights.reshape(bundle.blocks.shape[:2])
+    checks.add("d_in_centralizer",
+               max_abs(bundle.blocks * w[:, None, :] - w[:, :, None] * bundle.blocks),
+               config.TOL_EXACT)
 
     checks.add("factorization",
                verify_factorization(bundle, symbol, state,
@@ -217,7 +215,7 @@ def run_fourier(args) -> tuple[Checks, int]:
         return checks, 1
 
     bundle = build_crossed_dilation(symbol, tol=args.tol)
-    _add_symmetry_rows(checks, "w", bundle, centralizer=False)
+    _add_symmetry_rows(checks, "w", bundle.blocks)
     for name, residual in verify_covariance(bundle).items():
         checks.add(name, residual, args.tol)
     checks.add("fourier_identity",

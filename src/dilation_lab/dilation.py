@@ -75,22 +75,23 @@ class DilationBundle:
         return complex(np.dot(self.ambient_state.weights, np.diagonal(x)))
 
 
-def _block_bundle(state: DiagonalState, fiber: DiagonalState, parts,
+def _block_bundle(state: DiagonalState, f: int, parts,
                   project: Callable[[np.ndarray], np.ndarray] | None = None,
                   kind: type[DilationBundle] = DilationBundle) -> DilationBundle:
     """The bundle of `kind` over M_n (x) M_f with the product state state (x) fiber.
 
-    parts() returns the (n, f, f) diagonal blocks of the symmetry d and the
-    other fields of `kind`.  The blocks alone hold n f^2 entries, so parts
-    runs only once the ambient dimension n f is within the dimension cap;
-    this is the one place where that dimension meets the cap.  Then
-    pi(x) = x (x) 1 and rho(x) = d pi(x) d, each of project(x) when a
-    projection onto the domain is given.
+    parts() returns the (n, f, f) diagonal blocks of the symmetry d, the
+    fiber state on M_f and the other fields of `kind`.  The fiber state alone
+    holds f entries and the blocks n f^2, so parts runs only once the ambient
+    dimension n f is within the dimension cap; this is the one place where
+    that dimension meets the cap.  Then pi(x) = x (x) 1 and
+    rho(x) = d pi(x) d, each of project(x) when a projection onto the domain
+    is given.
     """
-    n, f = state.dim, fiber.dim
+    n = state.dim
     if n * f > config.dim_cap():
         raise SizeError(f"ambient dimension {n * f} exceeds cap {config.dim_cap()}")
-    blocks, fields = parts()
+    blocks, fiber, fields = parts()
     eye_f = np.eye(f, dtype=complex)
     if project is None:
         def project(x: np.ndarray) -> np.ndarray:
@@ -113,13 +114,14 @@ def build_dilation(symbol: SchurSymbol, state: DiagonalState,
     if state.dim != symbol.dim:
         raise ShapeError("state dimension does not match symbol")
     gram = build_gram_space(symbol, tol)
+    f = 1 << gram.rank
 
     def parts():
         rep = build_fermion_rep(gram)
         blocks = np.stack([rep.generator_omega(i) for i in range(symbol.dim)])
-        return blocks, {"gram": gram, "rep": rep}
+        return blocks, DiagonalState.tracial(f), {"gram": gram, "rep": rep}
 
-    return _block_bundle(state, DiagonalState.tracial(1 << gram.rank), parts)
+    return _block_bundle(state, f, parts)
 
 
 def _random_pairs(n: int, samples: int, seed: int | None):
@@ -347,11 +349,14 @@ def convex_combination_dilation(bundles, weights) -> DilationBundle:
         if max_abs(b.input_state.weights - base_state.weights) > config.TOL_NUM:
             raise PreconditionError("bundles must share the input state")
 
-    # block i of the sum is the direct sum of the bundles' blocks i, so the
-    # ambient algebra is M_n (x) (F_1 + F_2 + ...) with the reweighted fibers
-    fiber = np.concatenate([wi * b.fiber_state.weights for wi, b in zip(w, bundles)])
-    return _block_bundle(base_state, DiagonalState(fiber), lambda: (
-        np.stack([direct_sum([b.blocks[i] for b in bundles]) for i in range(n)]), {}))
+    def parts():
+        # block i of the sum is the direct sum of the bundles' blocks i, so the
+        # ambient algebra is M_n (x) (F_1 + F_2 + ...) with the reweighted fibers
+        blocks = np.stack([direct_sum([b.blocks[i] for b in bundles]) for i in range(n)])
+        fiber = np.concatenate([wi * b.fiber_state.weights for wi, b in zip(w, bundles)])
+        return blocks, DiagonalState(fiber), {}
+
+    return _block_bundle(base_state, sum(b.fiber_state.dim for b in bundles), parts)
 
 
 def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,

@@ -238,21 +238,21 @@ def build_crossed_dilation(symbol: FourierSymbol,
     group = symbol.group
     space = build_gram_space(gram, tol)
     lam = build_group_algebra(group)
+    f = 1 << space.rank
 
     def parts():
         rep = build_fermion_rep(space)
         actions = _translation_action(space.embedding, group)
         rotations = np.stack([exterior_map(a) for a in actions])
         blocks = _covariant_blocks(group, rotations, rep.omega(space.embedding[group.identity]))
-        return blocks, {"gram": space, "rep": rep, "domain_basis": tuple(lam), "symbol": symbol,
+        return blocks, DiagonalState.tracial(f), {"gram": space, "rep": rep, "domain_basis": tuple(lam), "symbol": symbol,
                         "lam": lam, "actions": actions, "rotations": rotations}
 
     def project(x: np.ndarray) -> np.ndarray:
         # span membership is judged at TOL_NUM: tol bounds the coefficients only
         return np.tensordot(_coefficients(group, x, lam, config.TOL_NUM), lam, axes=1)
 
-    return _block_bundle(DiagonalState.tracial(group.order), DiagonalState.tracial(1 << space.rank),
-                         parts, project, CrossedBundle)
+    return _block_bundle(DiagonalState.tracial(group.order), f, parts, project, CrossedBundle)
 
 
 def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,

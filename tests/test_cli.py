@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -142,6 +143,32 @@ def test_full_rank_9x9_check_schur_is_refused_at_once():
     assert code == 2
     assert out == ""
     assert "cap" in err
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_full_rank_30x30_check_schur_is_refused_before_any_fiber_array():
+    # the symbol and Markov rows stay small (a 900 x 900 Choi matrix), but
+    # the fiber of a rank-30 Gram space has 2^30 entries: the cap must refuse
+    # it before its state is formed, so the run fits a 1 GiB address space
+    gen = rng(5)
+    payload = {"symbol": random_unital_psd_symbol(gen, 30).tolist(),
+               "weights": random_weights(gen, 30).tolist()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "dilation_lab", "check-schur", path],
+                                capture_output=True, text=True,
+                                preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 10.0
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "cap" in result.stderr
 
 
 def test_rota_tolerance_reaches_the_chain_builder():

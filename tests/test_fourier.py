@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ def test_crossed_dilation_respects_dimension_cap(monkeypatch):
     t = random_posdef_symbol(symmetric_group(3), rng(8))
     with pytest.raises(SizeError):
         build_crossed_dilation(t)
+
+
+def test_oversized_crossed_dilation_is_refused_before_its_fiber_state():
+    # ambient dimension 24 * 2^24 is over the cap; the 2^24 fiber weights
+    # alone would take 134 MB
+    t = random_posdef_symbol(cyclic_group(24), rng(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            build_crossed_dilation(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24
 
 
 def test_projection_checks_the_span_at_the_numerical_tolerance():
