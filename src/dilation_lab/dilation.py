@@ -23,8 +23,8 @@ import numpy as np
 from . import config
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import FermionRep, build_fermion_rep
-from .matcore import (as_square, block_conjugate, dagger, direct_sum, matrix_units, max_abs,
-                      random_complex, rng)
+from .matcore import (as_square, block_conjugate, dagger, direct_sum, matrix_unit, matrix_units,
+                      max_abs, random_complex, rng)
 from .schur import GramSpace, SchurSymbol, apply_multiplier, build_gram_space, require_symbol
 from .states import DiagonalState
 
@@ -129,6 +129,38 @@ def _random_pairs(n: int, samples: int, seed: int | None):
     return [(random_complex(gen, n), random_complex(gen, n)) for _ in range(samples)]
 
 
+def _unit_blocks(n: int, mor):
+    """Index sets and compact blocks of the unit images, when they fit one pattern.
+
+    Calls mor once per matrix unit and keeps of each image only its block on
+    its nonzero rows and columns, read with an exact != 0, so no ambient
+    image outlives its own step.  When every mor(e_ij) lives on S_i x S_j for
+    disjoint index sets S_i of one size s, returns idx, the (n, s) array
+    listing each S_i, and the (n, n, s, s) blocks of mor(e_ij) on S_i x S_j.
+    Otherwise None, at the first image whose support is not s x s.
+    """
+    rows, cols, blocks = [], [], None
+    for i in range(n):
+        for j in range(n):
+            image = mor(matrix_unit(n, i, j))
+            nonzero = image != 0
+            r, c = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+            if blocks is None:
+                blocks = np.empty((n, n, len(r), len(r)), dtype=complex)
+            if not len(r) == len(c) == blocks.shape[-1]:
+                return None
+            blocks[i, j] = image[np.ix_(r, c)]
+            rows.append(r)
+            cols.append(c)
+    s = blocks.shape[-1]
+    rows, cols = np.array(rows).reshape(n, n, s), np.array(cols).reshape(n, n, s)
+    sets = rows[:, 0]  # S_i: the rows of mor(e_i0)
+    if not (np.all(rows == sets[:, None]) and np.all(cols == sets[None])
+            and np.unique(sets).size == n * s):
+        return None
+    return sets, blocks
+
+
 def _image_pairings(state: DiagonalState, left, right, xs: np.ndarray) -> np.ndarray:
     """Table of phi~(left(x) right(y)) over all x, y in xs.
 
@@ -149,10 +181,32 @@ def _image_pairings(state: DiagonalState, left, right, xs: np.ndarray) -> np.nda
 def _pairing_residual(bundle: DilationBundle, state: DiagonalState, symbol: SchurSymbol,
                       left, right, pairs) -> float:
     """Largest |phi(M(x) y) - phi~(left(x) right(y))| over every pair of
-    matrix units and the given pairs, M the multiplier of `symbol`."""
-    units = matrix_units(bundle.input_dim)
-    lhs = state.pairing_table(symbol.matrix * units, units)
-    worst = max_abs(lhs - _image_pairings(bundle.ambient_state, left, right, units))
+    matrix units and the given pairs, M the multiplier of `symbol`.
+
+    phi(M(e_ij) e_kl) is t_ij w_i when (k, l) = (j, i) and 0 otherwise.  When
+    the unit images of both legs fit one block pattern on the same index
+    sets (see _unit_blocks), left(e_ij) right(e_kl) lives on S_i x S_l and
+    has inner indices only when j = k, so its diagonal is exactly zero
+    unless (k, l) = (j, i).  Then only those n^2 entries are formed, entry
+    (i, j) as sum_a w~[a] (L_ij R_ji)_aa over a in S_i from the s x s blocks,
+    and the other entries are exactly 0 on both sides.  Otherwise the whole
+    n^2 x n^2 table of images goes through _image_pairings.  The random
+    pairs are always paired densely.
+    """
+    n = bundle.input_dim
+    lefts = _unit_blocks(n, left)
+    rights = None if lefts is None else _unit_blocks(n, right)
+    if rights is not None and np.array_equal(lefts[0], rights[0]):
+        idx, s = lefts[0], lefts[0].shape[1]
+        weighted = lefts[1] * bundle.ambient_state.weights[idx][:, None, :, None]
+        # R_ji transposed, so that each trace is one dot of two flattened blocks
+        transposed = np.swapaxes(np.swapaxes(rights[1], 0, 1), -1, -2)
+        traces = weighted.reshape(n * n, 1, s * s) @ transposed.reshape(n * n, s * s, 1)
+        worst = max_abs(symbol.matrix * state.weights[:, None] - traces.reshape(n, n))
+    else:
+        units = matrix_units(n)
+        lhs = state.pairing_table(symbol.matrix * units, units)
+        worst = max_abs(lhs - _image_pairings(bundle.ambient_state, left, right, units))
     for x, y in pairs:
         lhs = state(apply_multiplier(symbol, x) @ y)
         worst = max(worst, abs(lhs - bundle.ambient_state.pairing(left(x), right(y))))
@@ -163,7 +217,12 @@ def verify_factorization(bundle: DilationBundle, symbol: SchurSymbol,
                          state: DiagonalState, samples: int = 20,
                          seed: int | None = None) -> float:
     """Largest residual of phi(M_t(x) y) = phi~(pi(x) rho(y)) over all
-    matrix-unit pairs and seeded random pairs."""
+    matrix-unit pairs and seeded random pairs.
+
+    The unit pairs are read from one compact block per unit image (see
+    _pairing_residual): n^2 calls of each leg and n^2 traces of s x s block
+    products, instead of n^4 pairings of ambient images.
+    """
     if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
         raise ShapeError("verify_factorization dimension mismatch")
     pairs = _random_pairs(bundle.input_dim, samples, seed)
@@ -187,42 +246,46 @@ def _product_residual(images, rows, cols, a: int, b: int, target) -> float:
                max_abs(target_rows[:, ~cols[b]]))
 
 
-def _unit_blocks(n: int, images, rows, cols):
-    """Index sets and compact blocks of the unit images, when they fit one pattern.
+def _block_unit_residuals(bundle: DilationBundle, mor, pattern, flows) -> tuple[float, ...]:
+    """Star, state-preserving, modular and multiplicative residuals of mor on
+    the matrix units, read from their compact blocks (see _unit_blocks).
 
-    images[i n + j] is mor(e_ij); rows and cols mark its nonzero rows and
-    columns.  When every mor(e_ij) lives on S_i x S_j for disjoint index sets
-    S_i of one size s, returns idx, the (n, s) array listing each S_i, and
-    the (n, n, s, s) blocks of mor(e_ij) on S_i x S_j.  Otherwise None.
+    Off S_i x S_j, mor(e_ij) and everything it is compared with are exactly
+    zero, so each residual is its dense value:
+    - star: block_ji against block_ij^*;
+    - state-preserving: phi~(mor(e_ij)) sums the diagonal of S_i x S_j,
+      which is empty unless i = j, against phi(e_ij) = delta_ij w_i;
+    - modular: the phase (w_i / w_j)^{-it} of sigma_t(e_ij) against the
+      ambient phases on S_i x S_j, for the (input, ambient) phases of flows;
+    - multiplicative: block_ij block_jl against block_il for every i, j, l,
+      one batched matmul per i, and mor(0) against 0.  A pair e_ij e_kl with
+      j != k shares no inner index, so its product is exactly zero.
     """
-    dim = images.shape[-1]
-    sets = rows[::n]  # S_i: the rows of mor(e_i0)
-    sizes = sets.sum(axis=1)
-    if not (np.all(rows.reshape(n, n, dim) == sets[:, None])
-            and np.all(cols.reshape(n, n, dim) == sets)
-            and np.all(sizes == sizes[0]) and sets.sum(axis=0).max() <= 1):
-        return None
-    idx = np.nonzero(sets)[1].reshape(n, -1)
-    at = np.arange(n)
-    blocks = images.reshape(n, n, dim, dim)[at[:, None, None, None], at[None, :, None, None],
-                                            idx[:, None, :, None], idx[None, :, None, :]]
-    return idx, blocks
+    idx, blocks = pattern
+    n = len(idx)
+    star = max_abs(np.swapaxes(blocks, 0, 1) - dagger(blocks))
+    weights = bundle.ambient_state.weights[idx]
+    preserve = max(abs(bundle.input_state.weights[i]
+                       - complex(np.dot(weights[i], np.diagonal(blocks[i, i]))))
+                   for i in range(n))
+    modular = 0.0
+    for phases, ambient in flows:
+        on_blocks = ambient[idx[:, None, :, None], idx[None, :, None, :]]
+        modular = max(modular, max_abs((on_blocks - phases[:, :, None, None]) * blocks))
+    mult = max_abs(mor(np.zeros((n, n), dtype=complex)))
+    for i in range(n):
+        mult = max(mult, max_abs(blocks[i][:, None] @ blocks - blocks[i]))
+    return star, preserve, modular, mult
 
 
-def _unit_product_residual(n: int, mor, images, rows, cols, pattern) -> float:
+def _unit_product_residual(n: int, mor, images, rows, cols) -> float:
     """max |mor(e_ij) mor(e_kl) - delta_jk mor(e_il)| over all ordered unit pairs.
 
-    images[i n + j] is mor(e_ij); rows and cols mark its nonzero rows and
-    columns, and pattern is their _unit_blocks.  With a pattern, the n^3
-    products with j = k are one batched matmul of the compact blocks, and a
-    pair with j != k shares no inner index, so its product is exactly zero
-    against mor(0).  Without one, each pair is taken on its own support.
+    images[i n + j] is mor(e_ij), and rows and cols mark its nonzero rows
+    and columns.  This is the route for unit images that fit no block
+    pattern: each pair is taken on its own support.
     """
     zero = mor(np.zeros((n, n), dtype=complex))
-    if pattern is not None:
-        blocks = pattern[1]
-        # block_ij block_jl against block_il, for every i, j, l
-        return max(max_abs(blocks[:, :, None] @ blocks[None] - blocks[:, None]), max_abs(zero))
     worst = 0.0
     for a in range(n * n):
         for b in range(n * n):
@@ -235,23 +298,96 @@ def _unit_product_residual(n: int, mor, images, rows, cols, pattern) -> float:
 def _unit_sample_residual(n: int, images, rows, cols, pattern, b: int, y) -> float:
     """max |mor(e_ij) mor(y) - sum_l y_jl mor(e_il)| over all units e_ij.
 
-    images[b] is mor(y) and images[i n + j] is mor(e_ij); the target is
-    mor(e_ij y) by linearity, read from the unit images.  With a pattern (see
-    _unit_blocks), mor(e_ij) mor(y) is block_ij times rows S_j of mor(y), and
-    the target is y_jl block_il in columns S_l, both on rows S_i: all n^2
-    products are one batched matmul, and outside rows S_i both sides are
-    exactly zero.  Without one, each unit is taken on its own support.
+    images[b] is mor(y); the target is mor(e_ij y) by linearity, read from
+    the unit images.  With a pattern (see _unit_blocks), mor(e_ij) mor(y) is
+    block_ij times rows S_j of mor(y), and the target is y_jl block_il in
+    columns S_l, both on rows S_i: the n products of one row block i are one
+    batched matmul, and outside rows S_i both sides are exactly zero.  The
+    columns of mor(y) are taken in the order S_0, ..., S_{n-1} and then any
+    others, where the target is zero.  Without a pattern, images[i n + j]
+    is mor(e_ij), rows and cols mark the nonzero rows and columns of every
+    image, and each unit is taken on its own support.
     """
     if pattern is None:
         return max(_product_residual(images, rows, cols, i * n + j, b,
                                      np.tensordot(y[j], images[i * n : (i + 1) * n], axes=1))
                    for i in range(n) for j in range(n))
     idx, blocks = pattern
-    products = blocks @ images[b][idx]
-    targets = np.zeros_like(products)
-    targets[..., idx.reshape(-1)] = np.einsum("jl,ilab->ijalb", y, blocks).reshape(
-        products.shape[:3] + (-1,))
-    return max_abs(products - targets)
+    s = idx.shape[1]
+    order = np.concatenate([idx.reshape(-1), np.setdiff1d(np.arange(images.shape[-1]), idx)])
+    y_rows = images[b][idx][:, :, order]
+    worst = 0.0
+    for i in range(n):
+        defect = blocks[i] @ y_rows
+        # entry (j, a, l, c) of the target is y_jl block_il[a, c]
+        defect[..., : n * s] -= (y[:, None, :, None] * np.swapaxes(blocks[i], 0, 1)).reshape(
+            n, s, n * s)
+        worst = max(worst, max_abs(defect))
+    return worst
+
+
+def _stack_residuals(bundle: DilationBundle, mor, xs, images, units: int, flows,
+                     a: int) -> tuple[float, float, float]:
+    """Star, state-preserving and modular residuals of mor on xs[a], whose
+    image is images[a].
+
+    The first `units` entries of xs are the matrix units in row-major order:
+    the star row on e_ij reuses the image of e_ji, and the modular row on
+    e_ij compares with the phase of sigma_t(e_ij) = (w_i / w_j)^{-it} e_ij
+    times its image.  Any other entry calls mor on its adjoint and on its
+    modular images.
+    """
+    n, x, mx = bundle.input_dim, xs[a], images[a]
+    # e_ij^* = e_ji sits at index (a % n) n + a // n
+    adjoint = images[(a % n) * n + a // n] if a < units else mor(dagger(x))
+    modular = 0.0
+    for phases, ambient in flows:
+        if a < units:
+            defect = (ambient - phases[divmod(a, n)]) * mx
+        else:
+            defect = ambient * mx - mor(phases * x)
+        modular = max(modular, max_abs(defect))
+    return (max_abs(adjoint - dagger(mx)),
+            abs(bundle.input_state(x) - bundle.ambient_phi(mx)), modular)
+
+
+def _leg_residuals(bundle: DilationBundle, mor, basis: list, draws: list,
+                   flows) -> dict[str, float]:
+    """The residuals of verify_morphism_markov for one leg mor, keyed by property.
+
+    basis holds the matrix units (or the domain basis) and draws the random
+    elements; flows pairs the input and ambient phases of each sampled t.
+    The arrays of one leg are released before the other leg's are formed.
+    """
+    n, dim = bundle.input_dim, bundle.ambient_dim
+    pattern = None if bundle.domain_basis is not None else _unit_blocks(n, mor)
+    xs = draws if pattern is not None else basis + draws
+    # the leading unit images of the dense stack, on the route without a pattern
+    units = n * n if pattern is None and bundle.domain_basis is None else 0
+    images = np.empty((len(xs), dim, dim), dtype=complex)
+    for a, x in enumerate(xs):
+        images[a] = mor(x)
+    nonzero = images != 0
+    rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
+    unital = max_abs(mor(np.eye(n, dtype=complex)) - np.eye(dim))
+    star = preserve = modular = mult = 0.0
+    if pattern is not None:
+        star, preserve, modular, mult = _block_unit_residuals(bundle, mor, pattern, flows)
+    for a in range(len(xs)):
+        row = _stack_residuals(bundle, mor, xs, images, units, flows, a)
+        star, preserve, modular = max(star, row[0]), max(preserve, row[1]), max(modular, row[2])
+    if pattern is not None:
+        for b, y in enumerate(xs):
+            mult = max(mult, _unit_sample_residual(n, images, rows, cols, pattern, b, y))
+    elif units:
+        mult = _unit_product_residual(n, mor, images[:units], rows[:units], cols[:units])
+        for b in range(units, len(xs)):
+            mult = max(mult, _unit_sample_residual(n, images, rows, cols, None, b, xs[b]))
+    for a in range(units, len(xs)):
+        for b in range(a, len(xs)):
+            mult = max(mult, _product_residual(images, rows, cols, a, b, mor(xs[a] @ xs[b])))
+    return {"unital": unital, "multiplicative": mult, "star": star,
+            "state_preserving": preserve, "modular": modular}
 
 
 def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
@@ -264,68 +400,37 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
     sampled at config.T_SAMPLES.
 
     The inputs are the matrix units (or the domain basis) and seeded random
-    elements.  Every product of two images is formed only on its support,
-    read from the images.  The targets of unit products follow from
+    elements.  When the unit images of a leg fit one block pattern (see
+    _unit_blocks), every unit row is read from their compact blocks
+    (_block_unit_residuals), the unit x sample products from the blocks and
+    the sample images (_unit_sample_residual), and the dense stack holds
+    only the sample images.  Otherwise the unit images join that stack and
+    every product of two images is formed only on its support, read from
+    the images: the targets of unit products follow from
     e_ij e_kl = delta_jk e_il and those of unit x sample products from
-    e_ij y = sum_l y_jl e_il, both read from the unit images (see
-    _unit_product_residual and _unit_sample_residual); the star row on e_ij
-    reuses the image of e_ji, and the modular row on e_ij compares with the
-    phase of sigma_t(e_ij) = (w_i / w_j)^{-it} e_ij times its image.  So a
-    unit calls neither pi nor rho beyond its own image.  Products of two
-    random elements, their adjoints and their modular images go through the
-    morphism.
+    e_ij y = sum_l y_jl e_il, the star row on e_ij reuses the image of e_ji,
+    and the modular row on e_ij compares with the phase of
+    sigma_t(e_ij) = (w_i / w_j)^{-it} e_ij times its image.  So a unit calls
+    neither pi nor rho beyond its own image on either route.  Products of
+    two random elements, their adjoints and their modular images go through
+    the morphism.
     """
     n = bundle.input_dim
-    eye_n = np.eye(n, dtype=complex)
     gen = rng(seed)
     if bundle.domain_basis is None:
-        units = n * n
-        xs = list(matrix_units(n))
-        xs += [random_complex(gen, n) for _ in range(samples)]
+        basis = list(matrix_units(n))
+        draws = [random_complex(gen, n) for _ in range(samples)]
     else:
-        units = 0
-        basis = np.stack(bundle.domain_basis)
-        xs = list(basis)
-        coeffs = random_complex(gen, samples, basis.shape[0])
-        xs += list(np.tensordot(coeffs, basis, axes=1))
-
+        stacked = np.stack(bundle.domain_basis)
+        basis = list(stacked)
+        coeffs = random_complex(gen, samples, stacked.shape[0])
+        draws = list(np.tensordot(coeffs, stacked, axes=1))
     # sigma_t on either algebra is entrywise multiplication by these phases
     flows = [(bundle.input_state.modular_phases(t), bundle.ambient_state.modular_phases(t))
              for t in config.T_SAMPLES]
-    out = {}
-    for name, mor in (("pi", bundle.pi), ("rho", bundle.rho)):
-        images = np.stack([mor(x) for x in xs])
-        nonzero = images != 0
-        rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
-        unital = max_abs(mor(eye_n) - np.eye(bundle.ambient_dim))
-        star = preserve = modular = 0.0
-        for a, (x, mx) in enumerate(zip(xs, images)):
-            # e_ij^* = e_ji sits at index (a % n) n + a // n
-            adjoint = images[(a % n) * n + a // n] if a < units else mor(dagger(x))
-            star = max(star, max_abs(adjoint - dagger(mx)))
-            preserve = max(preserve, abs(bundle.input_state(x) - bundle.ambient_phi(mx)))
-            for phases, ambient in flows:
-                if a < units:
-                    defect = (ambient - phases[divmod(a, n)]) * mx
-                else:
-                    defect = ambient * mx - mor(phases * x)
-                modular = max(modular, max_abs(defect))
-        mult = 0.0
-        if units:
-            pattern = _unit_blocks(n, images[:units], rows[:units], cols[:units])
-            mult = _unit_product_residual(n, mor, images[:units], rows[:units],
-                                          cols[:units], pattern)
-            for b in range(units, len(xs)):
-                mult = max(mult, _unit_sample_residual(n, images, rows, cols, pattern,
-                                                       b, xs[b]))
-        for a in range(units, len(xs)):
-            for b in range(a, len(xs)):
-                mult = max(mult, _product_residual(images, rows, cols, a, b,
-                                                   mor(xs[a] @ xs[b])))
-        out.update({f"{name}_unital": unital, f"{name}_multiplicative": mult,
-                    f"{name}_star": star, f"{name}_state_preserving": preserve,
-                    f"{name}_modular": modular})
-    return out
+    return {f"{name}_{key}": residual
+            for name, mor in (("pi", bundle.pi), ("rho", bundle.rho))
+            for key, residual in _leg_residuals(bundle, mor, basis, draws, flows).items()}
 
 
 def convex_combination_dilation(bundles, weights) -> DilationBundle:
@@ -363,7 +468,12 @@ def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,
                     state: DiagonalState, samples: int = 20,
                     seed: int | None = None) -> float:
     """Largest residual of phi(adj(y) x) = phi~(rho(y) pi(x)), where adj is the
-    bilinear adjoint of the multiplier (transposed symbol)."""
+    bilinear adjoint of the multiplier (transposed symbol).
+
+    Matrix-unit pairs and seeded random pairs are taken as in
+    verify_factorization, with the legs swapped: the unit pairs from one
+    compact block per unit image (see _pairing_residual).
+    """
     if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
         raise ShapeError("star_swap_check dimension mismatch")
     pairs = [(y, x) for x, y in _random_pairs(bundle.input_dim, samples, seed)]

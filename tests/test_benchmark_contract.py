@@ -99,3 +99,22 @@ def test_defect_inputs_pass_the_gate(bench, key, index, tmp_path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(shape.argv(str(path)))
     assert run.gate(shape, code, out.getvalue()) == []
+
+
+# A benchmark run exits 1 when any of its ops fails the gate, and a faster
+# program reaches op indices the slower one never drew.  So the first ops of
+# every `multipliers` shape run here at two seeds, before any benchmark does.
+SWEEP_SEEDS = (1234, 77)
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_first_multipliers_ops_pass_the_gate(bench, seed, tmp_path):
+    workloads, run = bench["workloads"], bench["run"]
+    for shape in workloads.WORKLOADS["multipliers"].shapes:
+        for index in range(3):
+            path = tmp_path / f"{shape.key}-{index}.json"
+            workloads.write_input(str(path), seed, shape, index)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(shape.argv(str(path)))
+            assert run.gate(shape, code, out.getvalue()) == [], (shape.key, index)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol, build_dilation,
-                          cli, config, markov_residuals, multiplier_map)
+                          cli, config, cyclic_group, markov_residuals, multiplier_map,
+                          symmetric_group)
 from dilation_lab.matcore import random_unital_psd_symbol, random_weights, rng
 
 COMMANDS = ["check-schur", "rota", "fourier", "secondquant"]
@@ -185,6 +187,11 @@ def test_large_window_skips_oversized_fock_checks():
     names = [c["name"] for c in json.loads(result.stdout)["checks"]]
     assert not any(name.startswith("rota_secondquant") for name in names)
     assert any(name.startswith("ppnp") for name in names)
+    # the report names what it left out, and why, on stderr
+    notes = [line for line in result.stderr.splitlines() if line.startswith("skipped")]
+    assert len(notes) == 1
+    assert notes[0].startswith("skipped rota_secondquant_1, rota_secondquant_2: ")
+    assert "cap" in notes[0]
 
 
 def _no_constant(name):
@@ -604,3 +611,70 @@ def test_fixture_stdout_matches_golden(command):
         code = cli.main([command])
     assert code == 0, err.getvalue()
     assert out.getvalue() == _golden(f"{command}-fixture.json")
+
+
+# ---------------------------------------------------------------------------
+# metamorphic checks across subcommands
+
+
+def _real_characters(spec):
+    """The group of a spec and its normalized real characters, one row each.
+
+    Each row is positive definite with value 1 at the identity: cos(2 pi k g / m)
+    for k = 0..m // 2 on cyclic:m, and the trivial, sign and standard (halved)
+    characters on s3, in the element order of the CLI's groups.
+    """
+    if spec == "s3":
+        perms = list(itertools.permutations(range(3)))
+        sign = [np.linalg.det(np.eye(3)[list(p)]) for p in perms]
+        fixed = [sum(p[i] == i for i in range(3)) for p in perms]
+        return symmetric_group(3), np.array([np.ones(6), sign, (np.array(fixed) - 1) / 2])
+    m = int(spec.split(":")[1])
+    g = np.arange(m)
+    return cyclic_group(m), np.array([np.cos(2 * np.pi * k * g / m) for k in range(m // 2 + 1)])
+
+
+@settings(max_examples=4, deadline=None)
+@pytest.mark.parametrize("spec", ["cyclic:3", "cyclic:4", "cyclic:5", "s3"])
+@given(data=st.data())
+def test_transference_schur_and_fourier_verdicts_agree(spec, data):
+    # Bozejko-Fendler: the Schur multiplier of t(g h^-1) on M_|G| and the
+    # Fourier multiplier of t on L(G) are Markov together.  t mixes one or two
+    # components; a negative one makes t not positive definite.
+    group, chars = _real_characters(spec)
+    picked = data.draw(st.lists(st.integers(0, len(chars) - 1), min_size=1, max_size=2,
+                                unique=True))
+    definite = len(picked) == 1 or data.draw(st.booleans())
+    first = data.draw(st.floats(0.1, 1.0))
+    coeffs = [first]
+    if len(picked) == 2:
+        second = data.draw(st.floats(0.1, 0.9))
+        coeffs.append(second if definite else -second * first)
+    t = np.array(coeffs) @ chars[picked] / sum(coeffs)
+    symbol = t[group.table[:, group.inverse]]
+    uniform = np.full(group.order, 1.0 / group.order)
+    schur_code, schur = run_in_process("check-schur", {"symbol": symbol.tolist(),
+                                                       "weights": uniform.tolist()})
+    fourier_code, fourier = run_in_process("fourier", {"group": spec, "t": t.tolist()})
+    assert schur_code == fourier_code == (0 if definite else 1)
+    assert schur["pass"] == fourier["pass"] == definite
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_check_schur_is_invariant_under_relabelling(n, data):
+    # permuting the symbol and its weights together relabels the basis of M_n
+    gen = rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    t = random_unital_psd_symbol(gen, n, data.draw(st.integers(1, n)))
+    if n > 2 and data.draw(st.booleans()):
+        t[0, 1] = t[1, 0] = -t[0, 1]  # often no longer PSD
+    w = random_weights(gen, n)
+    perm = data.draw(st.permutations(range(n)))
+    code, report = run_in_process("check-schur", {"symbol": t.tolist(), "weights": w.tolist()})
+    moved_code, moved = run_in_process("check-schur", {"symbol": t[np.ix_(perm, perm)].tolist(),
+                                                       "weights": w[perm].tolist()})
+    assert moved_code == code
+    assert [(r["name"], r["pass"]) for r in moved["checks"]] == \
+        [(r["name"], r["pass"]) for r in report["checks"]]
+    for row, moved_row in zip(report["checks"], moved["checks"]):
+        assert abs(row["residual"] - moved_row["residual"]) <= 1e-13, row["name"]

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,13 +223,58 @@ def test_pairing_residuals_match_dense_products():
         assert abs(swap - dense) <= 1e-13
 
 
+def test_unit_pairings_match_dense_products_on_other_bundles():
+    # unit images on non-contiguous index sets, on no block pattern, on
+    # non-symmetric blocks in both legs, and legs whose patterns sit on
+    # different index sets; no random pairs, whose residuals would hide the
+    # unit table's
+    tracial = DiagonalState.tracial(3)
+    permuted = _permuted_bundle()
+    mixed_legs = dataclasses.replace(build_dilation(SchurSymbol(T3), tracial), rho=permuted.rho)
+    skewed = _skewed_bundle()
+    for bundle, state in ((permuted, tracial), (_rotated_bundle(), STATE3),
+                          (dataclasses.replace(skewed, pi=skewed.rho), STATE3),
+                          (mixed_legs, tracial)):
+        fact = verify_factorization(bundle, SchurSymbol(T3), state, samples=0)
+        dense = _dense_pairing_residual(bundle, state, SchurSymbol(T3), bundle.pi, bundle.rho,
+                                        0, 9, swap=False)
+        assert abs(fact - dense) <= 1e-13
+        swap = star_swap_check(bundle, SchurSymbol(T3), state, samples=0)
+        dense = _dense_pairing_residual(bundle, state, SchurSymbol(T3), bundle.rho, bundle.pi,
+                                        0, 9, swap=True)
+        assert abs(swap - dense) <= 1e-13
+
+
 def test_image_pairings_in_chunks_match_one_stack(monkeypatch):
-    bundle = build_dilation(SchurSymbol(T3), STATE3)
+    # unit images that fit no block pattern take the route through the table
+    bundle = _rotated_bundle()
+    assert dilation_module._unit_blocks(3, bundle.pi) is None
     whole = verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=3, seed=2)
     # two images per chunk: every unit image is formed once per chunk of the other side
     monkeypatch.setattr(config, "CHUNK_BYTES", 2 * 16 * bundle.ambient_dim ** 2)
     chunked = verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=3, seed=2)
     assert abs(chunked - whole) <= 1e-15
+
+
+def test_full_rank_6x6_checks_hold_few_ambient_images():
+    # each unit image is cut to its block as it is made, so neither check
+    # holds a stack of the n^2 = 36 ambient unit images
+    symbol = SchurSymbol(random_unital_psd_symbol(rng(3), 6))
+    state = DiagonalState(random_weights(rng(4), 6))
+    bundle = build_dilation(symbol, state)
+    image_bytes = 16 * bundle.ambient_dim ** 2
+    checks = {"morphism": lambda: max(verify_morphism_markov(bundle, samples=2, seed=1).values()),
+              "factorization": lambda: verify_factorization(bundle, symbol, state,
+                                                            samples=2, seed=1)}
+    for name, check in checks.items():
+        tracemalloc.start()
+        try:
+            residual = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-10, name
+        assert peak < 16 * image_bytes, name
 
 
 def test_perturbed_rho_block_fails_the_checks():
@@ -326,6 +372,35 @@ def _rotated_bundle():
                                rho=lambda x: u @ bundle.rho(x) @ u.T)
 
 
+def _partial_bundle():
+    # pi(x) = x (x) P for the projector P onto fiber index 1, plus x_00 x_11
+    # in entry (f + 1, 0): the unit images fit a block pattern on the index
+    # sets {i f + 1}, which leave column 0 uncovered, and the quadratic term,
+    # zero on every unit, puts the sample images there
+    bundle = build_dilation(SchurSymbol(T3), STATE3)
+    f = bundle.rep.dim
+    p = np.diag(np.arange(f) == 1).astype(float)
+
+    def pi(x):
+        x = np.asarray(x, dtype=complex)
+        out = np.kron(x, p)
+        out[f + 1, 0] += x[0, 0] * x[1, 1]
+        return out
+
+    return dataclasses.replace(bundle, pi=pi)
+
+
+def _skewed_bundle():
+    # rho over blocks whose block 1 is w_1 R for a rotation R: unitary but
+    # not self-adjoint, so rho(e_01)^* = R^T w_1 w_0 is not rho(e_10) = w_1 R w_0
+    bundle = build_dilation(SchurSymbol(T3), STATE3)
+    blocks = bundle.blocks.copy()
+    rotation = np.eye(bundle.rep.dim)
+    rotation[:2, :2] = [[0.8, -0.6], [0.6, 0.8]]
+    blocks[1] = blocks[1] @ rotation
+    return dataclasses.replace(bundle, rho=lambda x: block_conjugate(blocks, np.asarray(x)))
+
+
 def test_morphism_reports_match_dense_products_on_other_bundles():
     mixed = _convex_bundle()
     assert mixed.ambient_dim == 8 * 3 + 2 * 3
@@ -335,6 +410,16 @@ def test_morphism_reports_match_dense_products_on_other_bundles():
     for group in (cyclic_group(3), symmetric_group(3)):
         bundle = build_crossed_dilation(random_posdef_symbol(group, rng(5)))
         _assert_morphism_reports_match(bundle, samples=2, seed=5)
+
+
+def test_morphism_reports_match_dense_products_on_block_patterns_of_other_shapes():
+    partial = _partial_bundle()
+    assert dilation_module._unit_blocks(3, partial.pi)[0].shape == (3, 1)
+    _assert_morphism_reports_match(partial, samples=3, seed=5)
+    # no random samples: the unit rows alone must match the dense ones
+    skewed = _skewed_bundle()
+    assert verify_morphism_markov(skewed, samples=0)["rho_star"] > 0.1
+    _assert_morphism_reports_match(skewed, samples=0, seed=5)
 
 
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
@@ -379,7 +464,7 @@ def _unit_sample_routes(bundle, samples, seed):
         images = np.stack([mor(x) for x in xs])
         nonzero = images != 0
         rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
-        pattern = dilation_module._unit_blocks(n, images[:n * n], rows[:n * n], cols[:n * n])
+        pattern = dilation_module._unit_blocks(n, mor)
         assert pattern is not None
         for b in range(n * n, len(xs)):
             batched = dilation_module._unit_sample_residual(n, images, rows, cols, pattern,
@@ -391,8 +476,8 @@ def _unit_sample_routes(bundle, samples, seed):
 
 
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
-                                  _convex_bundle, _permuted_bundle],
-                         ids=["schur", "convex", "permuted"])
+                                  _convex_bundle, _permuted_bundle, _partial_bundle],
+                         ids=["schur", "convex", "permuted", "partial"])
 def test_batched_unit_sample_residual_matches_per_pair_route(make):
     for batched, per_pair in _unit_sample_routes(make(), samples=4, seed=3):
         assert abs(batched - per_pair) <= 1e-15
@@ -458,6 +543,24 @@ def test_every_ordered_unit_pair_is_checked():
     bad = dataclasses.replace(bundle, pi=twisted_pi)
     assert _dense_morphism_reports(bad, 0, 1)["pi_multiplicative"] == 0.0
     assert verify_morphism_markov(bad, samples=0, seed=1)["pi_multiplicative"] == 1.0
+
+
+def test_every_ordered_unit_pair_is_checked_on_a_block_pattern():
+    # e_ij (x) V_ij with V_0j = S, the idempotent all-(1/f) matrix, and
+    # V_1j = 1: every block has full support, so the images fit a block
+    # pattern.  Every pair a <= b multiplies, and so does every product with
+    # left factor in row 0, but pi(e_10) pi(e_00) = e_10 (x) S is not pi(e_10).
+    bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
+    f = bundle.rep.dim
+    fields = np.array([[np.full((f, f), 1 / f)] * 2, [np.eye(f)] * 2])
+
+    def twisted_pi(x):
+        return np.block([[x[i, j] * fields[i, j] for j in range(2)] for i in range(2)])
+
+    bad = dataclasses.replace(bundle, pi=twisted_pi)
+    assert dilation_module._unit_blocks(2, bad.pi) is not None
+    assert _dense_morphism_reports(bad, 0, 1)["pi_multiplicative"] == 0.0
+    assert verify_morphism_markov(bad, samples=0, seed=1)["pi_multiplicative"] == 1 - 1 / f
 
 
 def test_product_on_support_matches_dense_product():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dilation_lab import SizeError, ShapeError, NotPsdError
-from dilation_lab.matcore import (as_square, dagger, direct_sum, eig_hermitian,
+from dilation_lab.matcore import (as_square, block_conjugate, dagger, direct_sum, eig_hermitian,
                                   frobenius, hermitian_sqrt, matrix_unit, max_abs,
                                   random_complex, random_symmetric_contraction,
                                   random_unital_psd_symbol, random_weights, rng,
@@ -143,3 +143,37 @@ def test_rng_default_seed_reproducible():
     a = rng(None).standard_normal(4)
     b = rng(None).standard_normal(4)
     np.testing.assert_array_equal(a, b)
+
+
+def _sparse_arguments(n):
+    """Arguments of block_conjugate with zero entries in every arrangement."""
+    gen = rng(9)
+    cases = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+    cases += [np.eye(n, dtype=complex)[perm] for perm in
+              (np.arange(n), np.roll(np.arange(n), 1), gen.permutation(n))]
+    zero_row, zero_col = random_complex(gen, n), random_complex(gen, n)
+    zero_row[1] = 0.0
+    zero_col[:, 2] = 0.0
+    cases += [zero_row, zero_col]
+    # -0.0 entries around one unit; a purely imaginary and a tiny entry
+    signed = np.full((n, n), -0.0, dtype=complex)
+    signed[0, 1] = 1.0
+    odd = np.zeros((n, n), dtype=complex)
+    odd[2, 0], odd[1, 3] = 0.5j, 1e-300
+    return cases + [signed, odd, random_complex(gen, n)]
+
+
+def test_block_conjugate_forms_only_nonzero_blocks():
+    n, f = 4, 3
+    blocks = random_complex(rng(10), n * f, f).reshape(n, f, f)
+    d = direct_sum(blocks)
+    for x in _sparse_arguments(n):
+        out = block_conjugate(blocks, x)
+        assert max_abs(out - d @ np.kron(x, np.eye(f)) @ d) <= 1e-13
+        grid = out.reshape(n, f, n, f)
+        for i in range(n):
+            for j in range(n):
+                # the test is exact: a tiny entry still forms its block
+                assert np.any(grid[i, :, j] != 0) == (x[i, j] != 0)
+                if x[i, j] == 0:
+                    assert np.all(grid[i, :, j] == 0) and not np.any(np.signbit(grid[i, :, j].real))
