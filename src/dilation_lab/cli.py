@@ -295,8 +295,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not (np.isfinite(args.tol) and args.tol > 0):
         print(f"error: tolerance must be a positive finite number, got {args.tol}", file=sys.stderr)
         return 2
@@ -309,6 +313,9 @@ def main(argv=None) -> int:
     except (DilationLabError, OSError, KeyError, TypeError, ValueError,
             json.JSONDecodeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     duration_ms = 1000.0 * (time.perf_counter() - start)
     report = {"checks": checks.rows, "pass": checks.all_pass(), "seed": int(args.seed)}

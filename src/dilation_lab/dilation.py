@@ -86,19 +86,26 @@ def _block_bundle(state: DiagonalState, f: int, parts,
     dimension n f is within the dimension cap; this is the one place where
     that dimension meets the cap.  Then pi(x) = x (x) 1 and
     rho(x) = d pi(x) d, each of project(x) when a projection onto the domain
-    is given.
+    is given.  pi writes x_ij on the diagonal of block (i, j) of a zeroed
+    array: the entries of np.kron(x, 1) up to the sign of zero, without its
+    n^2 f^2 products.
     """
     n = state.dim
     if n * f > config.dim_cap():
         raise SizeError(f"ambient dimension {n * f} exceeds cap {config.dim_cap()}")
     blocks, fiber, fields = parts()
-    eye_f = np.eye(f, dtype=complex)
+    diagonal = np.arange(f)
     if project is None:
         def project(x: np.ndarray) -> np.ndarray:
             return as_square(x, "morphism argument")
 
     def pi(x: np.ndarray) -> np.ndarray:
-        return np.kron(project(x), eye_f)
+        x = project(x)
+        if x.shape != (n, n):
+            raise ShapeError(f"pi argument must be {n} x {n}, got shape {x.shape}")
+        out = np.zeros((n, f, n, f), dtype=complex)
+        out[:, diagonal, :, diagonal] = x
+        return out.reshape(n * f, n * f)
 
     def rho(x: np.ndarray) -> np.ndarray:
         return block_conjugate(blocks, project(x))

@@ -260,6 +260,14 @@ def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
     """Max residual of phi~(pi(lambda(g)) rho(lambda(h))) = delta_{gh,e} t_g,
     over all group pairs and random span combinations.
 
+    Entry (g, h) of the pairing table is sum_ab w~[a] P_g[a, b] R_h[b, a]
+    for P_g = pi(lambda(g)) and R_h = rho(lambda(h)).  Each P_g is kept only
+    as its nonzero entries, read with an exact != 0 (m f of them for
+    lambda(g) (x) 1), and each R_h is formed once and read at the transposed
+    support of every P_g.  The skipped terms are exact zeros, so this is the
+    dense table up to summation order, and no stack of ambient images is
+    formed.
+
     A sample pairs x = sum_g a_g pi(lambda(g)) with y = sum_h b_h rho(lambda(h)),
     built from the same images, so phi~(x y) - sum_g a_g b_{g^-1} t_g is
     a (table - E) b for the pairing table of the images and
@@ -269,10 +277,20 @@ def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
     _require_crossed(bundle)
     group, t = symbol.group, symbol.values
     m = group.order
-    pis = np.stack([bundle.pi(lam_g) for lam_g in bundle.lam])
-    rhos = np.stack([bundle.rho(lam_g) for lam_g in bundle.lam])
+    weights = bundle.ambient_state.weights
+    supports = []
+    for lam_g in bundle.lam:
+        image = bundle.pi(lam_g)
+        rows, cols = np.nonzero(image)
+        supports.append((rows, cols, weights[rows] * image[rows, cols]))
+    table = np.empty((m, m), dtype=complex)
+    for h, lam_h in enumerate(bundle.lam):
+        image = bundle.rho(lam_h)
+        for g, (rows, cols, weighted) in enumerate(supports):
+            table[g, h] = weighted @ image[cols, rows]
+        del image  # the next image is formed without this one alive
     expected = np.where(group.table == group.identity, t[:, None], 0.0)
-    defect = bundle.ambient_state.pairing_table(pis, rhos) - expected
+    defect = table - expected
     # the same draws as one (a, b) pair per sample, in that order
     draws = rng(seed).standard_normal((samples, 2, m))
     return max(max_abs(defect),
@@ -295,12 +313,14 @@ def verify_covariance(bundle: CrossedBundle) -> dict[str, float]:
     homo = max(max_abs(actions[g] @ actions[h] - actions[group.mul(g, h)])
                for g in range(m) for h in range(m))
     # Lam(g) = lambda(g) (x) 1 moves block (u, v) to (gu, gv), so conjugating a
-    # block-diagonal copy by it permutes the diagonal blocks; column v of
-    # lambda(g) holds its single 1 in row gv.
+    # block-diagonal copy by it permutes the diagonal blocks: block gu of
+    # Lam(g) copy(h) Lam(g)* is block u of copy(h).  Column u of lambda(g)
+    # holds its single 1 in row gu, and each copy(h) is compared with
+    # copy(gh) at those blocks, one (m, f, f) row at a time.
     cov = 0.0
     for g in range(m):
-        conjugated = np.empty_like(fields)
-        conjugated[:, bundle.lam[g].real.argmax(axis=0)] = fields
-        cov = max(cov, max_abs(conjugated - fields[group.table[g]]))
+        moved = bundle.lam[g].real.argmax(axis=0)
+        for h in range(m):
+            cov = max(cov, max_abs(fields[h] - fields[group.mul(g, h)][moved]))
     return {"orthogonal": ortho, "action_homomorphism": homo,
             "field_covariance": cov}

@@ -173,6 +173,50 @@ def test_full_rank_30x30_check_schur_is_refused_before_any_fiber_array():
     assert "cap" in result.stderr
 
 
+def test_order_8_fourier_fits_one_gib():
+    # t = delta_e has the identity Gram matrix: rank 8 and ambient dimension
+    # 2048, so a stack of the m images pi(lambda(g)) alone would take 512 MB
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"group": "dihedral:4", "t": [1, 0, 0, 0, 0, 0, 0, 0]}, fh)
+        result = subprocess.run([sys.executable, "-m", "dilation_lab", "fourier", path],
+                                capture_output=True, text=True,
+                                preexec_fn=_limit_address_space)
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)["checks"]
+    assert [row["name"] for row in rows] == FIXTURE_ROWS["fourier"]
+    assert all(row["pass"] for row in rows)
+
+
+def test_out_of_memory_is_an_error_line_with_exit_two(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. MiB for an array")
+
+    monkeypatch.setattr(cli, "build_crossed_dilation", exhausted)
+    code, out, err = run_main("fourier", {"group": "cyclic:2", "t": [1.0, 0.5]})
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 512. MiB for an array\n"
+
+
+def test_one_process_runs_many_commands_as_if_each_ran_first(tmp_path):
+    # the parser is built once per process: no call may see a flag of an
+    # earlier one, here --tol 1e-6 and --samples 3 before the defaults
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"symbol": [[1.0, 0.3], [0.3, 1.0]], "weights": [0.4, 0.6]}))
+    calls = [["fourier", "--tol", "1e-6", "--samples", "3"], ["fourier"],
+             ["check-schur", str(path), "--tol", "1e-6", "--seed", "5"],
+             ["check-schur", str(path)], ["rota", str(path)],
+             ["secondquant", "--steps", "1"], ["secondquant"]]
+    for argv in calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        first = run_cli(*argv)
+        assert (code, out.getvalue()) == (first.returncode, first.stdout), argv
+
+
 def test_rota_tolerance_reaches_the_chain_builder():
     # the unit diagonal is off by 1e-8: within --tol 1e-6, outside TOL_NUM
     payload = {"symbol": [[1.00000001, 0.5], [0.5, 1.0]], "weights": [0.5, 0.5]}

@@ -199,6 +199,49 @@ def test_block_rho_matches_dense_conjugation(case):
         assert max_abs(bundle.rho(x) - d @ bundle.pi(x) @ d) <= 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(symbols_and_states())
+def test_pi_is_the_kronecker_product(case):
+    symbol, state, gen = case
+    bundle = build_dilation(symbol, state)
+    eye_f = np.eye(bundle.fiber_state.dim)
+    for x in [*matrix_units(symbol.dim), random_complex(gen, symbol.dim)]:
+        np.testing.assert_array_equal(bundle.pi(x), np.kron(x, eye_f))
+
+
+def test_pi_refuses_an_argument_of_another_size():
+    bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
+    for leg in (bundle.pi, bundle.rho):
+        with pytest.raises(ShapeError):
+            leg(np.ones((1, 1)))
+
+
+@st.composite
+def convex_families(draw):
+    """2-3 unital PSD symbols (n <= 3, rank <= 2) on one faithful state, and
+    positive weights summing to one."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    ranks = draw(st.lists(st.integers(min_value=1, max_value=min(2, n)), min_size=2, max_size=3))
+    gen = rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    symbols = [SchurSymbol(random_unital_psd_symbol(gen, n, rank)) for rank in ranks]
+    weights = 0.05 + gen.random(len(ranks))
+    return symbols, DiagonalState(random_weights(gen, n)), weights / weights.sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(convex_families())
+def test_convex_combinations_certify(family):
+    symbols, state, weights = family
+    mixed = convex_combination_dilation([build_dilation(s, state) for s in symbols], weights)
+    blended = SchurSymbol(sum(w * s.matrix for w, s in zip(weights, symbols)))
+    assert verify_factorization(mixed, blended, state, samples=4, seed=1) <= config.TOL_NUM
+    morphisms = verify_morphism_markov(mixed, samples=2, seed=2)
+    assert sorted(morphisms) == sorted(f"{leg}_{prop}" for leg in ("pi", "rho")
+                                       for prop in PROPERTIES)
+    assert {key: value for key, value in morphisms.items() if value > config.TOL_NUM} == {}
+    assert star_swap_check(mixed, blended, state, samples=4, seed=3) <= config.TOL_NUM
+
+
 def _reference_bundles():
     b2 = build_dilation(SchurSymbol(T2), UNIFORM2)
     s2 = np.array([[1.0, -0.2], [-0.2, 1.0]])

@@ -327,3 +327,97 @@ def test_scaled_rho_block_breaks_the_fourier_identity():
     bad = dataclasses.replace(bundle, rho=lambda x: block_conjugate(blocks, np.asarray(x)))
     assert verify_fourier_identity(bundle, t, samples=4, seed=2) <= config.TOL_NUM
     assert verify_fourier_identity(bad, t, samples=4, seed=2) > config.TOL_NUM
+
+
+# ---------------------------------------------------------------------------
+# the stacked formulas that the support pairing and the row-wise covariance
+# replaced, kept as references
+
+
+def _stacked_fourier_identity(bundle, symbol, samples, seed):
+    """Every pi(lambda(g)) and rho(lambda(h)) stacked and paired in one GEMM."""
+    group, t, m = symbol.group, symbol.values, symbol.group.order
+    pis = np.stack([bundle.pi(lam_g) for lam_g in bundle.lam])
+    rhos = np.stack([bundle.rho(lam_g) for lam_g in bundle.lam])
+    expected = np.where(group.table == group.identity, t[:, None], 0.0)
+    defect = bundle.ambient_state.pairing_table(pis, rhos) - expected
+    draws = rng(seed).standard_normal((samples, 2, m))
+    return max(max_abs(defect),
+               max_abs(np.sum((draws[:, 0] @ defect) * draws[:, 1], axis=1)))
+
+
+def _permuted_copies_covariance(bundle):
+    """field_covariance from one permuted copy of the whole field stack per g."""
+    group = bundle.symbol.group
+    fields = np.stack([np.stack([r @ bundle.rep.omega(row) @ r.T
+                                 for r in bundle.rotations[group.inverse]])
+                       for row in bundle.gram.embedding])
+    cov = 0.0
+    for g in range(group.order):
+        conjugated = np.empty_like(fields)
+        conjugated[:, bundle.lam[g].real.argmax(axis=0)] = fields
+        cov = max(cov, max_abs(conjugated - fields[group.table[g]]))
+    return cov
+
+
+def _relabelled(group, perm):
+    """The same group with element a renamed perm[a]."""
+    perm = np.asarray(perm)
+    table = np.empty_like(group.table)
+    table[np.ix_(perm, perm)] = perm[group.table]
+    return FiniteGroup(table)
+
+
+STACKED_GROUPS = [cyclic_group(m) for m in range(2, 7)] + [
+    dihedral_group(3), symmetric_group(3), _relabelled(symmetric_group(3), [3, 0, 4, 1, 5, 2])]
+STACKED_IDS = [f"z{m}" for m in range(2, 7)] + ["d3", "s3", "s3-identity-3"]
+
+
+def test_relabelled_group_has_its_identity_off_index_zero():
+    assert STACKED_GROUPS[-1].identity == 3
+
+
+@pytest.mark.parametrize("group", STACKED_GROUPS, ids=STACKED_IDS)
+def test_support_pairing_matches_the_stacked_table(group):
+    t = random_posdef_symbol(group, rng(21))
+    bundle = build_crossed_dilation(t)
+    residual = verify_fourier_identity(bundle, t, samples=6, seed=22)
+    assert residual <= config.TOL_NUM
+    assert abs(residual - _stacked_fourier_identity(bundle, t, 6, 22)) <= 1e-13
+    # a pi image with no zero entry: the support is everything, and the
+    # pairing is still the dense table
+    dense_pi = dataclasses.replace(bundle, pi=lambda x: bundle.pi(x) + 1e-3)
+    residual = verify_fourier_identity(dense_pi, t, samples=6, seed=22)
+    assert residual > config.TOL_NUM
+    assert abs(residual - _stacked_fourier_identity(dense_pi, t, 6, 22)) <= 1e-13
+
+
+@pytest.mark.parametrize("group", STACKED_GROUPS, ids=STACKED_IDS)
+def test_row_wise_covariance_is_the_permuted_copies_loop(group):
+    bundle = build_crossed_dilation(random_posdef_symbol(group, rng(23)))
+    assert verify_covariance(bundle)["field_covariance"] == _permuted_copies_covariance(bundle)
+
+
+def test_crossed_pi_is_the_kronecker_product_of_its_projection():
+    group = symmetric_group(3)
+    bundle = build_crossed_dilation(random_posdef_symbol(group, rng(24)))
+    eye_f = np.eye(bundle.fiber_state.dim)
+    coeffs = rng(25).standard_normal(group.order) + 1j * rng(26).standard_normal(group.order)
+    for x in [*bundle.lam, np.tensordot(coeffs, bundle.lam, axes=1)]:
+        np.testing.assert_array_equal(bundle.pi(x), np.kron(x, eye_f))
+
+
+def test_group_verifiers_hold_fewer_than_four_ambient_images():
+    # t = delta_e is full rank: f = 64 and ambient dimension 384 on Z_6
+    group = cyclic_group(6)
+    t = FourierSymbol(group, np.eye(6)[0])
+    bundle = build_crossed_dilation(t)
+    image = np.dtype(complex).itemsize * bundle.ambient_dim ** 2
+    tracemalloc.start()
+    try:
+        assert verify_fourier_identity(bundle, t, samples=20, seed=27) <= config.TOL_NUM
+        assert max(verify_covariance(bundle).values()) <= config.TOL_NUM
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * image, peak / image
