@@ -3,7 +3,8 @@
 Report format on stdout: {"checks": [{name, residual, tol, pass}...],
 "pass": bool, "seed": int}; a human summary with the wall-clock duration
 goes to stderr so the machine report stays byte-identical across runs.
-Exit codes: 0 all checks pass, 1 a check failed, 2 unusable input.
+Exit codes: 0 all checks pass, 1 a check failed, 2 unusable input or an
+allocation that failed.
 """
 
 from __future__ import annotations
@@ -315,7 +316,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        # the interpreter's own MemoryError carries no message
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     duration_ms = 1000.0 * (time.perf_counter() - start)
     report = {"checks": checks.rows, "pass": checks.all_pass(), "seed": int(args.seed)}

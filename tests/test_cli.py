@@ -189,15 +189,19 @@ def test_order_8_fourier_fits_one_gib():
     assert all(row["pass"] for row in rows)
 
 
-def test_out_of_memory_is_an_error_line_with_exit_two(monkeypatch):
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 512. MiB for an array"),
+     "error: out of memory: Unable to allocate 512. MiB for an array\n"),
+    (MemoryError(), "error: out of memory\n")], ids=["numpy", "bare"])
+def test_out_of_memory_is_an_error_line_with_exit_two(monkeypatch, exc, line):
     def exhausted(*args, **kwargs):
-        raise MemoryError("Unable to allocate 512. MiB for an array")
+        raise exc
 
     monkeypatch.setattr(cli, "build_crossed_dilation", exhausted)
     code, out, err = run_main("fourier", {"group": "cyclic:2", "t": [1.0, 0.5]})
     assert code == 2
     assert out == ""
-    assert err == "error: out of memory: Unable to allocate 512. MiB for an array\n"
+    assert err == line
 
 
 def test_one_process_runs_many_commands_as_if_each_ran_first(tmp_path):
