@@ -234,12 +234,12 @@ def test_convex_combinations_certify(family):
     symbols, state, weights = family
     mixed = convex_combination_dilation([build_dilation(s, state) for s in symbols], weights)
     blended = SchurSymbol(sum(w * s.matrix for w, s in zip(weights, symbols)))
-    assert verify_factorization(mixed, blended, state, samples=4, seed=1) <= config.TOL_NUM
-    morphisms = verify_morphism_markov(mixed, samples=2, seed=2)
+    assert verify_factorization(mixed, blended, state, samples=8, seed=1) <= config.TOL_NUM
+    morphisms = verify_morphism_markov(mixed, samples=3, seed=2)
     assert sorted(morphisms) == sorted(f"{leg}_{prop}" for leg in ("pi", "rho")
                                        for prop in PROPERTIES)
     assert {key: value for key, value in morphisms.items() if value > config.TOL_NUM} == {}
-    assert star_swap_check(mixed, blended, state, samples=4, seed=3) <= config.TOL_NUM
+    assert star_swap_check(mixed, blended, state, samples=8, seed=3) <= config.TOL_NUM
 
 
 def _reference_bundles():
