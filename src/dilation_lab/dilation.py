@@ -55,8 +55,6 @@ class DilationBundle:
     rho: Callable[[np.ndarray], np.ndarray]
     gram: GramSpace | None = None
     rep: FermionRep | None = None
-    # pi/rho may be partial: when set, their domain is the span of this basis
-    domain_basis: tuple[np.ndarray, ...] | None = None
     ambient_state: DiagonalState = field(init=False)
 
     def __post_init__(self):
@@ -76,7 +74,6 @@ class DilationBundle:
 
 
 def _block_bundle(state: DiagonalState, f: int, parts,
-                  project: Callable[[np.ndarray], np.ndarray] | None = None,
                   kind: type[DilationBundle] = DilationBundle) -> DilationBundle:
     """The bundle of `kind` over M_n (x) M_f with the product state state (x) fiber.
 
@@ -85,22 +82,18 @@ def _block_bundle(state: DiagonalState, f: int, parts,
     holds f entries and the blocks n f^2, so parts runs only once the ambient
     dimension n f is within the dimension cap; this is the one place where
     that dimension meets the cap.  Then pi(x) = x (x) 1 and
-    rho(x) = d pi(x) d, each of project(x) when a projection onto the domain
-    is given.  pi writes x_ij on the diagonal of block (i, j) of a zeroed
-    array: the entries of np.kron(x, 1) up to the sign of zero, without its
-    n^2 f^2 products.
+    rho(x) = d pi(x) d on all of M_n.  pi writes x_ij on the diagonal of
+    block (i, j) of a zeroed array: the entries of np.kron(x, 1) up to the
+    sign of zero, without its n^2 f^2 products.
     """
     n = state.dim
     if n * f > config.dim_cap():
         raise SizeError(f"ambient dimension {n * f} exceeds cap {config.dim_cap()}")
     blocks, fiber, fields = parts()
     diagonal = np.arange(f)
-    if project is None:
-        def project(x: np.ndarray) -> np.ndarray:
-            return as_square(x, "morphism argument")
 
     def pi(x: np.ndarray) -> np.ndarray:
-        x = project(x)
+        x = as_square(x, "morphism argument")
         if x.shape != (n, n):
             raise ShapeError(f"pi argument must be {n} x {n}, got shape {x.shape}")
         out = np.zeros((n, f, n, f), dtype=complex)
@@ -108,7 +101,7 @@ def _block_bundle(state: DiagonalState, f: int, parts,
         return out.reshape(n * f, n * f)
 
     def rho(x: np.ndarray) -> np.ndarray:
-        return block_conjugate(blocks, project(x))
+        return block_conjugate(blocks, as_square(x, "morphism argument"))
 
     return kind(input_state=state, fiber_state=fiber, blocks=blocks, pi=pi, rho=rho, **fields)
 
@@ -168,23 +161,6 @@ def _unit_blocks(n: int, mor):
     return sets, blocks
 
 
-def _image_pairings(state: DiagonalState, left, right, xs: np.ndarray) -> np.ndarray:
-    """Table of phi~(left(x) right(y)) over all x, y in xs.
-
-    Each image is formed once per chunk of about CHUNK_BYTES of images (once
-    in all when the stack fits one chunk) and paired in O(dim^2).
-    """
-    count = len(xs)
-    step = max(1, config.CHUNK_BYTES // (np.dtype(complex).itemsize * state.dim ** 2))
-    table = np.empty((count, count), dtype=complex)
-    for a in range(0, count, step):
-        lefts = np.stack([left(x) for x in xs[a : a + step]])
-        for b in range(0, count, step):
-            rights = np.stack([right(y) for y in xs[b : b + step]])
-            table[a : a + step, b : b + step] = state.pairing_table(lefts, rights)
-    return table
-
-
 def _pairing_residual(bundle: DilationBundle, state: DiagonalState, symbol: SchurSymbol,
                       left, right, pairs) -> float:
     """Largest |phi(M(x) y) - phi~(left(x) right(y))| over every pair of
@@ -196,9 +172,9 @@ def _pairing_residual(bundle: DilationBundle, state: DiagonalState, symbol: Schu
     has inner indices only when j = k, so its diagonal is exactly zero
     unless (k, l) = (j, i).  Then only those n^2 entries are formed, entry
     (i, j) as sum_a w~[a] (L_ij R_ji)_aa over a in S_i from the s x s blocks,
-    and the other entries are exactly 0 on both sides.  Otherwise the whole
-    n^2 x n^2 table of images goes through _image_pairings.  The random
-    pairs are always paired densely.
+    and the other entries are exactly 0 on both sides.  Otherwise the
+    n^2 x n^2 table is one pairing_table of the two stacks of unit images.
+    The random pairs are always paired densely.
     """
     n = bundle.input_dim
     lefts = _unit_blocks(n, left)
@@ -213,7 +189,8 @@ def _pairing_residual(bundle: DilationBundle, state: DiagonalState, symbol: Schu
     else:
         units = matrix_units(n)
         lhs = state.pairing_table(symbol.matrix * units, units)
-        worst = max_abs(lhs - _image_pairings(bundle.ambient_state, left, right, units))
+        images = [np.stack([mor(x) for x in units]) for mor in (left, right)]
+        worst = max_abs(lhs - bundle.ambient_state.pairing_table(*images))
     for x, y in pairs:
         lhs = state(apply_multiplier(symbol, x) @ y)
         worst = max(worst, abs(lhs - bundle.ambient_state.pairing(left(x), right(y))))
@@ -234,23 +211,6 @@ def verify_factorization(bundle: DilationBundle, symbol: SchurSymbol,
         raise ShapeError("verify_factorization dimension mismatch")
     pairs = _random_pairs(bundle.input_dim, samples, seed)
     return _pairing_residual(bundle, state, symbol, bundle.pi, bundle.rho, pairs)
-
-
-def _product_residual(images, rows, cols, a: int, b: int, target) -> float:
-    """max |images[a] @ images[b] - target|, the product formed on its support.
-
-    rows and cols mark the nonzero rows and columns of each image.  The
-    product vanishes outside rows[a] x cols[b], and there only the inner
-    indices in cols[a] & rows[b] add to it.  The skipped terms are exact
-    zeros, so this is the dense residual up to summation order.
-    """
-    # a full mask indexes by a view, so dense images are not copied
-    r, i, c = (slice(None) if m.all() else np.flatnonzero(m)
-               for m in (rows[a], cols[a] & rows[b], cols[b]))
-    block = images[a][r][:, i] @ images[b][i][:, c]
-    target_rows = target[r]
-    return max(max_abs(block - target_rows[:, c]), max_abs(target[~rows[a]]),
-               max_abs(target_rows[:, ~cols[b]]))
 
 
 def _block_unit_residuals(bundle: DilationBundle, mor, pattern, flows) -> tuple[float, ...]:
@@ -285,40 +245,41 @@ def _block_unit_residuals(bundle: DilationBundle, mor, pattern, flows) -> tuple[
     return star, preserve, modular, mult
 
 
-def _unit_product_residual(n: int, mor, images, rows, cols) -> float:
-    """max |mor(e_ij) mor(e_kl) - delta_jk mor(e_il)| over all ordered unit pairs.
+def _dense_unit_residual(n: int, mor, images, draws) -> float:
+    """max |mor(e_ij) mor(x) - mor(e_ij x)| over every unit e_ij and every x
+    that is a unit or one of draws, each product formed densely.
 
-    images[i n + j] is mor(e_ij), and rows and cols mark its nonzero rows
-    and columns.  This is the route for unit images that fit no block
-    pattern: each pair is taken on its own support.
+    images holds mor(e_ij) at index i n + j, followed by the images of
+    draws.  This is the route for unit images that fit no block pattern.
+    The targets follow from e_ij e_kl = delta_jk e_il (mor(0) when j != k)
+    and e_ij y = sum_l y_jl e_il, read from the unit images.
     """
+    units = n * n
     zero = mor(np.zeros((n, n), dtype=complex))
     worst = 0.0
-    for a in range(n * n):
-        for b in range(n * n):
-            (i, j), (k, l) = divmod(a, n), divmod(b, n)
+    for a in range(units):
+        i, j = divmod(a, n)
+        for b in range(units):
+            k, l = divmod(b, n)
             target = images[i * n + l] if j == k else zero
-            worst = max(worst, _product_residual(images, rows, cols, a, b, target))
+            worst = max(worst, max_abs(images[a] @ images[b] - target))
+        for b, y in enumerate(draws, units):
+            target = np.tensordot(y[j], images[i * n : (i + 1) * n], axes=1)
+            worst = max(worst, max_abs(images[a] @ images[b] - target))
     return worst
 
 
-def _unit_sample_residual(n: int, images, rows, cols, pattern, b: int, y) -> float:
+def _unit_sample_residual(n: int, images, pattern, b: int, y) -> float:
     """max |mor(e_ij) mor(y) - sum_l y_jl mor(e_il)| over all units e_ij.
 
     images[b] is mor(y); the target is mor(e_ij y) by linearity, read from
-    the unit images.  With a pattern (see _unit_blocks), mor(e_ij) mor(y) is
+    the unit blocks of the pattern (see _unit_blocks).  mor(e_ij) mor(y) is
     block_ij times rows S_j of mor(y), and the target is y_jl block_il in
     columns S_l, both on rows S_i: the n products of one row block i are one
     batched matmul, and outside rows S_i both sides are exactly zero.  The
     columns of mor(y) are taken in the order S_0, ..., S_{n-1} and then any
-    others, where the target is zero.  Without a pattern, images[i n + j]
-    is mor(e_ij), rows and cols mark the nonzero rows and columns of every
-    image, and each unit is taken on its own support.
+    others, where the target is zero.
     """
-    if pattern is None:
-        return max(_product_residual(images, rows, cols, i * n + j, b,
-                                     np.tensordot(y[j], images[i * n : (i + 1) * n], axes=1))
-                   for i in range(n) for j in range(n))
     idx, blocks = pattern
     s = idx.shape[1]
     order = np.concatenate([idx.reshape(-1), np.setdiff1d(np.arange(images.shape[-1]), idx)])
@@ -333,66 +294,37 @@ def _unit_sample_residual(n: int, images, rows, cols, pattern, b: int, y) -> flo
     return worst
 
 
-def _stack_residuals(bundle: DilationBundle, mor, xs, images, units: int, flows,
-                     a: int) -> tuple[float, float, float]:
-    """Star, state-preserving and modular residuals of mor on xs[a], whose
-    image is images[a].
-
-    The first `units` entries of xs are the matrix units in row-major order:
-    the star row on e_ij reuses the image of e_ji, and the modular row on
-    e_ij compares with the phase of sigma_t(e_ij) = (w_i / w_j)^{-it} e_ij
-    times its image.  Any other entry calls mor on its adjoint and on its
-    modular images.
-    """
-    n, x, mx = bundle.input_dim, xs[a], images[a]
-    # e_ij^* = e_ji sits at index (a % n) n + a // n
-    adjoint = images[(a % n) * n + a // n] if a < units else mor(dagger(x))
-    modular = 0.0
-    for phases, ambient in flows:
-        if a < units:
-            defect = (ambient - phases[divmod(a, n)]) * mx
-        else:
-            defect = ambient * mx - mor(phases * x)
-        modular = max(modular, max_abs(defect))
-    return (max_abs(adjoint - dagger(mx)),
-            abs(bundle.input_state(x) - bundle.ambient_phi(mx)), modular)
-
-
-def _leg_residuals(bundle: DilationBundle, mor, basis: list, draws: list,
-                   flows) -> dict[str, float]:
+def _leg_residuals(bundle: DilationBundle, mor, draws: list, flows) -> dict[str, float]:
     """The residuals of verify_morphism_markov for one leg mor, keyed by property.
 
-    basis holds the matrix units (or the domain basis) and draws the random
-    elements; flows pairs the input and ambient phases of each sampled t.
-    The arrays of one leg are released before the other leg's are formed.
+    draws holds the random elements; flows pairs the input and ambient
+    phases of each sampled t.  The arrays of one leg are released before
+    the other leg's are formed.
     """
     n, dim = bundle.input_dim, bundle.ambient_dim
-    pattern = None if bundle.domain_basis is not None else _unit_blocks(n, mor)
-    xs = draws if pattern is not None else basis + draws
-    # the leading unit images of the dense stack, on the route without a pattern
-    units = n * n if pattern is None and bundle.domain_basis is None else 0
+    pattern = _unit_blocks(n, mor)
+    # without a pattern the unit images lead the dense stack
+    units = list(matrix_units(n)) if pattern is None else []
+    xs = units + draws
     images = np.empty((len(xs), dim, dim), dtype=complex)
     for a, x in enumerate(xs):
         images[a] = mor(x)
-    nonzero = images != 0
-    rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
     unital = max_abs(mor(np.eye(n, dtype=complex)) - np.eye(dim))
-    star = preserve = modular = mult = 0.0
-    if pattern is not None:
+    if pattern is None:
+        star = preserve = modular = 0.0
+        mult = _dense_unit_residual(n, mor, images, draws)
+    else:
         star, preserve, modular, mult = _block_unit_residuals(bundle, mor, pattern, flows)
-    for a in range(len(xs)):
-        row = _stack_residuals(bundle, mor, xs, images, units, flows, a)
-        star, preserve, modular = max(star, row[0]), max(preserve, row[1]), max(modular, row[2])
-    if pattern is not None:
-        for b, y in enumerate(xs):
-            mult = max(mult, _unit_sample_residual(n, images, rows, cols, pattern, b, y))
-    elif units:
-        mult = _unit_product_residual(n, mor, images[:units], rows[:units], cols[:units])
-        for b in range(units, len(xs)):
-            mult = max(mult, _unit_sample_residual(n, images, rows, cols, None, b, xs[b]))
-    for a in range(units, len(xs)):
+        for b, y in enumerate(draws):
+            mult = max(mult, _unit_sample_residual(n, images, pattern, b, y))
+    for x, mx in zip(xs, images):
+        star = max(star, max_abs(mor(dagger(x)) - dagger(mx)))
+        preserve = max(preserve, abs(bundle.input_state(x) - bundle.ambient_phi(mx)))
+        for phases, ambient in flows:
+            modular = max(modular, max_abs(ambient * mx - mor(phases * x)))
+    for a in range(len(units), len(xs)):
         for b in range(a, len(xs)):
-            mult = max(mult, _product_residual(images, rows, cols, a, b, mor(xs[a] @ xs[b])))
+            mult = max(mult, max_abs(images[a] @ images[b] - mor(xs[a] @ xs[b])))
     return {"unital": unital, "multiplicative": mult, "star": star,
             "state_preserving": preserve, "modular": modular}
 
@@ -406,38 +338,28 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
     multiplicative, star, state_preserving or modular; the flows are
     sampled at config.T_SAMPLES.
 
-    The inputs are the matrix units (or the domain basis) and seeded random
-    elements.  When the unit images of a leg fit one block pattern (see
-    _unit_blocks), every unit row is read from their compact blocks
-    (_block_unit_residuals), the unit x sample products from the blocks and
-    the sample images (_unit_sample_residual), and the dense stack holds
-    only the sample images.  Otherwise the unit images join that stack and
-    every product of two images is formed only on its support, read from
-    the images: the targets of unit products follow from
-    e_ij e_kl = delta_jk e_il and those of unit x sample products from
-    e_ij y = sum_l y_jl e_il, the star row on e_ij reuses the image of e_ji,
-    and the modular row on e_ij compares with the phase of
-    sigma_t(e_ij) = (w_i / w_j)^{-it} e_ij times its image.  So a unit calls
-    neither pi nor rho beyond its own image on either route.  Products of
-    two random elements, their adjoints and their modular images go through
-    the morphism.
+    The inputs are the matrix units and seeded random elements.  When the
+    unit images of a leg fit one block pattern (see _unit_blocks), as they
+    do for every bundle built here, every unit row is read from their
+    compact blocks (_block_unit_residuals) and the unit x sample products
+    from the blocks and the sample images (_unit_sample_residual), so a
+    unit calls the leg only for its own image, and the dense stack holds
+    only the sample images.  Otherwise (hand-built legs) the unit images
+    lead that stack, every product is formed densely and the unit products
+    are compared with targets read from the unit images
+    (_dense_unit_residual).  Products of two random elements, and the
+    adjoints and modular images of every stacked element, go through the
+    morphism.
     """
     n = bundle.input_dim
     gen = rng(seed)
-    if bundle.domain_basis is None:
-        basis = list(matrix_units(n))
-        draws = [random_complex(gen, n) for _ in range(samples)]
-    else:
-        stacked = np.stack(bundle.domain_basis)
-        basis = list(stacked)
-        coeffs = random_complex(gen, samples, stacked.shape[0])
-        draws = list(np.tensordot(coeffs, stacked, axes=1))
+    draws = [random_complex(gen, n) for _ in range(samples)]
     # sigma_t on either algebra is entrywise multiplication by these phases
     flows = [(bundle.input_state.modular_phases(t), bundle.ambient_state.modular_phases(t))
              for t in config.T_SAMPLES]
     return {f"{name}_{key}": residual
             for name, mor in (("pi", bundle.pi), ("rho", bundle.rho))
-            for key, residual in _leg_residuals(bundle, mor, basis, draws, flows).items()}
+            for key, residual in _leg_residuals(bundle, mor, draws, flows).items()}
 
 
 def convex_combination_dilation(bundles, weights) -> DilationBundle:
@@ -495,12 +417,12 @@ def verify_even_closure(bundle: DilationBundle) -> float:
     points of conjugation by P = 1 (x) parity.  That conjugation is a
     *-automorphism, so it fixes the algebra exactly when it fixes the
     generators: the residual is max |P g P - g| over the images of the matrix
-    units (or of the domain basis, when set).
+    units.
     """
     if bundle.rep is None:
         raise PreconditionError("bundle does not carry a fermion representation")
-    xs = matrix_units(bundle.input_dim) if bundle.domain_basis is None else bundle.domain_basis
     # P is diagonal: entry (a, b) of P g P - g is (signs[a] signs[b] - 1) g_ab
     signs = np.tile(np.diagonal(bundle.rep.parity()), bundle.input_dim)
     flips = np.outer(signs, signs) - 1
-    return max(max_abs(flips * mor(x)) for mor in (bundle.pi, bundle.rho) for x in xs)
+    return max(max_abs(flips * mor(x)) for mor in (bundle.pi, bundle.rho)
+               for x in matrix_units(bundle.input_dim))

@@ -12,6 +12,7 @@ then dilates the multiplier: phi~(Lam(g) W Lam(h) W) = delta_{gh,e} t_g.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,7 @@ class FiniteGroup:
         if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
             raise ShapeError("Cayley table must be square and nonempty")
         m = table.shape[0]
-        if m > config.GROUP_ORDER_CAP:
-            raise SizeError(f"group order {m} exceeds cap {config.GROUP_ORDER_CAP}")
+        _require_order(m)
         idx = np.arange(m)
         if np.any(table < 0) or np.any(table >= m):
             raise PreconditionError("Cayley table entries out of range")
@@ -87,9 +87,16 @@ class FiniteGroup:
         return int(self.inverse[g])
 
 
+def _require_order(m: int) -> None:
+    """Refuse a group of order m over the cap, before any table is built."""
+    if m > config.GROUP_ORDER_CAP:
+        raise SizeError(f"group order {m} exceeds cap {config.GROUP_ORDER_CAP}")
+
+
 def cyclic_group(m: int) -> FiniteGroup:
     if m < 1:
         raise PreconditionError("cyclic group order must be >= 1")
+    _require_order(m)
     idx = np.arange(m)
     return FiniteGroup((idx[:, None] + idx[None, :]) % m)
 
@@ -99,6 +106,7 @@ def dihedral_group(k: int) -> FiniteGroup:
     if k < 1:
         raise PreconditionError("dihedral parameter must be >= 1")
     m = 2 * k
+    _require_order(m)
     table = np.empty((m, m), dtype=np.int64)
     for g in range(m):
         r1, s1 = g % k, g // k
@@ -111,11 +119,10 @@ def dihedral_group(k: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Permutations of n letters in lexicographic order; identity is index 0."""
+    _require_order(math.factorial(n))
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     m = len(perms)
-    if m > config.GROUP_ORDER_CAP:
-        raise SizeError(f"group order {m} exceeds cap {config.GROUP_ORDER_CAP}")
     table = np.empty((m, m), dtype=np.int64)
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
@@ -173,22 +180,17 @@ def certify_posdef(symbol: FourierSymbol, tol: float = config.TOL_NUM) -> dict[s
     return certify_symbol(SchurSymbol(gram_matrix(symbol)), tol=tol)
 
 
-def _coefficients(group: FiniteGroup, x: np.ndarray, lam: np.ndarray,
-                  tol: float) -> np.ndarray:
-    """Coefficients of x in the lambda(g) basis; error if x is off the span."""
+def multiplier_apply(symbol: FourierSymbol, x: np.ndarray,
+                     tol: float = config.TOL_NUM) -> np.ndarray:
+    """lambda(g) -> t_g lambda(g) on x; error if x is off the group algebra span."""
+    group = symbol.group
+    lam = build_group_algebra(group)
     x = np.asarray(x, dtype=complex)
     if x.shape != (group.order, group.order):
         raise ShapeError("element does not act on l2 of the group")
     coeffs = x[:, group.identity]
     if max_abs(np.tensordot(coeffs, lam, axes=1) - x) > tol:
         raise PreconditionError("element is not in the group algebra span")
-    return coeffs
-
-
-def multiplier_apply(symbol: FourierSymbol, x: np.ndarray,
-                     tol: float = config.TOL_NUM) -> np.ndarray:
-    lam = build_group_algebra(symbol.group)
-    coeffs = _coefficients(symbol.group, x, lam, tol)
     return np.tensordot(symbol.values * coeffs, lam, axes=1)
 
 
@@ -232,7 +234,13 @@ def _require_crossed(bundle: DilationBundle) -> None:
 
 def build_crossed_dilation(symbol: FourierSymbol,
                            tol: float = config.TOL_NUM) -> CrossedBundle:
-    """Dilation bundle for the multiplier of a certified positive-definite t."""
+    """Dilation bundle for the multiplier of a certified positive-definite t.
+
+    Its legs x (x) 1 and d (x (x) 1) d act on all of M_m, m the group order,
+    and with the tracial state they dilate the Schur multiplier of the
+    symbol (t_{g h^-1}); on the group algebra that multiplier is
+    lambda(g) -> t_g lambda(g) (transference).
+    """
     gram = SchurSymbol(gram_matrix(symbol))
     require_symbol(gram, tol, "coefficients")
     group = symbol.group
@@ -245,14 +253,11 @@ def build_crossed_dilation(symbol: FourierSymbol,
         actions = _translation_action(space.embedding, group)
         rotations = np.stack([exterior_map(a) for a in actions])
         blocks = _covariant_blocks(group, rotations, rep.omega(space.embedding[group.identity]))
-        return blocks, DiagonalState.tracial(f), {"gram": space, "rep": rep, "domain_basis": tuple(lam), "symbol": symbol,
-                        "lam": lam, "actions": actions, "rotations": rotations}
+        return blocks, DiagonalState.tracial(f), {"gram": space, "rep": rep, "symbol": symbol,
+                                                  "lam": lam, "actions": actions,
+                                                  "rotations": rotations}
 
-    def project(x: np.ndarray) -> np.ndarray:
-        # span membership is judged at TOL_NUM: tol bounds the coefficients only
-        return np.tensordot(_coefficients(group, x, lam, config.TOL_NUM), lam, axes=1)
-
-    return _block_bundle(DiagonalState.tracial(group.order), f, parts, project, CrossedBundle)
+    return _block_bundle(DiagonalState.tracial(group.order), f, parts, CrossedBundle)
 
 
 def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
@@ -314,13 +319,12 @@ def verify_covariance(bundle: CrossedBundle) -> dict[str, float]:
                for g in range(m) for h in range(m))
     # Lam(g) = lambda(g) (x) 1 moves block (u, v) to (gu, gv), so conjugating a
     # block-diagonal copy by it permutes the diagonal blocks: block gu of
-    # Lam(g) copy(h) Lam(g)* is block u of copy(h).  Column u of lambda(g)
-    # holds its single 1 in row gu, and each copy(h) is compared with
-    # copy(gh) at those blocks, one (m, f, f) row at a time.
+    # Lam(g) copy(h) Lam(g)* is block u of copy(h).  Row g of the Cayley
+    # table lists those blocks gu, and each copy(h) is compared with
+    # copy(gh) at them, one (m, f, f) row at a time.
     cov = 0.0
     for g in range(m):
-        moved = bundle.lam[g].real.argmax(axis=0)
         for h in range(m):
-            cov = max(cov, max_abs(fields[h] - fields[group.mul(g, h)][moved]))
+            cov = max(cov, max_abs(fields[h] - fields[group.mul(g, h)][group.table[g]]))
     return {"orthogonal": ortho, "action_homomorphism": homo,
             "field_covariance": cov}

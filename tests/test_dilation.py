@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilation_lab.dilation as dilation_module
-from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol,
+from dilation_lab import (DiagonalState, FourierSymbol, PreconditionError, SchurSymbol,
                           ShapeError, apply_multiplier, build_crossed_dilation,
                           build_dilation, config, convex_combination_dilation,
                           cyclic_group, random_posdef_symbol, star_swap_check,
@@ -74,9 +75,8 @@ def test_even_closure_of_the_image():
 
 
 def test_even_closure_on_a_crossed_bundle():
-    # the generators are the images of the group basis, not of matrix units
+    # the legs act on all of M_3: the generators are the matrix unit images
     bundle = build_crossed_dilation(random_posdef_symbol(cyclic_group(3), rng(5)))
-    assert bundle.domain_basis is not None
     assert verify_even_closure(bundle) == 0.0
 
 
@@ -288,17 +288,6 @@ def test_unit_pairings_match_dense_products_on_other_bundles():
         assert abs(swap - dense) <= 1e-13
 
 
-def test_image_pairings_in_chunks_match_one_stack(monkeypatch):
-    # unit images that fit no block pattern take the route through the table
-    bundle = _rotated_bundle()
-    assert dilation_module._unit_blocks(3, bundle.pi) is None
-    whole = verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=3, seed=2)
-    # two images per chunk: every unit image is formed once per chunk of the other side
-    monkeypatch.setattr(config, "CHUNK_BYTES", 2 * 16 * bundle.ambient_dim ** 2)
-    chunked = verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=3, seed=2)
-    assert abs(chunked - whole) <= 1e-15
-
-
 def test_full_rank_6x6_checks_hold_few_ambient_images():
     # each unit image is cut to its block as it is made, so neither check
     # holds a stack of the n^2 = 36 ambient unit images
@@ -342,13 +331,8 @@ def _dense_morphism_reports(bundle, samples, seed):
     n = bundle.input_dim
     eye_n = np.eye(n, dtype=complex)
     gen = rng(seed)
-    if bundle.domain_basis is None:
-        xs = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
-        xs += [random_complex(gen, n) for _ in range(samples)]
-    else:
-        basis = np.stack(bundle.domain_basis)
-        xs = list(basis)
-        xs += list(np.tensordot(random_complex(gen, samples, basis.shape[0]), basis, axes=1))
+    xs = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+    xs += [random_complex(gen, n) for _ in range(samples)]
     out = {}
     for name, mor in (("pi", bundle.pi), ("rho", bundle.rho)):
         images = [mor(x) for x in xs]
@@ -444,14 +428,23 @@ def _skewed_bundle():
     return dataclasses.replace(bundle, rho=lambda x: block_conjugate(blocks, np.asarray(x)))
 
 
+def _s3_signs():
+    # the signs of the permutations of symmetric_group(3), in its order
+    return np.array([np.linalg.det(np.eye(3)[list(p)])
+                     for p in itertools.permutations(range(3))]).round()
+
+
 def test_morphism_reports_match_dense_products_on_other_bundles():
     mixed = _convex_bundle()
     assert mixed.ambient_dim == 8 * 3 + 2 * 3
     _assert_morphism_reports_match(mixed, samples=3, seed=5)
     _assert_morphism_reports_match(_permuted_bundle(), samples=3, seed=5)
     _assert_morphism_reports_match(_rotated_bundle(), samples=3, seed=5)
-    for group in (cyclic_group(3), symmetric_group(3)):
-        bundle = build_crossed_dilation(random_posdef_symbol(group, rng(5)))
+    # the full-rank s3 bundle has ambient dimension 384, too large for the
+    # dense reference over its 36 units; t = (1 + sgn) / 2 has rank 2
+    for t in (random_posdef_symbol(cyclic_group(3), rng(5)),
+              FourierSymbol(symmetric_group(3), (1 + _s3_signs()) / 2)):
+        bundle = build_crossed_dilation(t)
         _assert_morphism_reports_match(bundle, samples=2, seed=5)
 
 
@@ -465,12 +458,30 @@ def test_morphism_reports_match_dense_products_on_block_patterns_of_other_shapes
     _assert_morphism_reports_match(skewed, samples=0, seed=5)
 
 
+def test_every_built_bundle_takes_the_block_route():
+    # the unit images of both legs of every bundle built here fit one block
+    # pattern on the same index sets, so the pairing and morphism checks read
+    # them from compact blocks; the dense route is for hand-built legs
+    full_rank = build_dilation(SchurSymbol(random_unital_psd_symbol(rng(11), 5)),
+                               DiagonalState(random_weights(rng(12), 5)))
+    assert full_rank.gram.rank == 5
+    bundles = [build_dilation(SchurSymbol(T2), UNIFORM2), full_rank,
+               build_dilation(SchurSymbol(np.ones((3, 3))), STATE3), _convex_bundle()]
+    bundles += [build_crossed_dilation(random_posdef_symbol(group, rng(5)))
+                for group in (cyclic_group(3), symmetric_group(3))]
+    for bundle in bundles:
+        pi, rho = (dilation_module._unit_blocks(bundle.input_dim, mor)
+                   for mor in (bundle.pi, bundle.rho))
+        assert pi is not None and rho is not None
+        np.testing.assert_array_equal(pi[0], rho[0])
+
+
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
                                   _convex_bundle, _permuted_bundle],
                          ids=["schur", "convex", "permuted"])
-def test_unit_pairs_call_no_morphism(make, monkeypatch):
+def test_unit_pairs_call_no_morphism(make):
     # every unit x unit and unit x sample product is one block product of the
-    # batched routes: neither a support product nor a call of pi or rho
+    # batched routes, not a call of pi or rho
     bundle = make()
     calls = {"pi": 0, "rho": 0}
 
@@ -480,10 +491,6 @@ def test_unit_pairs_call_no_morphism(make, monkeypatch):
             return mor(x)
         return wrapped
 
-    products = []
-    support_product = dilation_module._product_residual
-    monkeypatch.setattr(dilation_module, "_product_residual",
-                        lambda *args: products.append(1) or support_product(*args))
     counted_bundle = dataclasses.replace(bundle, pi=counted("pi", bundle.pi),
                                          rho=counted("rho", bundle.rho))
     samples, units = 3, 9
@@ -493,28 +500,27 @@ def test_unit_pairs_call_no_morphism(make, monkeypatch):
     # samples, random x random targets
     expected = units + samples + 2 + samples + samples * len(config.T_SAMPLES) + random_pairs
     assert calls == {"pi": expected, "rho": expected}
-    assert len(products) == 2 * random_pairs
 
 
 def _unit_sample_routes(bundle, samples, seed):
     """Per leg: the batched unit x sample residual of each sample, and the
-    per-pair _product_residual route on the same targets."""
+    dense products of every unit image with the sample image against the
+    same targets."""
     n = bundle.input_dim
     gen = rng(seed)
-    xs = list(matrix_units(n)) + [random_complex(gen, n) for _ in range(samples)]
+    draws = [random_complex(gen, n) for _ in range(samples)]
     routes = []
     for mor in (bundle.pi, bundle.rho):
-        images = np.stack([mor(x) for x in xs])
-        nonzero = images != 0
-        rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
+        units = np.stack([mor(x) for x in matrix_units(n)])
+        images = np.stack([mor(y) for y in draws])
         pattern = dilation_module._unit_blocks(n, mor)
         assert pattern is not None
-        for b in range(n * n, len(xs)):
-            batched = dilation_module._unit_sample_residual(n, images, rows, cols, pattern,
-                                                            b, xs[b])
-            per_pair = dilation_module._unit_sample_residual(n, images, rows, cols, None,
-                                                             b, xs[b])
-            routes.append((batched, per_pair))
+        for b, y in enumerate(draws):
+            batched = dilation_module._unit_sample_residual(n, images, pattern, b, y)
+            dense = max(max_abs(units[i * n + j] @ images[b]
+                                - np.tensordot(y[j], units[i * n : (i + 1) * n], axes=1))
+                        for i in range(n) for j in range(n))
+            routes.append((batched, dense))
     return routes
 
 
@@ -522,8 +528,8 @@ def _unit_sample_routes(bundle, samples, seed):
                                   _convex_bundle, _permuted_bundle, _partial_bundle],
                          ids=["schur", "convex", "permuted", "partial"])
 def test_batched_unit_sample_residual_matches_per_pair_route(make):
-    for batched, per_pair in _unit_sample_routes(make(), samples=4, seed=3):
-        assert abs(batched - per_pair) <= 1e-15
+    for batched, dense in _unit_sample_routes(make(), samples=4, seed=3):
+        assert abs(batched - dense) <= 1e-15
 
 
 def test_conjugate_linear_pi_fails_multiplicativity():
@@ -532,6 +538,17 @@ def test_conjugate_linear_pi_fails_multiplicativity():
     bundle = build_dilation(SchurSymbol(T3), STATE3)
     eye_f = np.eye(bundle.rep.dim)
     bad = dataclasses.replace(bundle, pi=lambda x: np.kron(np.conj(x), eye_f))
+    assert verify_morphism_markov(bad, samples=2, seed=1)["pi_multiplicative"] > config.TOL_NUM
+
+
+def test_conjugate_linear_pi_without_a_pattern_fails_multiplicativity():
+    # the same defect on legs whose unit images fit no block pattern: the
+    # dense route's unit x sample targets, read by linearity, see it, and
+    # targets through the morphism would not
+    rotated = _rotated_bundle()
+    bad = dataclasses.replace(rotated, pi=lambda x: rotated.pi(np.conj(x)))
+    assert dilation_module._unit_blocks(3, bad.pi) is None
+    assert _dense_morphism_reports(bad, 2, 1)["pi_multiplicative"] <= 1e-13
     assert verify_morphism_markov(bad, samples=2, seed=1)["pi_multiplicative"] > config.TOL_NUM
 
 
@@ -604,25 +621,3 @@ def test_every_ordered_unit_pair_is_checked_on_a_block_pattern():
     assert dilation_module._unit_blocks(2, bad.pi) is not None
     assert _dense_morphism_reports(bad, 0, 1)["pi_multiplicative"] == 0.0
     assert verify_morphism_markov(bad, samples=0, seed=1)["pi_multiplicative"] == 1 - 1 / f
-
-
-def test_product_on_support_matches_dense_product():
-    gen = rng(8)
-    dim = 12
-    for _ in range(30):
-        images = random_complex(gen, 2 * dim, dim).reshape(2, dim, dim)
-        target = random_complex(gen, dim)
-        for m in (images[0], images[1], target):
-            m[gen.random(dim) < 0.4] = 0.0
-            m[:, gen.random(dim) < 0.4] = 0.0
-        nonzero = images != 0
-        rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
-        product = images[0] @ images[1]
-        targets = [target, 0.0 * target, product]
-        # the product with one entry off, inside or outside its support
-        for r, c in gen.integers(dim, size=(8, 2)):
-            targets.append(product.copy())
-            targets[-1][r, c] += 1.0
-        for mx in targets:
-            support = dilation_module._product_residual(images, rows, cols, 0, 1, mx)
-            assert abs(support - max_abs(product - mx)) <= 1e-13

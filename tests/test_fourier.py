@@ -11,10 +11,12 @@ from dilation_lab import (FiniteGroup, FourierSymbol, PreconditionError,
                           cyclic_group, dihedral_group, gram_matrix, markov_residuals,
                           multiplier_apply, multiplier_map,
                           random_posdef_symbol, schur_symbol_matrix,
-                          symmetric_group, verify_covariance,
-                          verify_fourier_identity, verify_morphism_markov)
+                          star_swap_check, symmetric_group, verify_covariance,
+                          verify_factorization, verify_fourier_identity,
+                          verify_morphism_markov)
 from dilation_lab.states import DiagonalState
-from dilation_lab.matcore import block_conjugate, dagger, direct_sum, matrix_unit, max_abs, rng
+from dilation_lab.matcore import (block_conjugate, dagger, direct_sum, max_abs, random_complex,
+                                  rng)
 
 
 def test_cyclic_table_is_addition():
@@ -229,16 +231,57 @@ def test_oversized_crossed_dilation_is_refused_before_its_fiber_state():
     assert peak < 1 << 24
 
 
-def test_projection_checks_the_span_at_the_numerical_tolerance():
-    # the symbol tolerance admits the coefficients; it does not widen the
-    # group algebra span, which stays checked at TOL_NUM
-    group = cyclic_group(3)
-    bundle = build_crossed_dilation(random_posdef_symbol(group, rng(5)), tol=1e-6)
-    off_span = bundle.lam[1] + 5e-7 * matrix_unit(3, 0, 1)
-    for leg in (bundle.pi, bundle.rho):
-        with pytest.raises(PreconditionError):
-            leg(off_span)
-        leg(bundle.lam[1])
+def test_crossed_legs_act_on_all_of_the_input_algebra():
+    # a dense x far from the group algebra: pi is x (x) 1 and rho is
+    # d (x (x) 1) d, as on any element of M_6
+    group = symmetric_group(3)
+    bundle = build_crossed_dilation(random_posdef_symbol(group, rng(5)))
+    x = random_complex(rng(28), group.order)
+    assert max_abs(np.tensordot(x[:, group.identity], bundle.lam, axes=1) - x) > 0.1
+    pi_x = np.kron(x, np.eye(bundle.fiber_state.dim))
+    np.testing.assert_array_equal(bundle.pi(x), pi_x)
+    d = direct_sum(bundle.blocks)
+    assert max_abs(bundle.rho(x) - d @ pi_x @ d) <= 1e-13
+
+
+@pytest.mark.parametrize("group", [cyclic_group(3), cyclic_group(4), symmetric_group(3)],
+                         ids=["z3", "z4", "s3"])
+def test_crossed_bundle_dilates_the_transferred_schur_multiplier(group):
+    # transference: with the tracial state, the crossed bundle dilates the
+    # Schur multiplier of the symbol t(g h^-1) on all of M_m
+    t = random_posdef_symbol(group, rng(5))
+    bundle = build_crossed_dilation(t)
+    state = DiagonalState.tracial(group.order)
+    symbol = SchurSymbol(schur_symbol_matrix(t))
+    assert verify_factorization(bundle, symbol, state, seed=3) <= config.TOL_NUM
+    assert star_swap_check(bundle, symbol, state, seed=3) <= config.TOL_NUM
+
+
+def test_transference_fails_for_the_symbol_t_g_inverse_h():
+    # on the nonabelian s3 the symbol t(g^-1 h) is another multiplier, which
+    # the crossed bundle does not dilate
+    t = random_posdef_symbol(symmetric_group(3), rng(5))
+    bundle = build_crossed_dilation(t)
+    state = DiagonalState.tracial(6)
+    symbol = SchurSymbol(gram_matrix(t))
+    assert verify_factorization(bundle, symbol, state, seed=3) > 1.0
+    assert star_swap_check(bundle, symbol, state, seed=3) > 1.0
+
+
+@pytest.mark.parametrize("make, arg", [(cyclic_group, 2000), (dihedral_group, 250),
+                                       (symmetric_group, 8)],
+                         ids=["cyclic", "dihedral", "symmetric"])
+def test_oversized_groups_are_refused_before_their_tables(make, arg):
+    # orders 2000, 500 and 40320 are over the cap; their Cayley tables would
+    # take 32 MB, 2 MB and 13 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError):
+            make(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_covariance_requires_a_crossed_bundle():
