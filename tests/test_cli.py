@@ -661,6 +661,23 @@ def test_fixture_stdout_matches_golden(command):
     assert out.getvalue() == _golden(f"{command}-fixture.json")
 
 
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_secondquant_fixture_stdout_matches_golden(window):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["secondquant", "--window", str(window)])
+    assert code == 0, err.getvalue()
+    assert out.getvalue() == _golden(f"secondquant-fixture-window{window}.json")
+
+
+def test_secondquant_2x2_stdout_matches_golden():
+    # m = 2, so the report carries the gamma_factorization row
+    payload = {"matrix": [[0.137, -0.663], [-0.663, 0.351]], "window": 1}
+    code, out, err = run_main("secondquant", payload, "--steps", "1")
+    assert code == 0, err
+    assert out == _golden("secondquant-2x2-window1-steps1.json")
+
+
 # ---------------------------------------------------------------------------
 # metamorphic checks across subcommands
 
