@@ -133,15 +133,15 @@ def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int,
     if depth < 1:
         raise PreconditionError("chain depth must be >= 1")
     gram = build_gram_space(symbol, tol)
-    rep = build_fermion_rep(gram)
-    if symbol.dim * rep.dim ** depth > config.dim_cap():
-        raise SizeError(
-            f"chain dimension {symbol.dim * rep.dim ** depth} exceeds cap")
-    planned = _planned_bytes(symbol.dim, rep.dim, depth)
+    leg = 2 ** gram.rank
+    if symbol.dim * leg ** depth > config.dim_cap():
+        raise SizeError(f"chain dimension {symbol.dim * leg ** depth} exceeds cap")
+    planned = _planned_bytes(symbol.dim, leg, depth)
     if planned > config.BYTE_CAP:
         raise SizeError(f"chain at depth {depth} plans {planned} bytes, "
                         f"over the {config.BYTE_CAP} byte cap")
-    omegas = np.stack([rep.generator_omega(i) for i in range(symbol.dim)])
+    rep = build_fermion_rep(gram)
+    omegas = rep.omega(rep.embedding)
     pairs = np.einsum("iab,jbc->ijac", omegas, omegas)
     even_basis = np.stack([p for mask, p in enumerate(rep.omega_products())
                            if mask.bit_count() % 2 == 0])
@@ -500,8 +500,8 @@ def verify_rota_secondquant(t: np.ndarray, window: int, n: int) -> float:
     if n < 0 or 2 * n > 2 * window:
         raise PreconditionError("need 0 <= n <= window")
     dil = build_schaffer(t, window)
-    xs = np.stack(build_fermion_rep(GramSpace.standard(m)).omega_products())
     base, win = majorana_frame(m), majorana_frame(total)
+    xs = base.field_monomials()
 
     include = second_quantize_action(base, win, dil.embed)
     p_n = _span_projection(dil, n, 2 * window - n)
@@ -524,8 +524,8 @@ def verify_gamma_factorization(t: np.ndarray) -> float:
         raise SizeError("doubled factorization check limited to base dim <= 2")
     d = hermitian_sqrt(np.eye(m) - t @ t).real
     u = halmos_block(t, d)
-    basis = np.stack(build_fermion_rep(GramSpace.standard(m)).omega_products())
     base, double = majorana_frame(m), majorana_frame(2 * m)
+    basis = base.field_monomials()
 
     iota = np.vstack([np.eye(m), np.zeros((m, m))])
     pi = second_quantize_action(base, double, iota)(basis)

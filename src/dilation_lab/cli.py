@@ -104,10 +104,13 @@ def _parse_group(data: dict) -> FourierSymbol:
         group = FiniteGroup(_int_table(_field(spec, "table")))
     elif spec == "s3":
         group = symmetric_group(3)
-    elif isinstance(spec, str) and spec.startswith("cyclic:"):
-        group = cyclic_group(int(spec.split(":", 1)[1]))
-    elif isinstance(spec, str) and spec.startswith("dihedral:"):
-        group = dihedral_group(int(spec.split(":", 1)[1]))
+    elif isinstance(spec, str) and spec.startswith(("cyclic:", "dihedral:")):
+        kind, order = spec.split(":", 1)
+        try:
+            order = int(order)
+        except ValueError:
+            raise ValueError(f"unknown group spec {spec!r}") from None
+        group = (cyclic_group if kind == "cyclic" else dihedral_group)(order)
     else:
         raise ValueError(f"unknown group spec {spec!r}")
     return FourierSymbol(group, _real_array(_field(data, "t"), "t"))

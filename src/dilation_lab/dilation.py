@@ -118,7 +118,7 @@ def build_dilation(symbol: SchurSymbol, state: DiagonalState,
 
     def parts():
         rep = build_fermion_rep(gram)
-        blocks = np.stack([rep.generator_omega(i) for i in range(symbol.dim)])
+        blocks = rep.omega(rep.embedding)
         return blocks, DiagonalState.tracial(f), {"gram": gram, "rep": rep}
 
     return _block_bundle(state, f, parts)

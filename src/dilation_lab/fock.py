@@ -202,79 +202,88 @@ class TruncatedQFock:
 # fermionic representation (q = -1)
 
 
-def _popcount_below(mask: int, k: int) -> int:
-    return (mask & ((1 << k) - 1)).bit_count()
+def _require_bytes(what: str, entries: int) -> None:
+    """Refuse an array of this many complex entries over the byte cap."""
+    size = np.dtype(complex).itemsize * entries
+    if size > config.BYTE_CAP:
+        raise SizeError(f"{what} takes {size} bytes, over the {config.BYTE_CAP} byte cap")
 
 
-def _creation_matrices(d: int) -> tuple[np.ndarray, ...]:
-    dim = 1 << d
-    mats = []
-    for k in range(d):
-        m = np.zeros((dim, dim), dtype=complex)
-        bit = 1 << k
-        for mask in range(dim):
-            if mask & bit:
-                continue
-            sign = -1.0 if _popcount_below(mask, k) % 2 else 1.0
-            m[mask | bit, mask] = sign
-        mats.append(m)
-    return tuple(mats)
-
-
-def _majorana_table(rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flip, phase) of the ordered Majorana products in the wedge basis.
-
-    The product over mask B sends e_r to phase[B, r] e_(r ^ flip[B]): flip[B]
-    has bit k set when B holds exactly one of Majoranas 2k and 2k+1, and every
-    phase is +-1 or +-i.  Built by appending Majorana j on the right of the
-    products over masks below 2^j.
-    """
+def _jordan_wigner(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one rule for every fermion operator in the wedge basis: mode k flips
+    bit[k] = 2^k of index r with sign[k, r] = (-1)^(occupied modes below k);
+    occupied[k, r] is bit k of r, and sign[rank] is the number parity (-1)^N."""
     r = np.arange(1 << rank)
-    flip = np.zeros(1, dtype=np.int64)
-    phase = np.ones((1, r.size), dtype=complex)
-    below = np.zeros(r.size, dtype=np.int64)  # parity of the occupied modes below k
-    for k in range(rank):
-        bit = 1 << k
-        sign = 1.0 - 2.0 * below
-        # l+l* and i(l-l*): annihilation carries the opposite sign in the second
-        for c in (sign, 1j * sign * np.where(r & bit, -1.0, 1.0)):
-            phase = np.concatenate([phase, c * phase[:, r ^ bit]])
-            flip = np.concatenate([flip, flip ^ bit])
-        below ^= (r >> k) & 1
-    return flip, phase
+    bit = 1 << np.arange(rank)[:, None]
+    occupied = (r & bit) != 0
+    sign = np.ones((rank + 1, r.size))
+    np.cumprod(1.0 - 2.0 * occupied, axis=0, out=sign[1:])
+    return bit, occupied, sign
+
+
+def _majorana_generators(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, phase) of Majoranas 2k = l(f_k) + l(f_k)* and 2k+1 = i(l(f_k) - l(f_k)*):
+    Majorana j sends e_r to phase[j, r] e_(r ^ flip[j]), both flipping bit k with
+    the Jordan-Wigner sign, the second times i where mode k is empty, else -i."""
+    bit, occupied, sign = _jordan_wigner(rank)
+    phase = np.empty((2 * rank, 1 << rank), dtype=complex)
+    phase[0::2] = sign[:-1]
+    phase[1::2] = 1j * sign[:-1] * (1.0 - 2.0 * occupied)
+    return np.repeat(bit[:, 0], 2), phase
+
+
+def _ordered_products(flip: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, phase) of the ordered products of the signed permutations
+    e_r -> phase[j, r] e_(r ^ flip[j]) over every subset in bitmask order, each
+    ascending left to right: generator j is appended on the right of masks < 2^j."""
+    r = np.arange(phase.shape[1])
+    out_flip = np.zeros(1, dtype=np.int64)
+    out_phase = np.ones((1, r.size), dtype=complex)
+    for f, c in zip(flip, phase):
+        out_phase = np.concatenate([out_phase, c * out_phase[:, r ^ f]])
+        out_flip = np.concatenate([out_flip, out_flip ^ f])
+    return out_flip, out_phase
+
+
+def _signed_permutations(flip: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Dense stack of e_r -> phase[i, r] e_(r ^ flip[i]), within the byte cap."""
+    count, dim = phase.shape
+    _require_bytes(f"stack of {count} operators on {dim} dimensions", count * dim * dim)
+    r = np.arange(dim)
+    out = np.zeros((count, dim, dim), dtype=complex)
+    out[np.arange(count)[:, None], r ^ flip[:, None], r] = phase
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class FermionRep:
-    """Concrete antisymmetric Fock representation over R^rank.
-
-    creation[k] implements l(f_k) in the wedge basis (bitmask order); the
-    embedding rows express external generators e_i in the orthonormal f-basis,
-    so omega applied to a row reproduces <e_i, e_j> as two-point functions.
-    Every method computes its result on each call; nothing is cached.
-    """
+    """Antisymmetric Fock representation over R^rank that holds no matrix: each
+    operator is written on request from the Jordan-Wigner rule, in the wedge
+    basis (bitmask order).  The embedding rows express external generators e_i
+    in the orthonormal f-basis, so omega of a row reproduces <e_i, e_j> as
+    two-point functions."""
 
     rank: int
     embedding: np.ndarray
-    creation: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
         return 1 << self.rank
 
     def creation_op(self, v) -> np.ndarray:
-        """l(v) for v given in f-basis coordinates."""
-        vv = np.asarray(v, dtype=complex).reshape(-1)
-        if vv.size != self.rank:
-            raise ShapeError(f"vector dimension {vv.size} does not match rank {self.rank}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in range(self.rank):
-            if vv[k] != 0:
-                out += vv[k] * self.creation[k]
+        """l(v) for v in f-basis coordinates, or a stack of them (..., rank): mode
+        k sends each e_r with bit k clear to v_k e_(r | 2^k) times its sign."""
+        vv = np.atleast_1d(np.asarray(v, dtype=complex))
+        if vv.shape[-1] != self.rank:
+            raise ShapeError(f"vector dimension {vv.shape[-1]} does not match rank {self.rank}")
+        bit, occupied, sign = _jordan_wigner(self.rank)
+        r = np.arange(self.dim)
+        out = np.zeros((*vv.shape[:-1], self.dim, self.dim), dtype=complex)
+        out[..., r ^ bit, r] = np.where(occupied, 0.0, vv[..., None] * sign[:-1])
         return out
 
     def omega(self, v) -> np.ndarray:
-        """Field operator w(v) = l(v) + l(v)*."""
+        """Field operator w(v) = l(v) + l(v)*, for one vector or a stack."""
         c = self.creation_op(v)
         return c + dagger(c)
 
@@ -291,36 +300,24 @@ class FermionRep:
 
     def parity(self) -> np.ndarray:
         """(-1)^N in the wedge basis; conjugation by it grades the algebra."""
-        signs = np.array([(-1.0) ** mask.bit_count() for mask in range(self.dim)])
-        return np.diag(signs).astype(complex)
+        _, _, sign = _jordan_wigner(self.rank)
+        return np.diag(sign[-1]).astype(complex)
 
     def majoranas(self) -> tuple[np.ndarray, ...]:
         """Self-adjoint anticommuting generators: pairs (l+l*, i(l-l*)) per mode."""
-        out = []
-        for k in range(self.rank):
-            c = self.creation[k]
-            out.append(c + dagger(c))
-            out.append(1j * (c - dagger(c)))
-        return tuple(out)
+        return tuple(_signed_permutations(*_majorana_generators(self.rank)))
 
     def majorana_products(self) -> tuple[np.ndarray, ...]:
-        """Ordered products over subsets of the 2*rank Majoranas (bitmask order);
-        a trace-orthogonal basis of the full matrix algebra."""
-        flip, phase = _majorana_table(self.rank)
-        r = np.arange(self.dim)
-        prods = np.zeros((flip.size, self.dim, self.dim), dtype=complex)
-        prods[np.arange(flip.size)[:, None], r ^ flip[:, None], r] = phase
-        return tuple(prods)
+        """Ordered products over subsets of the 2*rank Majoranas (bitmask order),
+        a trace-orthogonal basis of the full matrix algebra, read from the
+        MajoranaFrame."""
+        frame = majorana_frame(self.rank)
+        return tuple(_signed_permutations(frame.flip, frame.phase))
 
     def omega_products(self) -> tuple[np.ndarray, ...]:
         """Ordered products of w(f_k) over subsets of {0..rank-1} (bitmask order)."""
-        omegas = [self.creation[k] + dagger(self.creation[k]) for k in range(self.rank)]
-        prods: list[np.ndarray | None] = [None] * self.dim
-        prods[0] = np.eye(self.dim, dtype=complex)
-        for mask in range(1, self.dim):
-            low = (mask & -mask).bit_length() - 1
-            prods[mask] = omegas[low] @ prods[mask ^ (1 << low)]
-        return tuple(prods)
+        bit, _, sign = _jordan_wigner(self.rank)
+        return tuple(_signed_permutations(*_ordered_products(bit[:, 0], sign[:-1])))
 
 
 def build_fermion_rep(gram: GramSpace) -> FermionRep:
@@ -329,8 +326,7 @@ def build_fermion_rep(gram: GramSpace) -> FermionRep:
         raise SizeError(f"rank {gram.rank} exceeds fermion cap {config.FERMION_RANK_CAP}")
     if (1 << gram.rank) > config.dim_cap():
         raise SizeError(f"Fock dimension 2^{gram.rank} exceeds dimension cap")
-    return FermionRep(rank=gram.rank, embedding=np.asarray(gram.embedding, dtype=float),
-                      creation=_creation_matrices(gram.rank))
+    return FermionRep(rank=gram.rank, embedding=np.asarray(gram.embedding, dtype=float))
 
 
 def verify_q_relation(space, e, f, q: float) -> float:
@@ -449,8 +445,8 @@ def _split_interleaved(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class MajoranaFrame:
     """The ordered Majorana products over `rank` modes in the form second
-    quantization works with: the flip/phase table of _majorana_table and, for
-    every mask, its sign and its place (even part, odd part) after
+    quantization works with: their flip/phase table from _ordered_products
+    and, for every mask, its sign and its place (even part, odd part) after
     _split_interleaved.  Built per call by majorana_frame; nothing is cached."""
 
     rank: int
@@ -486,15 +482,18 @@ class MajoranaFrame:
             out[(r ^ x) * r.size + r] = self.phase[masks].T @ coeffs[masks]
         return out
 
+    def field_monomials(self) -> np.ndarray:
+        """Ordered products of the fields w(f_k) = Majorana 2k over subsets of
+        the modes (bitmask order): the products at the masks with no odd bit."""
+        fields = np.flatnonzero(self.pair % self.dim == 0)
+        return _signed_permutations(self.flip[fields], self.phase[fields])
+
 
 def majorana_frame(rank: int) -> MajoranaFrame:
     """MajoranaFrame over `rank` modes; its phase table, 4^rank products of
     2^rank phases each, obeys the byte cap."""
-    table_bytes = np.dtype(complex).itemsize * 8 ** rank
-    if table_bytes > config.BYTE_CAP:
-        raise SizeError(f"Majorana frame over {rank} modes takes {table_bytes} bytes, "
-                        f"over the {config.BYTE_CAP} byte cap")
-    flip, phase = _majorana_table(rank)
+    _require_bytes(f"Majorana frame over {rank} modes", 8 ** rank)
+    flip, phase = _ordered_products(*_majorana_generators(rank))
     even, odd, sign = _split_interleaved(rank)
     return MajoranaFrame(rank, flip, phase, (even << rank) | odd, sign)
 
@@ -548,10 +547,7 @@ def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
     """
     tt = _checked_contraction(t, rep_in.rank, rep_out.rank, tol)
     n_in = rep_in.dim ** 2
-    super_bytes = np.dtype(complex).itemsize * rep_out.dim ** 2 * n_in
-    if super_bytes > config.BYTE_CAP:
-        raise SizeError(f"second quantization superoperator takes {super_bytes} bytes, "
-                        f"over the {config.BYTE_CAP} byte cap")
+    _require_bytes("second quantization superoperator", rep_out.dim ** 2 * n_in)
     frame_in, frame_out = majorana_frame(rep_in.rank), majorana_frame(rep_out.rank)
     lam = exterior_map(tt)
     super_op = np.empty((rep_out.dim ** 2, n_in), dtype=complex)

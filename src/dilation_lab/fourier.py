@@ -311,8 +311,8 @@ def verify_covariance(bundle: CrossedBundle) -> dict[str, float]:
     actions = bundle.actions
     rank = actions.shape[1]
     # fields[h, u]: diagonal block u of the covariant copy of omega(row h)
-    fields = np.stack([_covariant_blocks(group, bundle.rotations, bundle.rep.omega(row))
-                       for row in bundle.gram.embedding])
+    fields = np.stack([_covariant_blocks(group, bundle.rotations, w)
+                       for w in bundle.rep.omega(bundle.gram.embedding)])
 
     ortho = max(max_abs(actions[g].T @ actions[g] - np.eye(rank)) for g in range(m))
     homo = max(max_abs(actions[g] @ actions[h] - actions[group.mul(g, h)])

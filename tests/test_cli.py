@@ -152,6 +152,20 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def run_cli_in_one_gib(command, payload, *flags):
+    """The CLI in a subprocess with a 1 GiB address space, on a payload file;
+    returns (completed process, wall seconds)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "dilation_lab", command, path, *flags],
+                                capture_output=True, text=True,
+                                preexec_fn=_limit_address_space)
+    return result, time.perf_counter() - start
+
+
 def test_full_rank_30x30_check_schur_is_refused_before_any_fiber_array():
     # the symbol and Markov rows stay small (a 900 x 900 Choi matrix), but
     # the fiber of a rank-30 Gram space has 2^30 entries: the cap must refuse
@@ -159,15 +173,33 @@ def test_full_rank_30x30_check_schur_is_refused_before_any_fiber_array():
     gen = rng(5)
     payload = {"symbol": random_unital_psd_symbol(gen, 30).tolist(),
                "weights": random_weights(gen, 30).tolist()}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        start = time.perf_counter()
-        result = subprocess.run([sys.executable, "-m", "dilation_lab", "check-schur", path],
-                                capture_output=True, text=True,
-                                preexec_fn=_limit_address_space)
-    assert time.perf_counter() - start < 10.0
+    result, seconds = run_cli_in_one_gib("check-schur", payload)
+    assert seconds < 10.0
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "cap" in result.stderr
+
+
+def test_full_rank_12x12_rota_is_refused_before_any_fermion_operator():
+    # chain dimension 12 * 2^12 is over the cap: the chain is refused before
+    # its rank-12 representation or any 4096 x 4096 operator is formed
+    payload = {"symbol": random_unital_psd_symbol(rng(3), 12).tolist(),
+               "weights": random_weights(rng(4), 12).tolist()}
+    result, seconds = run_cli_in_one_gib("rota", payload, "--depth", "1")
+    assert seconds < 2.0
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "cap" in result.stderr
+
+
+def test_12x12_secondquant_is_refused_before_any_fermion_operator():
+    # Gamma(id) over rank 12 is a 4^12 x 4^12 superoperator, over the byte cap;
+    # the rank-12 representation itself holds no matrix
+    a = rng(6).standard_normal((12, 12))
+    a = (a + a.T) / 2
+    payload = {"matrix": (0.9 * a / np.abs(np.linalg.eigvalsh(a)).max()).tolist(), "window": 1}
+    result, seconds = run_cli_in_one_gib("secondquant", payload, "--steps", "1")
+    assert seconds < 2.0
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "cap" in result.stderr
@@ -176,13 +208,7 @@ def test_full_rank_30x30_check_schur_is_refused_before_any_fiber_array():
 def test_order_8_fourier_fits_one_gib():
     # t = delta_e has the identity Gram matrix: rank 8 and ambient dimension
     # 2048, so a stack of the m images pi(lambda(g)) alone would take 512 MB
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"group": "dihedral:4", "t": [1, 0, 0, 0, 0, 0, 0, 0]}, fh)
-        result = subprocess.run([sys.executable, "-m", "dilation_lab", "fourier", path],
-                                capture_output=True, text=True,
-                                preexec_fn=_limit_address_space)
+    result, _ = run_cli_in_one_gib("fourier", {"group": "dihedral:4", "t": [1, 0, 0, 0, 0, 0, 0, 0]})
     assert result.returncode == 0, result.stderr
     rows = json.loads(result.stdout)["checks"]
     assert [row["name"] for row in rows] == FIXTURE_ROWS["fourier"]
@@ -262,6 +288,14 @@ def run_in_process(command, payload, *flags):
     """cli.main on a payload file; returns (exit code, report or None)."""
     code, text, _ = run_main(command, payload, *flags)
     return code, json.loads(text, parse_constant=_no_constant) if text else None
+
+
+@pytest.mark.parametrize("spec", ["cyclic:x", "dihedral:2.5"])
+def test_bad_group_order_names_the_spec(spec):
+    code, out, err = run_main("fourier", {"group": spec, "t": [1.0, 0.5]})
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown group spec '{spec}'\n"
 
 
 def test_secondquant_on_subnormal_entries_warns_nothing():
@@ -643,6 +677,26 @@ def test_rota_fixture_stdout_matches_golden(depth):
         code = cli.main(["rota", "--depth", str(depth), "--steps", str(depth)])
     assert code == 0, err.getvalue()
     assert out.getvalue() == _golden(f"rota-fixture-depth{depth}.json")
+
+
+# The chain shapes of the benchmark, 2x2 rank 2 one leg deeper: (n, rank, depth).
+@pytest.mark.parametrize("n, rank, depth", [(2, 2, 3), (2, 1, 3), (3, 3, 2), (3, 1, 3),
+                                            (3, 2, 2)])
+def test_rota_rows_agree_across_depths(n, rank, depth):
+    # every row of --depth d - 1 is the same identity on a chain one leg
+    # shorter, so --depth d reports it with the same residual up to rounding
+    gen = rng(100 * n + rank)
+    payload = {"symbol": random_unital_psd_symbol(gen, n, rank).tolist(),
+               "weights": random_weights(gen, n).tolist()}
+    reports = []
+    for d in range(1, depth + 1):
+        code, report = run_in_process("rota", payload, "--depth", str(d))
+        assert code == 0
+        reports.append({row["name"]: row["residual"] for row in report["checks"]})
+    for shallow, deep in zip(reports, reports[1:]):
+        assert shallow.keys() < deep.keys()
+        for name, residual in shallow.items():
+            assert abs(deep[name] - residual) <= 1e-13, name
 
 
 @pytest.mark.parametrize("key", sorted(ILL_CONDITIONED))

@@ -1,4 +1,5 @@
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -124,12 +125,88 @@ def _standard_rep(rank):
     return build_fermion_rep(GramSpace.standard(rank))
 
 
+def _dense_creation(rank):
+    """Reference l(f_k), k < rank, written entry by entry: e_r -> sign e_(r | 2^k)
+    for r without bit k, the sign counting the occupied modes below k."""
+    dim = 1 << rank
+    mats = []
+    for k in range(rank):
+        m = np.zeros((dim, dim), dtype=complex)
+        bit = 1 << k
+        for mask in range(dim):
+            if not mask & bit:
+                m[mask | bit, mask] = -1.0 if (mask & (bit - 1)).bit_count() % 2 else 1.0
+        mats.append(m)
+    return mats
+
+
+def _dense_majoranas(rank):
+    """Reference Majoranas (l + l*, i(l - l*)) per mode."""
+    out = []
+    for c in _dense_creation(rank):
+        out += [c + dagger(c), 1j * (c - dagger(c))]
+    return out
+
+
+def _dense_products(factors, count):
+    """Ordered products over the first `count` masks of the factors, the
+    lowest factor on the left, multiplied out."""
+    prods = [np.eye(factors[0].shape[0] if factors else 1, dtype=complex)]
+    for mask in range(1, count):
+        low = (mask & -mask).bit_length() - 1
+        prods.append(factors[low] @ prods[mask ^ (1 << low)])
+    return np.stack(prods)
+
+
+@pytest.mark.parametrize("rank", range(8))
+def test_fermion_operators_match_dense_reference(rank):
+    gen = rng(rank)
+    creation = _dense_creation(rank)
+    fields = [c + dagger(c) for c in creation]
+    rep = build_fermion_rep(GramSpace(rank, gen.standard_normal((3, rank))))
+    for v in (gen.standard_normal(rank), gen.standard_normal(rank) + 1j * gen.standard_normal(rank),
+              np.eye(1, rank)[0]):  # one mode, the rest exactly 0
+        lv = sum((v[k] * creation[k] for k in range(rank)), np.zeros((rep.dim, rep.dim), complex))
+        assert np.array_equal(rep.creation_op(v), lv)
+        assert np.array_equal(rep.omega(v), lv + dagger(lv))
+    stack = np.stack([rep.generator_omega(i) for i in range(3)])
+    assert np.array_equal(rep.omega(rep.embedding), stack)
+    assert np.array_equal(stack[0], sum((rep.embedding[0, k] * fields[k] for k in range(rank)),
+                                        np.zeros((rep.dim, rep.dim), complex)))
+    assert np.array_equal(np.array(rep.majoranas()).reshape(-1, rep.dim, rep.dim),
+                          np.array(_dense_majoranas(rank)).reshape(-1, rep.dim, rep.dim))
+    signs = [(-1.0) ** mask.bit_count() for mask in range(rep.dim)]
+    assert np.array_equal(rep.parity(), np.diag(signs))
+    monomials = _dense_products(fields, rep.dim)
+    assert np.array_equal(np.stack(rep.omega_products()), monomials)
+    assert np.array_equal(majorana_frame(rank).field_monomials(), monomials)
+
+
+@pytest.mark.parametrize("rank", range(8))
+def test_majorana_frame_matches_dense_reference(rank):
+    """The frame's (flip, phase) table against the reference Majoranas applied
+    in order to a random vector x: c_B x, with B's lowest Majorana on the
+    left, has entry phase[B, r] x[r] at r ^ flip[B]."""
+    frame = majorana_frame(rank)
+    majoranas = _dense_majoranas(rank)
+    x = random_complex(rng(rank), 1 << rank)[:, 0]
+    images = np.empty((4 ** rank, 1 << rank), dtype=complex)
+    images[0] = x
+    for mask in range(1, 4 ** rank):
+        low = (mask & -mask).bit_length() - 1
+        images[mask] = majoranas[low] @ images[mask ^ (1 << low)]
+    r = np.arange(1 << rank)
+    expected = np.empty_like(images)
+    expected[np.arange(4 ** rank)[:, None], r ^ frame.flip[:, None]] = frame.phase * x
+    assert np.array_equal(images, expected)
+
+
 def test_creation_car_relations():
     rep = _standard_rep(3)
     eye = np.eye(rep.dim)
     for i in range(3):
         for j in range(3):
-            ci, cj = rep.creation[i], rep.creation[j]
+            ci, cj = rep.creation_op(np.eye(3)[i]), rep.creation_op(np.eye(3)[j])
             assert max_abs(ci @ cj + cj @ ci) < 1e-14
             anti = ci @ dagger(cj) + dagger(cj) @ ci
             assert max_abs(anti - (1.0 if i == j else 0.0) * eye) < 1e-14
@@ -360,18 +437,14 @@ def test_second_quantize_isometry_is_a_homomorphism():
 # dense reference: Majorana products by matmul, second quantization by GEMMs
 
 
-def _dense_majorana_basis(rep):
+def _dense_majorana_basis(rank):
     """Columns vec(c_B) of the ordered Majorana products, multiplied out."""
-    maj = rep.majoranas()
-    prods = [np.eye(rep.dim, dtype=complex)]
-    for mask in range(1, 1 << (2 * rep.rank)):
-        low = (mask & -mask).bit_length() - 1
-        prods.append(maj[low] @ prods[mask ^ (1 << low)])
-    return np.column_stack([p.reshape(-1) for p in prods])
+    prods = _dense_products(_dense_majoranas(rank), 4 ** rank)
+    return prods.reshape(len(prods), -1).T
 
 
 def _dense_second_quantize(rep_in, rep_out, t):
-    c_in, c_out = _dense_majorana_basis(rep_in), _dense_majorana_basis(rep_out)
+    c_in, c_out = _dense_majorana_basis(rep_in.rank), _dense_majorana_basis(rep_out.rank)
     return c_out @ exterior_map(interleave_double(t)) @ c_in.conj().T / rep_in.dim
 
 
@@ -394,10 +467,24 @@ def real_contractions(draw, max_dim=4, max_total=8):
 
 
 def test_majorana_products_match_dense_reference():
-    for rank in range(5):
+    for rank in range(6):
         rep = _standard_rep(rank)
         stacked = np.column_stack([p.reshape(-1) for p in rep.majorana_products()])
-        np.testing.assert_array_equal(stacked, _dense_majorana_basis(rep))
+        assert np.array_equal(stacked, _dense_majorana_basis(rank))
+
+
+def test_majorana_products_obey_the_byte_cap(monkeypatch):
+    # rank 9 would take a 2 GiB phase table and a 1 TiB product stack
+    rep = _standard_rep(9)
+    start = time.perf_counter()
+    with pytest.raises(SizeError):
+        rep.majorana_products()
+    assert time.perf_counter() - start < 0.5
+    # 16^rank complex entries: over the cap at rank 2, while the frame fits
+    monkeypatch.setattr(config, "BYTE_CAP", 16 * 16 ** 2 - 1)
+    majorana_frame(2)
+    with pytest.raises(SizeError):
+        _standard_rep(2).majorana_products()
 
 
 @settings(max_examples=60, deadline=None)
