@@ -715,6 +715,30 @@ def test_fixture_stdout_matches_golden(command):
     assert out.getvalue() == _golden(f"{command}-fixture.json")
 
 
+def test_check_schur_4x4_stdout_matches_golden():
+    # full rank: Gram rank 4, fiber 16, ambient dimension 64
+    payload = {"symbol": random_unital_psd_symbol(rng(3), 4).tolist(),
+               "weights": random_weights(rng(4), 4).tolist()}
+    code, out, err = run_main("check-schur", payload)
+    assert code == 0, err
+    assert out == _golden("check-schur-4x4-full-rank.json")
+
+
+# t on cyclic:5 has Fourier transform 1.8, 1.085, 0.415 (full rank, fiber 32);
+# on s3 (lexicographic order) it is 0.2 + 0.3 sgn + 0.25 (fixed points - 1)
+FOURIER_PAYLOADS = {
+    "cyclic5": {"group": "cyclic:5", "t": [1.0, 0.4, 0.1, 0.1, 0.4]},
+    "s3": {"group": "s3", "t": [1.0, -0.1, -0.1, 0.25, 0.25, -0.1]},
+}
+
+
+@pytest.mark.parametrize("key", sorted(FOURIER_PAYLOADS))
+def test_fourier_stdout_matches_golden(key):
+    code, out, err = run_main("fourier", FOURIER_PAYLOADS[key])
+    assert code == 0, err
+    assert out == _golden(f"fourier-{key}.json")
+
+
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_secondquant_fixture_stdout_matches_golden(window):
     out, err = io.StringIO(), io.StringIO()
