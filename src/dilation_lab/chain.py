@@ -133,6 +133,11 @@ def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int,
     if depth < 1:
         raise PreconditionError("chain depth must be >= 1")
     gram = build_gram_space(symbol, tol)
+    # the tail alone has 2^(rank depth) dimensions: refuse on the exponent
+    # before the power is formed
+    if gram.rank * depth >= config.dim_cap().bit_length():
+        raise SizeError(f"chain dimension {symbol.dim} * 2^{gram.rank * depth} exceeds "
+                        f"the dimension cap {config.dim_cap()}")
     leg = 2 ** gram.rank
     if symbol.dim * leg ** depth > config.dim_cap():
         raise SizeError(f"chain dimension {symbol.dim * leg ** depth} exceeds cap")

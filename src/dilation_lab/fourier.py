@@ -20,7 +20,7 @@ import numpy as np
 from . import config
 from .dilation import DilationBundle, _block_bundle
 from .errors import PreconditionError, ShapeError, SizeError
-from .fock import build_fermion_rep, exterior_map
+from .fock import _require_bytes, build_fermion_rep, exterior_map
 from .matcore import max_abs, rng
 from .schur import SchurSymbol, build_gram_space, certify_symbol, require_symbol
 from .states import DiagonalState
@@ -266,34 +266,34 @@ def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
     over all group pairs and random span combinations.
 
     Entry (g, h) of the pairing table is sum_ab w~[a] P_g[a, b] R_h[b, a]
-    for P_g = pi(lambda(g)) and R_h = rho(lambda(h)).  Each P_g is kept only
-    as its nonzero entries, read with an exact != 0 (m f of them for
-    lambda(g) (x) 1), and each R_h is formed once and read at the transposed
-    support of every P_g.  The skipped terms are exact zeros, so this is the
-    dense table up to summation order, and no stack of ambient images is
-    formed.
+    for P_g = pi(lambda(g)) and R_h = rho(lambda(h)), read from the blocks W
+    of the bundle.  P_g = lambda(g) (x) 1 is the identity on the blocks
+    (gv, v), and block (hu, u) of R_h is W_hu W_u, so the entry sums the
+    diagonals of the blocks (v, gv) of R_h, which are zero unless h = g^-1.
+    Every other entry is exactly 0, and entry (g, g^-1) is
+    w~ . diag(W_{g^-1 v} W_v), concatenated over v in row order: the dense
+    table up to summation order.  The products W_u W_v are formed one block
+    row u at a time, and neither leg is called.
 
     A sample pairs x = sum_g a_g pi(lambda(g)) with y = sum_h b_h rho(lambda(h)),
-    built from the same images, so phi~(x y) - sum_g a_g b_{g^-1} t_g is
-    a (table - E) b for the pairing table of the images and
-    E[g, h] = delta_{gh,e} t_g: one m x m product per sample, and no
-    combination of ambient images is formed.
+    so phi~(x y) - sum_g a_g b_{g^-1} t_g is a (table - E) b for the pairing
+    table and E[g, h] = delta_{gh,e} t_g: one m x m product per sample, and
+    no combination of ambient images is formed.  Samples over
+    config.BYTE_CAP are refused before any is drawn.
     """
     _require_crossed(bundle)
     group, t = symbol.group, symbol.values
     m = group.order
+    _require_bytes(f"a sample stack of {samples} pairs of {m} coefficients", samples * m)
+    blocks = bundle.blocks
+    diagonals = np.empty((m, m, blocks.shape[1]), dtype=complex)
+    for u, w_u in enumerate(blocks):
+        # diagonals[u, v] = diag(W_u W_v)
+        diagonals[u] = np.diagonal(w_u @ blocks, axis1=1, axis2=2)
     weights = bundle.ambient_state.weights
-    supports = []
-    for lam_g in bundle.lam:
-        image = bundle.pi(lam_g)
-        rows, cols = np.nonzero(image)
-        supports.append((rows, cols, weights[rows] * image[rows, cols]))
-    table = np.empty((m, m), dtype=complex)
-    for h, lam_h in enumerate(bundle.lam):
-        image = bundle.rho(lam_h)
-        for g, (rows, cols, weighted) in enumerate(supports):
-            table[g, h] = weighted @ image[cols, rows]
-        del image  # the next image is formed without this one alive
+    table = np.zeros((m, m), dtype=complex)
+    for g, g_inv in enumerate(group.inverse):
+        table[g, g_inv] = weights @ diagonals[group.table[g_inv], np.arange(m)].reshape(-1)
     expected = np.where(group.table == group.identity, t[:, None], 0.0)
     defect = table - expected
     # the same draws as one (a, b) pair per sample, in that order

@@ -205,6 +205,36 @@ def test_12x12_secondquant_is_refused_before_any_fermion_operator():
     assert "cap" in result.stderr
 
 
+def _shipped(fixture):
+    path = os.path.join(os.path.dirname(cli.__file__), "fixtures", fixture)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("command, fixture, samples", [
+    ("check-schur", "schur2.json", "100000000"),
+    ("fourier", "group_z2.json", "1000000000")])
+def test_samples_over_byte_cap_are_refused_before_any_draw(command, fixture, samples):
+    # the sample arrays would take 12.8 GB and 32 GB
+    result, seconds = run_cli_in_one_gib(command, _shipped(fixture), "--samples", samples)
+    assert seconds < 2.0
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert f"over the {config.BYTE_CAP} byte cap" in result.stderr
+
+
+@pytest.mark.parametrize("depth", ["100000000", "10000000000"])
+def test_huge_depth_is_refused_on_its_exponent(depth):
+    # 2^(rank depth) is not formed as an exact integer before the refusal
+    result, seconds = run_cli_in_one_gib("rota", _shipped("schur2.json"), "--depth", depth)
+    assert seconds < 2.0
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: chain dimension ")
+    assert f"exceeds the dimension cap {config.dim_cap()}" in result.stderr
+
+
 def test_order_8_fourier_fits_one_gib():
     # t = delta_e has the identity Gram matrix: rank 8 and ambient dimension
     # 2048, so a stack of the m images pi(lambda(g)) alone would take 512 MB

@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilation_lab.dilation as dilation_module
-from dilation_lab import (DiagonalState, FourierSymbol, PreconditionError, SchurSymbol,
-                          ShapeError, apply_multiplier, build_crossed_dilation,
+from dilation_lab import (DiagonalState, DilationBundle, FourierSymbol, PreconditionError,
+                          SchurSymbol, ShapeError, apply_multiplier, build_crossed_dilation,
                           build_dilation, config, convex_combination_dilation,
                           cyclic_group, random_posdef_symbol, star_swap_check,
                           symmetric_group, verify_even_closure, verify_factorization,
                           verify_morphism_markov)
-from dilation_lab.matcore import (block_conjugate, dagger, direct_sum, matrix_unit, matrix_units,
-                                  max_abs, random_complex, random_unital_psd_symbol,
-                                  random_weights, rng)
+from dilation_lab.matcore import (dagger, direct_sum, matrix_unit, matrix_units, max_abs,
+                                  random_complex, random_unital_psd_symbol, random_weights, rng)
 from dilation_lab.states import modular_conjugate
 
 PROPERTIES = ("unital", "multiplicative", "star", "state_preserving", "modular")
@@ -84,9 +83,13 @@ def test_even_closure_reports_an_odd_leak():
     # rho over the blocks (w_0, 1) sends e_01 to the odd w_0 in block (0, 1)
     bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
     blocks = np.stack([bundle.rep.generator_omega(0), np.eye(bundle.rep.dim)])
-    leaky = dataclasses.replace(
-        bundle, rho=lambda x: block_conjugate(blocks, np.asarray(x, dtype=complex)))
-    assert verify_even_closure(leaky) > 0.5
+    leaky = dataclasses.replace(bundle, blocks=blocks)
+    residual = verify_even_closure(leaky)
+    assert residual > 0.5
+    # the dense value: max |P g P - g| over the ambient unit images
+    parity = np.kron(np.eye(2), bundle.rep.parity())
+    assert residual == max(max_abs(parity @ leg(x) @ parity - leg(x))
+                           for leg in (leaky.pi, leaky.rho) for x in matrix_units(2))
 
 
 def test_even_closure_on_a_full_rank_5x5_bundle():
@@ -267,17 +270,9 @@ def test_pairing_residuals_match_dense_products():
 
 
 def test_unit_pairings_match_dense_products_on_other_bundles():
-    # unit images on non-contiguous index sets, on no block pattern, on
-    # non-symmetric blocks in both legs, and legs whose patterns sit on
-    # different index sets; no random pairs, whose residuals would hide the
-    # unit table's
-    tracial = DiagonalState.tracial(3)
-    permuted = _permuted_bundle()
-    mixed_legs = dataclasses.replace(build_dilation(SchurSymbol(T3), tracial), rho=permuted.rho)
-    skewed = _skewed_bundle()
-    for bundle, state in ((permuted, tracial), (_rotated_bundle(), STATE3),
-                          (dataclasses.replace(skewed, pi=skewed.rho), STATE3),
-                          (mixed_legs, tracial)):
+    # blocks of unequal fibers and non-symmetric blocks; no random pairs,
+    # whose residuals would hide the unit table's
+    for bundle, state in ((_convex_bundle(), STATE3), (_skewed_bundle(), STATE3)):
         fact = verify_factorization(bundle, SchurSymbol(T3), state, samples=0)
         dense = _dense_pairing_residual(bundle, state, SchurSymbol(T3), bundle.pi, bundle.rho,
                                         0, 9, swap=False)
@@ -315,11 +310,18 @@ def test_perturbed_rho_block_fails_the_checks():
     bundle = build_dilation(SchurSymbol(T3), STATE3)
     omegas = np.stack([bundle.rep.generator_omega(i) for i in range(3)])
     omegas[1] *= 1.01
-    bad = dataclasses.replace(bundle, rho=lambda x: block_conjugate(omegas, np.asarray(x)))
+    bad = dataclasses.replace(bundle, blocks=omegas)
     tol = config.TOL_NUM
-    assert verify_morphism_markov(bad, samples=2, seed=1)["rho_multiplicative"] > tol
-    assert verify_factorization(bad, SchurSymbol(T3), STATE3, samples=2, seed=1) > tol
-    assert star_swap_check(bad, SchurSymbol(T3), STATE3, samples=2, seed=1) > tol
+    mult = verify_morphism_markov(bad, samples=2, seed=1)["rho_multiplicative"]
+    assert mult > tol
+    assert abs(mult - _dense_morphism_reports(bad, 2, 1)["rho_multiplicative"]) <= 1e-13
+    for check, left, right, symbol, swap in (
+            (verify_factorization, bad.pi, bad.rho, SchurSymbol(T3), False),
+            (star_swap_check, bad.rho, bad.pi, SchurSymbol(T3.T), True)):
+        residual = check(bad, SchurSymbol(T3), STATE3, samples=2, seed=1)
+        assert residual > tol
+        dense = _dense_pairing_residual(bad, STATE3, symbol, left, right, 2, 1, swap=swap)
+        assert abs(residual - dense) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -375,48 +377,6 @@ def _convex_bundle():
                                        [0.4, 0.6])
 
 
-def _permuted_bundle():
-    # the ambient basis reordered from (i, k) to (k, i): the unit images of
-    # e_ij sit on the non-contiguous index sets {k n + i}.  The tracial input
-    # state makes the ambient state uniform, so the reordering keeps it.
-    bundle = build_dilation(SchurSymbol(T3), DiagonalState.tracial(3))
-    perm = np.arange(bundle.ambient_dim).reshape(3, -1).T.reshape(-1)
-
-    def permuted(mor):
-        return lambda x: mor(x)[np.ix_(perm, perm)]
-
-    return dataclasses.replace(bundle, pi=permuted(bundle.pi), rho=permuted(bundle.rho))
-
-
-def _rotated_bundle():
-    # conjugating by a rotation of the indices 0 and f mixes blocks 0 and 1:
-    # still *-morphisms, but their unit images fit no block pattern
-    bundle = build_dilation(SchurSymbol(T3), STATE3)
-    f = bundle.rep.dim
-    u = np.eye(bundle.ambient_dim)
-    u[np.ix_([0, f], [0, f])] = [[0.6, -0.8], [0.8, 0.6]]
-    return dataclasses.replace(bundle, pi=lambda x: u @ bundle.pi(x) @ u.T,
-                               rho=lambda x: u @ bundle.rho(x) @ u.T)
-
-
-def _partial_bundle():
-    # pi(x) = x (x) P for the projector P onto fiber index 1, plus x_00 x_11
-    # in entry (f + 1, 0): the unit images fit a block pattern on the index
-    # sets {i f + 1}, which leave column 0 uncovered, and the quadratic term,
-    # zero on every unit, puts the sample images there
-    bundle = build_dilation(SchurSymbol(T3), STATE3)
-    f = bundle.rep.dim
-    p = np.diag(np.arange(f) == 1).astype(float)
-
-    def pi(x):
-        x = np.asarray(x, dtype=complex)
-        out = np.kron(x, p)
-        out[f + 1, 0] += x[0, 0] * x[1, 1]
-        return out
-
-    return dataclasses.replace(bundle, pi=pi)
-
-
 def _skewed_bundle():
     # rho over blocks whose block 1 is w_1 R for a rotation R: unitary but
     # not self-adjoint, so rho(e_01)^* = R^T w_1 w_0 is not rho(e_10) = w_1 R w_0
@@ -425,7 +385,7 @@ def _skewed_bundle():
     rotation = np.eye(bundle.rep.dim)
     rotation[:2, :2] = [[0.8, -0.6], [0.6, 0.8]]
     blocks[1] = blocks[1] @ rotation
-    return dataclasses.replace(bundle, rho=lambda x: block_conjugate(blocks, np.asarray(x)))
+    return dataclasses.replace(bundle, blocks=blocks)
 
 
 def _s3_signs():
@@ -438,8 +398,6 @@ def test_morphism_reports_match_dense_products_on_other_bundles():
     mixed = _convex_bundle()
     assert mixed.ambient_dim == 8 * 3 + 2 * 3
     _assert_morphism_reports_match(mixed, samples=3, seed=5)
-    _assert_morphism_reports_match(_permuted_bundle(), samples=3, seed=5)
-    _assert_morphism_reports_match(_rotated_bundle(), samples=3, seed=5)
     # the full-rank s3 bundle has ambient dimension 384, too large for the
     # dense reference over its 36 units; t = (1 + sgn) / 2 has rank 2
     for t in (random_posdef_symbol(cyclic_group(3), rng(5)),
@@ -449,57 +407,78 @@ def test_morphism_reports_match_dense_products_on_other_bundles():
 
 
 def test_morphism_reports_match_dense_products_on_block_patterns_of_other_shapes():
-    partial = _partial_bundle()
-    assert dilation_module._unit_blocks(3, partial.pi)[0].shape == (3, 1)
-    _assert_morphism_reports_match(partial, samples=3, seed=5)
-    # no random samples: the unit rows alone must match the dense ones
+    # blocks that are not self-adjoint; no random samples: the unit rows
+    # alone must match the dense ones
     skewed = _skewed_bundle()
     assert verify_morphism_markov(skewed, samples=0)["rho_star"] > 0.1
     _assert_morphism_reports_match(skewed, samples=0, seed=5)
 
 
-def test_every_built_bundle_takes_the_block_route():
-    # the unit images of both legs of every bundle built here fit one block
-    # pattern on the same index sets, so the pairing and morphism checks read
-    # them from compact blocks; the dense route is for hand-built legs
-    full_rank = build_dilation(SchurSymbol(random_unital_psd_symbol(rng(11), 5)),
-                               DiagonalState(random_weights(rng(12), 5)))
-    assert full_rank.gram.rank == 5
-    bundles = [build_dilation(SchurSymbol(T2), UNIFORM2), full_rank,
-               build_dilation(SchurSymbol(np.ones((3, 3))), STATE3), _convex_bundle()]
-    bundles += [build_crossed_dilation(random_posdef_symbol(group, rng(5)))
-                for group in (cyclic_group(3), symmetric_group(3))]
-    for bundle in bundles:
-        pi, rho = (dilation_module._unit_blocks(bundle.input_dim, mor)
-                   for mor in (bundle.pi, bundle.rho))
-        assert pi is not None and rho is not None
-        np.testing.assert_array_equal(pi[0], rho[0])
+@st.composite
+def built_bundles(draw):
+    """Bundles of build_dilation, convex_combination_dilation and
+    build_crossed_dilation."""
+    kind = draw(st.sampled_from(["schur", "convex", "crossed"]))
+    if kind == "schur":
+        symbol, state, _ = draw(symbols_and_states())
+        return build_dilation(symbol, state)
+    if kind == "convex":
+        symbols, state, weights = draw(convex_families())
+        return convex_combination_dilation([build_dilation(s, state) for s in symbols], weights)
+    group = draw(st.sampled_from([cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                                  symmetric_group(3)]))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    return build_crossed_dilation(random_posdef_symbol(group, rng(seed)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(built_bundles())
+def test_unit_images_are_the_unit_blocks(bundle):
+    # the premise of the unit rows: pi(e_ij) is the identity and rho(e_ij) is
+    # blocks[i] blocks[j] on block (i, j), and both are exactly 0 elsewhere
+    n, f, _ = bundle.blocks.shape
+    products = bundle.blocks[:, None] @ bundle.blocks[None]
+    for i, j in itertools.product(range(n), repeat=2):
+        for image, block in ((bundle.pi(matrix_unit(n, i, j)), np.eye(f)),
+                             (bundle.rho(matrix_unit(n, i, j)), products[i, j])):
+            grid = image.reshape(n, f, n, f).swapaxes(1, 2)
+            assert np.array_equal(grid[i, j], block)
+            grid[i, j] = 0
+            assert not np.any(grid)
 
 
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
-                                  _convex_bundle, _permuted_bundle],
-                         ids=["schur", "convex", "permuted"])
-def test_unit_pairs_call_no_morphism(make):
-    # every unit x unit and unit x sample product is one block product of the
-    # batched routes, not a call of pi or rho
+                                  _convex_bundle],
+                         ids=["schur", "convex"])
+def test_unit_pairs_call_no_morphism(make, monkeypatch):
+    # the unit rows read the unit blocks, and every unit x unit and unit x
+    # sample product is one block product of the batched routes: no unit
+    # calls pi or rho
     bundle = make()
     calls = {"pi": 0, "rho": 0}
 
-    def counted(name, mor):
-        def wrapped(x):
-            calls[name] += 1
-            return mor(x)
-        return wrapped
+    def counted(name):
+        leg = getattr(DilationBundle, name)
 
-    counted_bundle = dataclasses.replace(bundle, pi=counted("pi", bundle.pi),
-                                         rho=counted("rho", bundle.rho))
-    samples, units = 3, 9
-    verify_morphism_markov(counted_bundle, samples=samples, seed=1)
+        def wrapped(self, x):
+            calls[name] += 1
+            return leg(self, x)
+        monkeypatch.setattr(DilationBundle, name, wrapped)
+
+    counted("pi")
+    counted("rho")
+    samples = 3
+    verify_morphism_markov(bundle, samples=samples, seed=1)
     random_pairs = samples * (samples + 1) // 2
-    # images, the unit, mor(0), random adjoints, modular images of the random
-    # samples, random x random targets
-    expected = units + samples + 2 + samples + samples * len(config.T_SAMPLES) + random_pairs
+    # sample images, the unit, mor(0), random adjoints, modular images of the
+    # random samples, random x random targets
+    expected = samples + 2 + samples + samples * len(config.T_SAMPLES) + random_pairs
     assert calls == {"pi": expected, "rho": expected}
+    # the unit pairs of the pairing rows call neither leg either
+    calls.update(pi=0, rho=0)
+    verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=0)
+    star_swap_check(bundle, SchurSymbol(T3), STATE3, samples=0)
+    assert calls == {"pi": 0, "rho": 0}
 
 
 def _unit_sample_routes(bundle, samples, seed):
@@ -510,13 +489,12 @@ def _unit_sample_routes(bundle, samples, seed):
     gen = rng(seed)
     draws = [random_complex(gen, n) for _ in range(samples)]
     routes = []
-    for mor in (bundle.pi, bundle.rho):
+    for name in ("pi", "rho"):
+        mor, blocks = dilation_module._leg(bundle, name)
         units = np.stack([mor(x) for x in matrix_units(n)])
         images = np.stack([mor(y) for y in draws])
-        pattern = dilation_module._unit_blocks(n, mor)
-        assert pattern is not None
         for b, y in enumerate(draws):
-            batched = dilation_module._unit_sample_residual(n, images, pattern, b, y)
+            batched = dilation_module._unit_sample_residual(images[b], blocks, y)
             dense = max(max_abs(units[i * n + j] @ images[b]
                                 - np.tensordot(y[j], units[i * n : (i + 1) * n], axes=1))
                         for i in range(n) for j in range(n))
@@ -525,99 +503,20 @@ def _unit_sample_routes(bundle, samples, seed):
 
 
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
-                                  _convex_bundle, _permuted_bundle, _partial_bundle],
-                         ids=["schur", "convex", "permuted", "partial"])
+                                  _convex_bundle],
+                         ids=["schur", "convex"])
 def test_batched_unit_sample_residual_matches_per_pair_route(make):
     for batched, dense in _unit_sample_routes(make(), samples=4, seed=3):
         assert abs(batched - dense) <= 1e-15
 
 
-def test_conjugate_linear_pi_fails_multiplicativity():
-    # x -> conj(x) (x) 1 is multiplicative and star-preserving but not linear:
-    # the unit x sample targets, read from the unit images by linearity, see it
-    bundle = build_dilation(SchurSymbol(T3), STATE3)
-    eye_f = np.eye(bundle.rep.dim)
-    bad = dataclasses.replace(bundle, pi=lambda x: np.kron(np.conj(x), eye_f))
-    assert verify_morphism_markov(bad, samples=2, seed=1)["pi_multiplicative"] > config.TOL_NUM
-
-
-def test_conjugate_linear_pi_without_a_pattern_fails_multiplicativity():
-    # the same defect on legs whose unit images fit no block pattern: the
-    # dense route's unit x sample targets, read by linearity, see it, and
-    # targets through the morphism would not
-    rotated = _rotated_bundle()
-    bad = dataclasses.replace(rotated, pi=lambda x: rotated.pi(np.conj(x)))
-    assert dilation_module._unit_blocks(3, bad.pi) is None
-    assert _dense_morphism_reports(bad, 2, 1)["pi_multiplicative"] <= 1e-13
-    assert verify_morphism_markov(bad, samples=2, seed=1)["pi_multiplicative"] > config.TOL_NUM
-
-
-def test_leaked_unit_images_fail_multiplicativity():
-    # no random samples: the unit pairs alone must expose each defect
-    bundle = build_dilation(SchurSymbol(T3), STATE3)
-    n, f = 3, bundle.rep.dim
-
-    def leaky_rho(x):
-        # each rho(e_ij) carries 1e-6 in block (i, j + 1), outside its own block
-        out = bundle.rho(x).copy()
-        for i in range(n):
-            for j in range(n):
-                out[i * f, ((j + 1) % n) * f] += 1e-6 * x[i, j]
-        return out
-
-    def foreign_row_pi(x):
-        # the entry (0, f) of pi(e_01) copied into row 2 f, in block row 2
-        out = bundle.pi(x).copy()
-        out[2 * f, f] += out[0, f]
-        return out
-
-    def one_block_pi(x):
-        # every unit image on block (0, 0): the index sets S_i coincide
-        return bundle.pi(np.sum(x) * matrix_unit(n, 0, 0))
-
-    def nonzero_at_zero_pi(x):
-        return bundle.pi(x) if np.any(x) else np.eye(bundle.ambient_dim)
-
-    for leg, bad in (("rho", dataclasses.replace(bundle, rho=leaky_rho)),
-                     ("pi", dataclasses.replace(bundle, pi=foreign_row_pi)),
-                     ("pi", dataclasses.replace(bundle, pi=one_block_pi)),
-                     ("pi", dataclasses.replace(bundle, pi=nonzero_at_zero_pi))):
-        mult = verify_morphism_markov(bad, samples=0, seed=1)[f"{leg}_multiplicative"]
-        assert mult > config.TOL_NUM
-        # every ordered unit pair is checked, a superset of the dense a <= b pairs
-        assert mult >= _dense_morphism_reports(bad, 0, 1)[f"{leg}_multiplicative"] - 1e-13
-
-
 def test_every_ordered_unit_pair_is_checked():
-    # e_ij (x) V_ij with V = P, a rank-one projector, except V_11 = 1: every
-    # pair a <= b multiplies, but pi(e_10) pi(e_01) = e_11 (x) P is not pi(e_11)
+    # rho over the blocks (P, 1), P a rank-one projector, sends e_ij to
+    # e_ij (x) V_ij with V = P except V_11 = 1: every pair a <= b multiplies,
+    # but rho(e_10) rho(e_01) = e_11 (x) P is not rho(e_11)
     bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
-    f = bundle.rep.dim
-    p = np.zeros((f, f))
+    p = np.zeros((bundle.rep.dim,) * 2)
     p[0, 0] = 1.0
-    fields = np.array([[p, p], [p, np.eye(f)]])
-
-    def twisted_pi(x):
-        return np.block([[x[i, j] * fields[i, j] for j in range(2)] for i in range(2)])
-
-    bad = dataclasses.replace(bundle, pi=twisted_pi)
-    assert _dense_morphism_reports(bad, 0, 1)["pi_multiplicative"] == 0.0
-    assert verify_morphism_markov(bad, samples=0, seed=1)["pi_multiplicative"] == 1.0
-
-
-def test_every_ordered_unit_pair_is_checked_on_a_block_pattern():
-    # e_ij (x) V_ij with V_0j = S, the idempotent all-(1/f) matrix, and
-    # V_1j = 1: every block has full support, so the images fit a block
-    # pattern.  Every pair a <= b multiplies, and so does every product with
-    # left factor in row 0, but pi(e_10) pi(e_00) = e_10 (x) S is not pi(e_10).
-    bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
-    f = bundle.rep.dim
-    fields = np.array([[np.full((f, f), 1 / f)] * 2, [np.eye(f)] * 2])
-
-    def twisted_pi(x):
-        return np.block([[x[i, j] * fields[i, j] for j in range(2)] for i in range(2)])
-
-    bad = dataclasses.replace(bundle, pi=twisted_pi)
-    assert dilation_module._unit_blocks(2, bad.pi) is not None
-    assert _dense_morphism_reports(bad, 0, 1)["pi_multiplicative"] == 0.0
-    assert verify_morphism_markov(bad, samples=0, seed=1)["pi_multiplicative"] == 1 - 1 / f
+    bad = dataclasses.replace(bundle, blocks=np.stack([p, np.eye(bundle.rep.dim)]))
+    assert _dense_morphism_reports(bad, 0, 1)["rho_multiplicative"] == 0.0
+    assert verify_morphism_markov(bad, samples=0, seed=1)["rho_multiplicative"] == 1.0
