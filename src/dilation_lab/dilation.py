@@ -11,6 +11,9 @@ with the modular flow, and the pair factorizes the multiplier through the
 ambient state: phi(M_t(x) y) = phi~(pi(x) rho(y)).  Convex combinations of
 certified maps dilate by direct sums with reweighted ambient states, and the
 bilinear adjoint swaps the roles of pi and rho up to symbol transposition.
+
+The verifiers read every row on vacuum columns, in M_n (x) C for C the
+Clifford algebra of the fields (see _vacuum), and form no ambient image.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import numpy as np
 
 from . import config
 from .errors import PreconditionError, ShapeError, SizeError
-from .fock import FermionRep, _require_bytes, build_fermion_rep
+from .fock import FermionRep, _jordan_wigner, _ordered_products, _require_bytes, build_fermion_rep
 from .matcore import as_square, block_conjugate, dagger, direct_sum, max_abs, random_complex, rng
-from .schur import GramSpace, SchurSymbol, apply_multiplier, build_gram_space, require_symbol
+from .schur import GramSpace, SchurSymbol, build_gram_space, require_symbol
 from .states import DiagonalState
 
 __all__ = [
@@ -45,19 +48,21 @@ class DilationBundle:
     (x) fiber_state.  blocks is the (n, f, f) stack of the diagonal blocks of
     the symmetry d = sum_i e_ii (x) blocks[i], so d itself is never formed.
     The blocks determine both legs on all of M_n: pi(x) = x (x) 1 and
-    rho(x) = d pi(x) d.  So leg(e_ij) is zero off block (i, j), that is off
-    S_i x S_j for the index sets S_i = i f, ..., (i + 1) f - 1, and on it
-    pi(e_ij) is the identity and rho(e_ij) is blocks[i] blocks[j].
+    rho(x) = d pi(x) d.  fibers lists the sizes of the fiber's summands, one
+    per dilated map.
     """
 
     input_state: DiagonalState
     fiber_state: DiagonalState
     blocks: np.ndarray
+    fibers: tuple[int, ...]
     gram: GramSpace | None = None
     rep: FermionRep | None = None
     ambient_state: DiagonalState = field(init=False)
 
     def __post_init__(self):
+        if sum(self.fibers) != self.blocks.shape[1]:
+            raise ShapeError(f"fibers {self.fibers} do not add up to {self.blocks.shape[1]}")
         object.__setattr__(self, "ambient_state", DiagonalState(
             np.kron(self.input_state.weights, self.fiber_state.weights)))
 
@@ -121,151 +126,147 @@ def build_dilation(symbol: SchurSymbol, state: DiagonalState,
     def parts():
         rep = build_fermion_rep(gram)
         blocks = rep.omega(rep.embedding)
-        return blocks, DiagonalState.tracial(f), {"gram": gram, "rep": rep}
+        return blocks, DiagonalState.tracial(f), {"gram": gram, "rep": rep, "fibers": (f,)}
 
     return _block_bundle(state, f, parts)
 
 
-def _random_pairs(n: int, samples: int, seed: int | None):
-    """samples seeded pairs of random n x n matrices, refused over the byte cap
-    before any is drawn."""
-    _require_bytes(f"a sample stack of {samples} pairs of {n} x {n} matrices", 2 * samples * n * n)
-    gen = rng(seed)
-    return [(random_complex(gen, n), random_complex(gen, n)) for _ in range(samples)]
+@dataclass(frozen=True, eq=False)
+class _Leg:
+    """A leg on column stacks (n, f, K, n), the columns of element b at
+    [:, :, b, :].  leg(x) has the columns x_ik units[i, :, k], and acts by
+    fields[j] on block row j, x across the block rows, then fields[i] on
+    row i (pi has no fields): O(n f^2 + n^2 f) per column."""
+
+    units: np.ndarray
+    fields: np.ndarray | None
+
+    def columns(self, xs: np.ndarray) -> np.ndarray:
+        """The column stack of leg(x) for each x in the stack xs (K, n, n)."""
+        return np.moveaxis(xs, 0, 1)[:, None] * self.units[:, :, None]
+
+    def _fields(self, cols: np.ndarray, i=slice(None)) -> np.ndarray:
+        """fields[j] (or fields[i]) on every block row j: one GEMM per row."""
+        if self.fields is None:
+            return cols
+        n, f = cols.shape[:2]
+        return (self.fields[i] @ cols.reshape(n, f, -1)).reshape(cols.shape)
+
+    def apply(self, xs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """leg(x) on a column stack: one x (n, n) on every element, or x_b on
+        element b for a stack xs (K, n, n)."""
+        cols = self._fields(cols)
+        if xs.ndim == 2:
+            return self._fields((xs @ cols.reshape(len(xs), -1)).reshape(cols.shape))
+        return self._fields(np.einsum("bij,jabk->iabk", xs, cols))
+
+    def unit_products(self, ys: np.ndarray, cols: np.ndarray) -> float:
+        """max |leg(e_ij) leg(y) - leg(e_ij y)| over the units and each y in ys
+        with columns cols: on block row i, fields[i] fields[j] cols[j] against
+        y_jk units[i, :, k]; the other rows are 0 on both sides."""
+        rows, by_row = self._fields(cols), np.moveaxis(ys, 0, 1)[:, None]
+        return max(max_abs(self._fields(rows, i) - by_row * units[:, None])
+                   for i, units in enumerate(self.units))
 
 
-def _leg(bundle: DilationBundle, name: str):
-    """The leg `name` ("pi" or "rho") of bundle, and the (n, n, f, f) stack of
-    its unit images on their blocks: leg(e_ij) is this block on S_i x S_j and
-    zero elsewhere (see DilationBundle).  The rho blocks are the products that
-    block_conjugate forms for the units; the pi blocks are one identity."""
-    n, f, _ = bundle.blocks.shape
-    if name == "pi":
-        return bundle.pi, np.broadcast_to(np.eye(f, dtype=complex), (n, n, f, f))
-    return bundle.rho, bundle.blocks[:, None] @ bundle.blocks[None]
+@dataclass(frozen=True, eq=False)
+class _Vacuum:
+    """A bundle's vacuum-column data (see _vacuum): the input weights mu, the
+    weight nu[a] of the summand whose vacuum is fiber index a (else 0), the
+    popcount |S| of each fiber index S in its summand, and the two legs."""
+
+    weights: np.ndarray
+    nu: np.ndarray
+    popcount: np.ndarray
+    pi: _Leg
+    rho: _Leg
+
+    def state(self, cols: np.ndarray) -> np.ndarray:
+        """phi~ of each element of a column stack: sum_i mu_i nu . V[i, :, b, i]."""
+        return np.einsum("i,a,iabi->b", self.weights, self.nu, cols)
+
+    def adjoint(self, cols: np.ndarray) -> np.ndarray:
+        """The column stack of the adjoints: block (k, i) adjoint at (i, k), and
+        (sum_S c_S gamma_S)^* = sum_S conj(c_S) (-1)^(|S|(|S|-1)/2) gamma_S."""
+        reversal = 1.0 - 2.0 * (self.popcount * (self.popcount - 1) // 2 % 2)
+        return reversal[:, None, None] * np.conj(np.swapaxes(cols, 0, 3))
 
 
-def _pairing_residual(bundle: DilationBundle, state: DiagonalState, symbol: SchurSymbol,
-                      left, right, pairs) -> float:
-    """Largest |phi(M(x) y) - phi~(left(x) right(y))| over every pair of
-    matrix units and the given pairs, M the multiplier of `symbol`; left and
-    right are legs with their unit blocks (see _leg).
+def _vacuum(bundle: DilationBundle) -> _Vacuum:
+    """The vacuum-column data of bundle, once its premise is checked in O(n f^2).
 
-    phi(M(e_ij) e_kl) is t_ij w_i when (k, l) = (j, i) and 0 otherwise.
-    left(e_ij) right(e_kl) lives on S_i x S_l and has inner indices only when
-    j = k, so its diagonal is exactly zero unless (k, l) = (j, i).  So only
-    those n^2 entries are formed, entry (i, j) as sum_a w~[a] (L_ij R_ji)_aa
-    over a in S_i from the f x f blocks, and the other entries are exactly 0
-    on both sides.  The random pairs are paired densely.
+    Premise: on each fiber summand, of size 2^r, the fiber state is tracial,
+    and each block is its rebuild a[T, U] = c_(T ^ U) phase[T ^ U, U] from its
+    vacuum column c within TOL_EXACT (0 off the summands): it lies in the
+    span C of the ordered field products gamma_S (fock._ordered_products).
+    Then phi~ is the weighted vacuum state, and gamma_S Omega = e_S makes
+    a -> a Omega isometric in max-abs.  Else PreconditionError.
     """
-    n, f, _ = bundle.blocks.shape
-    (left_leg, lefts), (right_leg, rights) = left, right
-    weighted = lefts * bundle.ambient_state.weights.reshape(n, 1, f, 1)
-    # R_ji transposed, so that each trace is one dot of two flattened blocks
-    transposed = np.swapaxes(np.swapaxes(rights, 0, 1), -1, -2)
-    traces = weighted.reshape(n * n, 1, f * f) @ transposed.reshape(n * n, f * f, 1)
-    worst = max_abs(symbol.matrix * state.weights[:, None] - traces.reshape(n, n))
-    for x, y in pairs:
-        lhs = state(apply_multiplier(symbol, x) @ y)
-        worst = max(worst, abs(lhs - bundle.ambient_state.pairing(left_leg(x), right_leg(y))))
-    return worst
+    blocks, weights = bundle.blocks, bundle.fiber_state.weights
+    n, f, _ = blocks.shape
+    omega, nu, local = np.zeros(f), np.zeros(f), np.zeros(f, dtype=np.int64)
+    rebuilt = np.zeros(blocks.shape, dtype=complex)
+    start = 0
+    for size in bundle.fibers:
+        rank, part = size.bit_length() - 1, slice(start, start + size)
+        if size != 1 << rank or np.ptp(weights[part]) > config.TOL_EXACT:
+            raise PreconditionError(f"fiber summand of size {size} at {start} is not a "
+                                    "Fock space with its tracial state")
+        bit, _, sign = _jordan_wigner(rank)
+        phase = _ordered_products(bit[:, 0], sign[:-1])[1]
+        r = np.arange(size)
+        masks = r[:, None] ^ r
+        rebuilt[:, part, part] = (blocks[:, part, start] / phase[:, 0])[:, masks] * phase[masks, r]
+        omega[start], nu[start], local[part] = 1.0, weights[part].sum(), r
+        start += size
+    gap = max_abs(blocks - rebuilt)
+    if gap > config.TOL_EXACT:
+        raise PreconditionError(f"blocks are not in the Clifford algebra of the fields: "
+                                f"rebuild from the vacuum columns is off by {gap:.2e}")
+    # rho's unit columns U[i, :, k] = w_i (w_k Omega): n^2 f^2, not n^2 f^3
+    return _Vacuum(bundle.input_state.weights, nu, np.bitwise_count(local),
+                   _Leg(np.broadcast_to(omega[:, None], (n, f, n)), None),
+                   _Leg(blocks @ (blocks @ omega).T, blocks))
+
+
+def _draws(bundle: DilationBundle, count: int, seed: int | None) -> np.ndarray:
+    """count seeded random n x n matrices, refused before any is drawn when
+    they and their vacuum columns would pass config.BYTE_CAP."""
+    n = bundle.input_dim
+    _require_bytes(f"a sample stack of {count} random {n} x {n} matrices and their columns",
+                   count * n * (n + bundle.ambient_dim))
+    gen = rng(seed)
+    return np.array([random_complex(gen, n) for _ in range(count)],
+                    dtype=complex).reshape(count, n, n)
+
+
+def _pairing_residual(vac: _Vacuum, state: DiagonalState, symbol: SchurSymbol,
+                      left: _Leg, right: _Leg, xs: np.ndarray, ys: np.ndarray) -> float:
+    """Largest |phi(M(x) y) - phi~(left(x) right(y))| over every pair of
+    matrix units and the pairs (xs[b], ys[b]), M the multiplier of symbol.
+    Both sides vanish on (e_ij, e_kl) unless (k, l) = (j, i), and then phi~
+    is mu_i nu . L_i L_j right.units[j, :, i] for the fields L of left.  A
+    random pair is left(x) applied to the columns of right(y)."""
+    # z[i, j] = right.units[j, :, i], the column of right(e_ji)
+    z = np.moveaxis(right.units, 2, 0)
+    if left.fields is not None:
+        z = (left.fields[:, None] @ (left.fields[None] @ z[..., None]))[..., 0]
+    worst = max_abs(symbol.matrix * state.weights[:, None] - vac.weights[:, None] * (z @ vac.nu))
+    lhs = np.einsum("i,kii->k", state.weights, (symbol.matrix * xs) @ ys)
+    return max(worst, max_abs(lhs - vac.state(left.apply(xs, right.columns(ys)))))
 
 
 def verify_factorization(bundle: DilationBundle, symbol: SchurSymbol,
                          state: DiagonalState, samples: int = 20,
                          seed: int | None = None) -> float:
     """Largest residual of phi(M_t(x) y) = phi~(pi(x) rho(y)) over all
-    matrix-unit pairs and seeded random pairs.
-
-    The unit pairs are read from the unit blocks of the legs (see
-    _pairing_residual): n^2 traces of f x f block products, and no call of
-    either leg.  Sample pairs over config.BYTE_CAP are refused before any is
-    drawn.
-    """
+    matrix-unit pairs and seeded random pairs, on vacuum columns (see
+    _pairing_residual); samples over config.BYTE_CAP are refused undrawn."""
     if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
         raise ShapeError("verify_factorization dimension mismatch")
-    pairs = _random_pairs(bundle.input_dim, samples, seed)
-    return _pairing_residual(bundle, state, symbol, _leg(bundle, "pi"), _leg(bundle, "rho"),
-                             pairs)
-
-
-def _block_unit_residuals(bundle: DilationBundle, mor, blocks, flows) -> tuple[float, ...]:
-    """Star, state-preserving, modular and multiplicative residuals of mor on
-    the matrix units, read from their blocks (see _leg).
-
-    Off S_i x S_j, mor(e_ij) and everything it is compared with are exactly
-    zero, so each residual is its dense value:
-    - star: block_ji against block_ij^*;
-    - state-preserving: phi~(mor(e_ij)) sums the diagonal of S_i x S_j,
-      which is empty unless i = j, against phi(e_ij) = delta_ij w_i;
-    - modular: the phase (w_i / w_j)^{-it} of sigma_t(e_ij) against the
-      ambient phases on S_i x S_j, for the (input, ambient) phases of flows;
-    - multiplicative: block_ij block_jl against block_il for every i, j, l,
-      one batched matmul per i, and mor(0) against 0.  A pair e_ij e_kl with
-      j != k shares no inner index, so its product is exactly zero.
-    """
-    n, f = blocks.shape[0], blocks.shape[-1]
-    star = max_abs(np.swapaxes(blocks, 0, 1) - dagger(blocks))
-    weights = bundle.ambient_state.weights.reshape(n, f)
-    preserve = max(abs(bundle.input_state.weights[i]
-                       - complex(np.dot(weights[i], np.diagonal(blocks[i, i]))))
-                   for i in range(n))
-    modular = 0.0
-    for phases, ambient in flows:
-        on_blocks = np.swapaxes(ambient.reshape(n, f, n, f), 1, 2)
-        modular = max(modular, max_abs((on_blocks - phases[:, :, None, None]) * blocks))
-    mult = max_abs(mor(np.zeros((n, n), dtype=complex)))
-    for i in range(n):
-        mult = max(mult, max_abs(blocks[i][:, None] @ blocks - blocks[i]))
-    return star, preserve, modular, mult
-
-
-def _unit_sample_residual(image: np.ndarray, blocks: np.ndarray, y: np.ndarray) -> float:
-    """max |mor(e_ij) mor(y) - sum_l y_jl mor(e_il)| over all units e_ij.
-
-    image is mor(y) and blocks the unit blocks of mor (see _leg); the target
-    is mor(e_ij y) by linearity, read from the blocks.  mor(e_ij) mor(y) is
-    block_ij times rows S_j of mor(y), and the target is y_jl block_il in
-    columns S_l, both on rows S_i: the n products of one row block i are one
-    batched matmul, and outside rows S_i both sides are exactly zero.
-    """
-    n, f = blocks.shape[0], blocks.shape[-1]
-    y_rows = image.reshape(n, f, n * f)
-    worst = 0.0
-    for i in range(n):
-        defect = blocks[i] @ y_rows
-        # entry (j, a, l, c) of the target is y_jl block_il[a, c]
-        defect -= (y[:, None, :, None] * np.swapaxes(blocks[i], 0, 1)).reshape(n, f, n * f)
-        worst = max(worst, max_abs(defect))
-    return worst
-
-
-def _leg_residuals(bundle: DilationBundle, mor, blocks, draws: list,
-                   flows) -> dict[str, float]:
-    """The residuals of verify_morphism_markov for one leg mor with unit
-    blocks `blocks`, keyed by property.
-
-    draws holds the random elements; flows pairs the input and ambient
-    phases of each sampled t.  The arrays of one leg are released before
-    the other leg's are formed.
-    """
-    n, dim = bundle.input_dim, bundle.ambient_dim
-    images = np.empty((len(draws), dim, dim), dtype=complex)
-    for a, x in enumerate(draws):
-        images[a] = mor(x)
-    unital = max_abs(mor(np.eye(n, dtype=complex)) - np.eye(dim))
-    star, preserve, modular, mult = _block_unit_residuals(bundle, mor, blocks, flows)
-    for x, mx in zip(draws, images):
-        mult = max(mult, _unit_sample_residual(mx, blocks, x))
-        star = max(star, max_abs(mor(dagger(x)) - dagger(mx)))
-        preserve = max(preserve, abs(bundle.input_state(x) - bundle.ambient_phi(mx)))
-        for phases, ambient in flows:
-            modular = max(modular, max_abs(ambient * mx - mor(phases * x)))
-    for a in range(len(draws)):
-        for b in range(a, len(draws)):
-            mult = max(mult, max_abs(images[a] @ images[b] - mor(draws[a] @ draws[b])))
-    return {"unital": unital, "multiplicative": mult, "star": star,
-            "state_preserving": preserve, "modular": modular}
+    vac = _vacuum(bundle)
+    draws = _draws(bundle, 2 * samples, seed)
+    return _pairing_residual(vac, state, symbol, vac.pi, vac.rho, draws[0::2], draws[1::2])
 
 
 def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
@@ -275,28 +276,38 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
 
     Keys are "<leg>_<property>" for leg pi or rho and property unital,
     multiplicative, star, state_preserving or modular; the flows are
-    sampled at config.T_SAMPLES.
-
-    The inputs are the matrix units and seeded random elements.  Every unit
-    row is read from the unit blocks of the leg (_block_unit_residuals, see
-    _leg), and the unit x sample products from the blocks and the sample
-    images (_unit_sample_residual), so no unit calls a leg, and the dense
-    stack holds only the sample images; a stack over config.BYTE_CAP is
-    refused before any sample is drawn.  Products of two random elements,
-    and the adjoints and modular images of the random elements, go through
-    the morphism.
+    sampled at config.T_SAMPLES.  The inputs are the matrix units and seeded
+    random elements, read on vacuum columns without a leg call; a sample
+    stack over config.BYTE_CAP is refused before any draw.
     """
-    n, dim = bundle.input_dim, bundle.ambient_dim
-    _require_bytes(f"a sample stack of {samples} images of dimension {dim}", samples * dim * dim)
-    gen = rng(seed)
-    draws = [random_complex(gen, n) for _ in range(samples)]
-    # sigma_t on either algebra is entrywise multiplication by these phases
-    flows = [(bundle.input_state.modular_phases(t), bundle.ambient_state.modular_phases(t))
-             for t in config.T_SAMPLES]
-    return {f"{name}_{key}": residual
-            for name in ("pi", "rho")
-            for key, residual in _leg_residuals(bundle, *_leg(bundle, name), draws,
-                                                flows).items()}
+    vac = _vacuum(bundle)
+    draws = _draws(bundle, samples, seed)
+    phases = [bundle.input_state.modular_phases(t) for t in config.T_SAMPLES]
+    reports = {}
+    for name, leg in (("pi", vac.pi), ("rho", vac.rho)):
+        units, cols = leg.units[:, :, None], leg.columns(draws)
+        # the all-ones y first: its columns are the unit columns, so its rows
+        # are the unit x unit products e_ij e_jl
+        mult = leg.unit_products(np.concatenate([np.ones((1, *draws.shape[1:])), draws]),
+                                 np.concatenate([units, cols], axis=2))
+        for a, x in enumerate(draws):
+            # x_a x_b for every b >= a: one application to the stacked columns
+            mult = max(mult, max_abs(leg.apply(x, cols[:, :, a:]) - leg.columns(x @ draws[a:])))
+        # the column of leg(e_ii) at block (i, i), against Omega for 1 (x) 1
+        diagonal = np.swapaxes(np.diagonal(leg.units, axis1=0, axis2=2), 0, 1)
+        preserve = np.einsum("i,kii->k", vac.weights, draws) - vac.state(cols)
+        # sigma_t of the ambient state multiplies block (i, k) by the phase
+        # (i, k) on M_n (tracial fibers), on a unit on both sides
+        modular = [max_abs(p[:, None, None, :] * cols - leg.columns(p * draws)) for p in phases]
+        reports.update({
+            f"{name}_unital": max_abs(diagonal - vac.pi.units[0, :, 0]),
+            f"{name}_multiplicative": mult,
+            f"{name}_star": max(max_abs(vac.adjoint(units) - units),
+                                max_abs(leg.columns(dagger(draws)) - vac.adjoint(cols))),
+            f"{name}_state_preserving": max(max_abs(vac.weights * (1.0 - diagonal @ vac.nu)),
+                                            max_abs(preserve)),
+            f"{name}_modular": max(modular)})
+    return reports
 
 
 def convex_combination_dilation(bundles, weights) -> DilationBundle:
@@ -304,7 +315,8 @@ def convex_combination_dilation(bundles, weights) -> DilationBundle:
 
     All bundles must share the input algebra and input state; the fiber state
     is the weighted direct sum, so the factorization identity adds up.  The
-    sum is a plain block bundle over all of M_n.
+    sum is a plain block bundle over all of M_n whose fibers are those of the
+    bundles in order.
     """
     bundles = list(bundles)
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -325,7 +337,7 @@ def convex_combination_dilation(bundles, weights) -> DilationBundle:
         # ambient algebra is M_n (x) (F_1 + F_2 + ...) with the reweighted fibers
         blocks = np.stack([direct_sum([b.blocks[i] for b in bundles]) for i in range(n)])
         fiber = np.concatenate([wi * b.fiber_state.weights for wi, b in zip(w, bundles)])
-        return blocks, DiagonalState(fiber), {}
+        return blocks, DiagonalState(fiber), {"fibers": sum((b.fibers for b in bundles), ())}
 
     return _block_bundle(base_state, sum(b.fiber_state.dim for b in bundles), parts)
 
@@ -337,29 +349,26 @@ def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,
     bilinear adjoint of the multiplier (transposed symbol).
 
     Matrix-unit pairs and seeded random pairs are taken as in
-    verify_factorization, with the legs swapped: the unit pairs from the
-    unit blocks of the legs (see _pairing_residual).
+    verify_factorization, with the legs swapped (see _pairing_residual).
     """
     if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
         raise ShapeError("star_swap_check dimension mismatch")
-    pairs = [(y, x) for x, y in _random_pairs(bundle.input_dim, samples, seed)]
-    return _pairing_residual(bundle, state, SchurSymbol(symbol.matrix.T),
-                             _leg(bundle, "rho"), _leg(bundle, "pi"), pairs)
+    vac = _vacuum(bundle)
+    draws = _draws(bundle, 2 * samples, seed)
+    return _pairing_residual(vac, state, SchurSymbol(symbol.matrix.T), vac.rho, vac.pi,
+                             draws[1::2], draws[0::2])
 
 
 def verify_even_closure(bundle: DilationBundle) -> float:
     """Largest odd-parity component of the algebra generated by pi and rho images.
 
     The algebra should sit inside matrices (x) even fermion part, the fixed
-    points of conjugation by P = 1 (x) parity.  That conjugation is a
-    *-automorphism, so it fixes the algebra exactly when it fixes the
-    generators: the residual is max |P g P - g| over the images of the matrix
-    units, read from their blocks (see _leg).
+    points of conjugation by the *-automorphism P = 1 (x) parity, so it does
+    exactly when the unit images do.  P gamma_S P = (-1)^|S| gamma_S, so
+    max |P g P - g| is twice the largest odd-|S| entry of the unit columns.
     """
     if bundle.rep is None:
         raise PreconditionError("bundle does not carry a fermion representation")
-    # P is diagonal with the same signs on every S_i: entry (a, b) of block
-    # (i, j) of P g P - g is (signs[a] signs[b] - 1) g_ab
-    signs = np.diagonal(bundle.rep.parity())
-    flips = np.outer(signs, signs) - 1
-    return max(max_abs(flips * _leg(bundle, name)[1]) for name in ("pi", "rho"))
+    vac = _vacuum(bundle)
+    odd = vac.popcount % 2 == 1
+    return 2.0 * max(max_abs(leg.units[:, odd]) for leg in (vac.pi, vac.rho))

@@ -255,7 +255,7 @@ def build_crossed_dilation(symbol: FourierSymbol,
         blocks = _covariant_blocks(group, rotations, rep.omega(space.embedding[group.identity]))
         return blocks, DiagonalState.tracial(f), {"gram": space, "rep": rep, "symbol": symbol,
                                                   "lam": lam, "actions": actions,
-                                                  "rotations": rotations}
+                                                  "rotations": rotations, "fibers": (f,)}
 
     return _block_bundle(DiagonalState.tracial(group.order), f, parts, CrossedBundle)
 

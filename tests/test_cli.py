@@ -224,6 +224,16 @@ def test_samples_over_byte_cap_are_refused_before_any_draw(command, fixture, sam
     assert f"over the {config.BYTE_CAP} byte cap" in result.stderr
 
 
+def test_many_samples_take_linear_python_calls():
+    # the sample x sample rows apply one leg per sample to the stacked columns
+    # of the later samples: 500 morphism samples and 2000 pairs per row
+    result, seconds = run_cli_in_one_gib("check-schur", _shipped("schur2.json"),
+                                         "--samples", "2000")
+    assert result.returncode == 0, result.stderr
+    assert seconds < 3.0
+    assert all(row["pass"] for row in json.loads(result.stdout)["checks"])
+
+
 @pytest.mark.parametrize("depth", ["100000000", "10000000000"])
 def test_huge_depth_is_refused_on_its_exponent(depth):
     # 2^(rank depth) is not formed as an exact integer before the refusal

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilation_lab.dilation as dilation_module
-from dilation_lab import (DiagonalState, DilationBundle, FourierSymbol, PreconditionError,
-                          SchurSymbol, ShapeError, apply_multiplier, build_crossed_dilation,
-                          build_dilation, config, convex_combination_dilation,
-                          cyclic_group, random_posdef_symbol, star_swap_check,
-                          symmetric_group, verify_even_closure, verify_factorization,
-                          verify_morphism_markov)
+from dilation_lab import (DiagonalState, DilationBundle, FermionRep, FourierSymbol,
+                          PreconditionError, SchurSymbol, ShapeError, apply_multiplier,
+                          build_crossed_dilation, build_dilation, config,
+                          convex_combination_dilation, cyclic_group, random_posdef_symbol,
+                          schur_symbol_matrix, star_swap_check, symmetric_group,
+                          verify_even_closure, verify_factorization, verify_morphism_markov)
 from dilation_lab.matcore import (dagger, direct_sum, matrix_unit, matrix_units, max_abs,
                                   random_complex, random_unital_psd_symbol, random_weights, rng)
 from dilation_lab.states import modular_conjugate
@@ -167,18 +167,24 @@ def test_ambient_state_restricts_to_the_input_state():
 
 
 def _dense_pairing_residual(bundle, state, symbol, left, right, samples, seed, swap):
-    """max |phi(M(x) y) - ambient_phi(left(x) @ right(y))| over every pair of
-    matrix units and the seeded random pairs (swapped for the star swap)."""
+    """max |phi(M(x) y) - phi~(left(x) right(y))| over every pair of matrix
+    units and the seeded random pairs (swapped for the star swap), with
+    phi~(a b) = sum_ab w~_a a_ab b_ba from the dense images."""
     n = bundle.input_dim
     units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
     gen = rng(seed)
     pairs = [(random_complex(gen, n), random_complex(gen, n)) for _ in range(samples)]
     if swap:
         pairs = [(y, x) for x, y in pairs]
-    worst = 0.0
-    for x, y in [(u, v) for u in units for v in units] + pairs:
+    w = bundle.ambient_state.weights
+    # every unit image once, and the n^4 unit pairings in one contraction
+    table = np.einsum("a,pab,qba->pq", w, np.stack([left(u) for u in units]),
+                      np.stack([right(u) for u in units]))
+    worst = max(abs(state(apply_multiplier(symbol, x) @ y) - table[p, q])
+                for (p, x), (q, y) in itertools.product(enumerate(units), repeat=2))
+    for x, y in pairs:
         lhs = state(apply_multiplier(symbol, x) @ y)
-        worst = max(worst, abs(lhs - bundle.ambient_phi(left(x) @ right(y))))
+        worst = max(worst, abs(lhs - np.einsum("a,ab,ba->", w, left(x), right(y))))
     return worst
 
 
@@ -245,16 +251,28 @@ def test_convex_combinations_certify(family):
     assert star_swap_check(mixed, blended, state, samples=8, seed=3) <= config.TOL_NUM
 
 
+def _full_rank_5x5():
+    # Gram rank 5: fiber 32, ambient dimension 160
+    symbol = SchurSymbol(random_unital_psd_symbol(rng(11), 5))
+    state = DiagonalState(random_weights(rng(12), 5))
+    return build_dilation(symbol, state), symbol, state
+
+
 def _reference_bundles():
     b2 = build_dilation(SchurSymbol(T2), UNIFORM2)
     s2 = np.array([[1.0, -0.2], [-0.2, 1.0]])
     mixed = convex_combination_dilation(
         [b2, build_dilation(SchurSymbol(s2), UNIFORM2)], [0.25, 0.75])
     t_rank1 = np.ones((3, 3))
+    t = random_posdef_symbol(cyclic_group(3), rng(5))
     return [(build_dilation(SchurSymbol(T3), STATE3), SchurSymbol(T3), STATE3),
             (b2, SchurSymbol(T2), UNIFORM2),
             (mixed, SchurSymbol(0.25 * T2 + 0.75 * s2), UNIFORM2),
-            (build_dilation(SchurSymbol(t_rank1), STATE3), SchurSymbol(t_rank1), STATE3)]
+            (build_dilation(SchurSymbol(t_rank1), STATE3), SchurSymbol(t_rank1), STATE3),
+            _full_rank_5x5(),
+            (_convex_bundle(), SchurSymbol(0.4 * T3 + 0.6 * t_rank1), STATE3),
+            (build_crossed_dilation(t), SchurSymbol(schur_symbol_matrix(t)),
+             DiagonalState.tracial(3))]
 
 
 def test_pairing_residuals_match_dense_products():
@@ -284,15 +302,16 @@ def test_unit_pairings_match_dense_products_on_other_bundles():
 
 
 def test_full_rank_6x6_checks_hold_few_ambient_images():
-    # each unit image is cut to its block as it is made, so neither check
-    # holds a stack of the n^2 = 36 ambient unit images
+    # the verifiers work on (n, f, n) vacuum columns: none holds even one
+    # ambient image at a time
     symbol = SchurSymbol(random_unital_psd_symbol(rng(3), 6))
     state = DiagonalState(random_weights(rng(4), 6))
     bundle = build_dilation(symbol, state)
     image_bytes = 16 * bundle.ambient_dim ** 2
     checks = {"morphism": lambda: max(verify_morphism_markov(bundle, samples=2, seed=1).values()),
               "factorization": lambda: verify_factorization(bundle, symbol, state,
-                                                            samples=2, seed=1)}
+                                                            samples=2, seed=1),
+              "star_swap": lambda: star_swap_check(bundle, symbol, state, samples=2, seed=1)}
     for name, check in checks.items():
         tracemalloc.start()
         try:
@@ -301,7 +320,7 @@ def test_full_rank_6x6_checks_hold_few_ambient_images():
         finally:
             tracemalloc.stop()
         assert residual <= 1e-10, name
-        assert peak < 16 * image_bytes, name
+        assert peak < image_bytes, name
 
 
 def test_perturbed_rho_block_fails_the_checks():
@@ -378,13 +397,12 @@ def _convex_bundle():
 
 
 def _skewed_bundle():
-    # rho over blocks whose block 1 is w_1 R for a rotation R: unitary but
-    # not self-adjoint, so rho(e_01)^* = R^T w_1 w_0 is not rho(e_10) = w_1 R w_0
+    # rho over blocks whose block 1 is i w_1: in the Clifford algebra of the
+    # fields but not self-adjoint, so rho(e_01)^* = -i w_1 w_0 is not
+    # rho(e_10) = i w_1 w_0
     bundle = build_dilation(SchurSymbol(T3), STATE3)
     blocks = bundle.blocks.copy()
-    rotation = np.eye(bundle.rep.dim)
-    rotation[:2, :2] = [[0.8, -0.6], [0.6, 0.8]]
-    blocks[1] = blocks[1] @ rotation
+    blocks[1] = 1j * blocks[1]
     return dataclasses.replace(bundle, blocks=blocks)
 
 
@@ -395,6 +413,7 @@ def _s3_signs():
 
 
 def test_morphism_reports_match_dense_products_on_other_bundles():
+    _assert_morphism_reports_match(_full_rank_5x5()[0], samples=2, seed=5)
     mixed = _convex_bundle()
     assert mixed.ambient_dim == 8 * 3 + 2 * 3
     _assert_morphism_reports_match(mixed, samples=3, seed=5)
@@ -447,13 +466,21 @@ def test_unit_images_are_the_unit_blocks(bundle):
             assert not np.any(grid)
 
 
+def _scaled_bundle():
+    # rho through one block 1.01 w_1: in the Clifford algebra of the fields,
+    # but no longer multiplicative
+    bundle = build_dilation(SchurSymbol(T3), STATE3)
+    blocks = bundle.blocks.copy()
+    blocks[1] *= 1.01
+    return dataclasses.replace(bundle, blocks=blocks)
+
+
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
                                   _convex_bundle],
                          ids=["schur", "convex"])
 def test_unit_pairs_call_no_morphism(make, monkeypatch):
-    # the unit rows read the unit blocks, and every unit x unit and unit x
-    # sample product is one block product of the batched routes: no unit
-    # calls pi or rho
+    # every row is read on vacuum columns: no verifier calls pi or rho, for
+    # the units or for the samples
     bundle = make()
     calls = {"pi": 0, "rho": 0}
 
@@ -467,56 +494,106 @@ def test_unit_pairs_call_no_morphism(make, monkeypatch):
 
     counted("pi")
     counted("rho")
-    samples = 3
-    verify_morphism_markov(bundle, samples=samples, seed=1)
-    random_pairs = samples * (samples + 1) // 2
-    # sample images, the unit, mor(0), random adjoints, modular images of the
-    # random samples, random x random targets
-    expected = samples + 2 + samples + samples * len(config.T_SAMPLES) + random_pairs
-    assert calls == {"pi": expected, "rho": expected}
-    # the unit pairs of the pairing rows call neither leg either
-    calls.update(pi=0, rho=0)
-    verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=0)
-    star_swap_check(bundle, SchurSymbol(T3), STATE3, samples=0)
+    verify_morphism_markov(bundle, samples=3, seed=1)
+    verify_factorization(bundle, SchurSymbol(T3), STATE3, samples=3, seed=1)
+    star_swap_check(bundle, SchurSymbol(T3), STATE3, samples=3, seed=1)
+    if bundle.rep is not None:
+        verify_even_closure(bundle)
     assert calls == {"pi": 0, "rho": 0}
 
 
 def _unit_sample_routes(bundle, samples, seed):
-    """Per leg: the batched unit x sample residual of each sample, and the
-    dense products of every unit image with the sample image against the
-    same targets."""
+    """Per leg and sample y: the unit x sample residual on vacuum columns,
+    and max |mor(e_ij) mor(y) - mor(e_ij y)| over the units from dense
+    ambient products."""
     n = bundle.input_dim
     gen = rng(seed)
     draws = [random_complex(gen, n) for _ in range(samples)]
+    vac = dilation_module._vacuum(bundle)
     routes = []
-    for name in ("pi", "rho"):
-        mor, blocks = dilation_module._leg(bundle, name)
-        units = np.stack([mor(x) for x in matrix_units(n)])
-        images = np.stack([mor(y) for y in draws])
-        for b, y in enumerate(draws):
-            batched = dilation_module._unit_sample_residual(images[b], blocks, y)
-            dense = max(max_abs(units[i * n + j] @ images[b]
-                                - np.tensordot(y[j], units[i * n : (i + 1) * n], axes=1))
-                        for i in range(n) for j in range(n))
+    for mor, leg in ((bundle.pi, vac.pi), (bundle.rho, vac.rho)):
+        units = [mor(x) for x in matrix_units(n)]
+        for y in draws:
+            batched = leg.unit_products(y[None], leg.columns(y[None]))
+            dense = max(max_abs(unit @ mor(y) - mor(x @ y))
+                        for x, unit in zip(matrix_units(n), units))
             routes.append((batched, dense))
     return routes
 
 
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
-                                  _convex_bundle],
-                         ids=["schur", "convex"])
+                                  _convex_bundle, _scaled_bundle],
+                         ids=["schur", "convex", "scaled"])
 def test_batched_unit_sample_residual_matches_per_pair_route(make):
     for batched, dense in _unit_sample_routes(make(), samples=4, seed=3):
-        assert abs(batched - dense) <= 1e-15
+        assert abs(batched - dense) <= 1e-13
 
 
 def test_every_ordered_unit_pair_is_checked():
-    # rho over the blocks (P, 1), P a rank-one projector, sends e_ij to
-    # e_ij (x) V_ij with V = P except V_11 = 1: every pair a <= b multiplies,
-    # but rho(e_10) rho(e_01) = e_11 (x) P is not rho(e_11)
+    # rho over the blocks (Q, 1), Q = (1 + w(f_0)) / 2 a projector in the
+    # Clifford algebra, sends e_ij to e_ij (x) V_ij with V = Q except
+    # V_11 = 1: every pair a <= b multiplies, but rho(e_10) rho(e_01) =
+    # e_11 (x) Q is not rho(e_11), and Q - 1 has max-abs 1/2
     bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
-    p = np.zeros((bundle.rep.dim,) * 2)
-    p[0, 0] = 1.0
-    bad = dataclasses.replace(bundle, blocks=np.stack([p, np.eye(bundle.rep.dim)]))
+    eye = np.eye(bundle.rep.dim)
+    q = (eye + bundle.rep.omega(np.eye(bundle.rep.rank)[0])) / 2
+    bad = dataclasses.replace(bundle, blocks=np.stack([q, eye]))
     assert _dense_morphism_reports(bad, 0, 1)["rho_multiplicative"] == 0.0
-    assert verify_morphism_markov(bad, samples=0, seed=1)["rho_multiplicative"] == 1.0
+    assert verify_morphism_markov(bad, samples=0, seed=1)["rho_multiplicative"] == 0.5
+
+
+def _rebuilt_from_vacuum_columns(bundle):
+    """Each block rebuilt on each fiber summand as sum_S c_S gamma_S from its
+    vacuum column c, gamma_S the dense ordered field products."""
+    rebuilt = np.zeros(bundle.blocks.shape, dtype=complex)
+    start = 0
+    for size in bundle.fibers:
+        rank = size.bit_length() - 1
+        products = np.stack(FermionRep(rank, np.eye(rank)).omega_products())
+        # gamma_S Omega = e_S, so the vacuum column holds the c_S
+        assert np.array_equal(products[:, :, 0], np.eye(size))
+        part = slice(start, start + size)
+        rebuilt[:, part, part] = np.tensordot(bundle.blocks[:, part, start], products, axes=1)
+        start += size
+    return rebuilt
+
+
+@settings(max_examples=30, deadline=None)
+@given(built_bundles())
+def test_every_built_block_is_rebuilt_from_its_vacuum_columns(bundle):
+    # the premise of the vacuum-column route: each summand is a Fock space
+    # with its tracial state, and every block lies in the Clifford algebra of
+    # its fields
+    assert sum(bundle.fibers) == bundle.fiber_state.dim
+    start = 0
+    for size in bundle.fibers:
+        assert np.ptp(bundle.fiber_state.weights[start:start + size]) <= config.TOL_EXACT
+        start += size
+    assert max_abs(bundle.blocks - _rebuilt_from_vacuum_columns(bundle)) <= config.TOL_EXACT
+
+
+def _off_premise_bundles():
+    # w_1 R for a rotation R of two basis vectors, and a rank-one projector P
+    bundle = build_dilation(SchurSymbol(T3), STATE3)
+    blocks = bundle.blocks.copy()
+    rotation = np.eye(bundle.rep.dim)
+    rotation[:2, :2] = [[0.8, -0.6], [0.6, 0.8]]
+    blocks[1] = blocks[1] @ rotation
+    pair = build_dilation(SchurSymbol(T2), UNIFORM2)
+    p = np.zeros((pair.rep.dim,) * 2)
+    p[0, 0] = 1.0
+    return [(dataclasses.replace(bundle, blocks=blocks), SchurSymbol(T3), STATE3),
+            (dataclasses.replace(pair, blocks=np.stack([p, np.eye(pair.rep.dim)])),
+             SchurSymbol(T2), UNIFORM2)]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["rotated", "projector"])
+def test_blocks_off_the_clifford_algebra_are_refused(index):
+    bundle, symbol, state = _off_premise_bundles()[index]
+    assert max_abs(bundle.blocks - _rebuilt_from_vacuum_columns(bundle)) > 0.5
+    for check in (lambda: verify_factorization(bundle, symbol, state, samples=2),
+                  lambda: star_swap_check(bundle, symbol, state, samples=2),
+                  lambda: verify_morphism_markov(bundle, samples=2),
+                  lambda: verify_even_closure(bundle)):
+        with pytest.raises(PreconditionError, match="Clifford algebra"):
+            check()

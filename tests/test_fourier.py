@@ -384,7 +384,9 @@ def _stacked_fourier_identity(bundle, symbol, samples, seed):
     pis = np.stack([bundle.pi(lam_g) for lam_g in bundle.lam])
     rhos = np.stack([bundle.rho(lam_g) for lam_g in bundle.lam])
     expected = np.where(group.table == group.identity, t[:, None], 0.0)
-    defect = bundle.ambient_state.pairing_table(pis, rhos) - expected
+    # phi~(P R) for every pair, as one GEMM of the weighted P against the R^T
+    weighted = (pis * bundle.ambient_state.weights[:, None]).reshape(m, -1)
+    defect = weighted @ np.swapaxes(rhos, -1, -2).reshape(m, -1).T - expected
     draws = rng(seed).standard_normal((samples, 2, m))
     return max(max_abs(defect),
                max_abs(np.sum((draws[:, 0] @ defect) * draws[:, 1], axis=1)))
