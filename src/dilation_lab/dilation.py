@@ -74,9 +74,6 @@ class DilationBundle:
     def ambient_dim(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
 
-    def ambient_phi(self, x: np.ndarray) -> complex:
-        return complex(np.dot(self.ambient_state.weights, np.diagonal(x)))
-
     def pi(self, x: np.ndarray) -> np.ndarray:
         """x (x) 1: x_ij on the diagonal of block (i, j) of a zeroed array, the
         entries of np.kron(x, 1) up to the sign of zero, without its n^2 f^2
@@ -261,7 +258,7 @@ def verify_factorization(bundle: DilationBundle, symbol: SchurSymbol,
                          seed: int | None = None) -> float:
     """Largest residual of phi(M_t(x) y) = phi~(pi(x) rho(y)) over all
     matrix-unit pairs and seeded random pairs, on vacuum columns (see
-    _pairing_residual); samples over config.BYTE_CAP are refused undrawn."""
+    _pairing_residual); samples over config.BYTE_CAP are refused first."""
     if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
         raise ShapeError("verify_factorization dimension mismatch")
     vac = _vacuum(bundle)
@@ -297,7 +294,7 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
         diagonal = np.swapaxes(np.diagonal(leg.units, axis1=0, axis2=2), 0, 1)
         preserve = np.einsum("i,kii->k", vac.weights, draws) - vac.state(cols)
         # sigma_t of the ambient state multiplies block (i, k) by the phase
-        # (i, k) on M_n (tracial fibers), on a unit on both sides
+        # (i, k) on M_n (tracial fibers), so a unit's two sides agree exactly
         modular = [max_abs(p[:, None, None, :] * cols - leg.columns(p * draws)) for p in phases]
         reports.update({
             f"{name}_unital": max_abs(diagonal - vac.pi.units[0, :, 0]),

@@ -32,7 +32,7 @@ STATE3 = DiagonalState([0.5, 0.3, 0.2])
 def test_worked_off_diagonal_pairing():
     # phi~(pi(e01) rho(e10)) recovers w_0 t_01 = 0.5 * 0.5
     bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
-    value = bundle.ambient_phi(bundle.pi(matrix_unit(2, 0, 1))
+    value = bundle.ambient_state(bundle.pi(matrix_unit(2, 0, 1))
                                @ bundle.rho(matrix_unit(2, 1, 0)))
     assert abs(value - 0.25) < 1e-12
 
@@ -159,11 +159,11 @@ def test_ambient_state_restricts_to_the_input_state():
         for i in range(2):
             for j in range(2):
                 x = matrix_unit(2, i, j)
-                assert abs(bundle.ambient_phi(leg(x)) - state(x)) < 1e-12
+                assert abs(bundle.ambient_state(leg(x)) - state(x)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# dense references: rho as d pi(x) d, pairings as ambient_phi of the product
+# dense references: rho as d pi(x) d, pairings as the ambient state of the product
 
 
 def _dense_pairing_residual(bundle, state, symbol, left, right, samples, seed, swap):
@@ -361,7 +361,7 @@ def _dense_morphism_reports(bundle, samples, seed):
         mult = star = preserve = modular = 0.0
         for a, (x, mx) in enumerate(zip(xs, images)):
             star = max(star, max_abs(mor(dagger(x)) - dagger(mx)))
-            preserve = max(preserve, abs(bundle.input_state(x) - bundle.ambient_phi(mx)))
+            preserve = max(preserve, abs(bundle.input_state(x) - bundle.ambient_state(mx)))
             for t in config.T_SAMPLES:
                 rhs = mor(modular_conjugate(bundle.input_state, x, t))
                 modular = max(modular, max_abs(bundle.ambient_state.modular_phases(t) * mx - rhs))

@@ -196,7 +196,7 @@ def test_crossed_dilation_worked_z2_pairings():
     lam = build_group_algebra(g)
     for a in range(2):
         for b in range(2):
-            value = bundle.ambient_phi(bundle.pi(lam[a]) @ bundle.rho(lam[b]))
+            value = bundle.ambient_state(bundle.pi(lam[a]) @ bundle.rho(lam[b]))
             expected = t.values[a] if g.mul(a, b) == g.identity else 0.0
             assert abs(value - expected) < 1e-12
 
@@ -320,14 +320,14 @@ def _dense_fourier_identity(bundle, symbol, samples, seed):
     for g in range(m):
         for h in range(m):
             expected = t[g] if group.mul(g, h) == group.identity else 0.0
-            worst = max(worst, abs(bundle.ambient_phi(pis[g] @ rhos[h]) - expected))
+            worst = max(worst, abs(bundle.ambient_state(pis[g] @ rhos[h]) - expected))
     gen = rng(seed)
     for _ in range(samples):
         a, b = gen.standard_normal(m), gen.standard_normal(m)
         x = np.tensordot(a, pis, axes=1)
         y = np.tensordot(b, rhos, axes=1)
         expected = sum(a[g] * b[group.inv(g)] * t[g] for g in range(m))
-        worst = max(worst, abs(bundle.ambient_phi(x @ y) - expected))
+        worst = max(worst, abs(bundle.ambient_state(x @ y) - expected))
     return worst
 
 
