@@ -221,7 +221,7 @@ def _vacuum(bundle: DilationBundle) -> _Vacuum:
         raise PreconditionError(f"blocks are not in the Clifford algebra of the fields: "
                                 f"rebuild from the vacuum columns is off by {gap:.2e}")
     # rho's unit columns U[i, :, k] = w_i (w_k Omega): n^2 f^2, not n^2 f^3
-    return _Vacuum(bundle.input_state.weights, nu, np.bitwise_count(local),
+    return _Vacuum(bundle.input_state.weights, nu, np.bitwise_count(local).astype(int),
                    _Leg(np.broadcast_to(omega[:, None], (n, f, n)), None),
                    _Leg(blocks @ (blocks @ omega).T, blocks))
 

@@ -33,7 +33,7 @@ def test_worked_off_diagonal_pairing():
     # phi~(pi(e01) rho(e10)) recovers w_0 t_01 = 0.5 * 0.5
     bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
     value = bundle.ambient_state(bundle.pi(matrix_unit(2, 0, 1))
-                               @ bundle.rho(matrix_unit(2, 1, 0)))
+                                 @ bundle.rho(matrix_unit(2, 1, 0)))
     assert abs(value - 0.25) < 1e-12
 
 
@@ -326,10 +326,7 @@ def test_full_rank_6x6_checks_hold_few_ambient_images():
 def test_perturbed_rho_block_fails_the_checks():
     # rho through one block 1.01 w_1 is no longer multiplicative, and its
     # pairing with pi no longer factorizes the multiplier
-    bundle = build_dilation(SchurSymbol(T3), STATE3)
-    omegas = np.stack([bundle.rep.generator_omega(i) for i in range(3)])
-    omegas[1] *= 1.01
-    bad = dataclasses.replace(bundle, blocks=omegas)
+    bad = _scaled_bundle()
     tol = config.TOL_NUM
     mult = verify_morphism_markov(bad, samples=2, seed=1)["rho_multiplicative"]
     assert mult > tol
