@@ -422,9 +422,11 @@ def _check_symmetric_contraction(t: np.ndarray, tol: float) -> np.ndarray:
         raise PreconditionError("contraction entries must be finite")
     if max_abs(t - t.T) > tol:
         raise PreconditionError("contraction must be symmetric")
-    if np.max(np.abs(np.linalg.eigvalsh((t + t.T) / 2))) > 1.0 + tol:
+    # halved before the sum, so no finite entry overflows into a NaN norm
+    symmetric = t / 2 + t.T / 2
+    if not np.max(np.abs(np.linalg.eigvalsh(symmetric))) <= 1.0 + tol:
         raise PreconditionError("matrix norm exceeds 1; not a contraction")
-    return (t + t.T) / 2
+    return symmetric
 
 
 def build_schaffer(t: np.ndarray, window: int,

@@ -194,6 +194,8 @@ def run_check_schur(args) -> tuple[Checks, int]:
 
 def run_rota(args) -> tuple[Checks, int]:
     symbol, state = _parse_symbol(_load_json(args.input, "schur2.json"))
+    if args.depth < 1:
+        raise DilationLabError(f"depth {args.depth} must be at least 1")
     if not 1 <= args.steps <= args.depth:
         raise DilationLabError(
             f"steps {args.steps} must lie in 1..depth ({args.depth})")
@@ -308,9 +310,10 @@ def main(argv=None) -> int:
     if not (np.isfinite(args.tol) and args.tol > 0):
         print(f"error: tolerance must be a positive finite number, got {args.tol}", file=sys.stderr)
         return 2
-    if getattr(args, "samples", 0) < 0:
-        print(f"error: samples must be nonnegative, got {args.samples}", file=sys.stderr)
-        return 2
+    for flag in ("samples", "seed"):
+        if getattr(args, flag, 0) < 0:
+            print(f"error: {flag} must be nonnegative, got {getattr(args, flag)}", file=sys.stderr)
+            return 2
     start = time.perf_counter()
     try:
         checks, code = _RUNNERS[args.command](args)

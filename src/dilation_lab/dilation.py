@@ -12,8 +12,9 @@ ambient state: phi(M_t(x) y) = phi~(pi(x) rho(y)).  Convex combinations of
 certified maps dilate by direct sums with reweighted ambient states, and the
 bilinear adjoint swaps the roles of pi and rho up to symbol transposition.
 
-The verifiers read every row on vacuum columns, in M_n (x) C for C the
-Clifford algebra of the fields (see _vacuum), and form no ambient image.
+Every bundle lies in M_n (x) C for C the Clifford algebra of the fields,
+checked once when it is constructed (see _vacuum), and the verifiers read
+every row on its vacuum columns without forming an ambient image.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class DilationBundle:
     the symmetry d = sum_i e_ii (x) blocks[i], so d itself is never formed.
     The blocks determine both legs on all of M_n: pi(x) = x (x) 1 and
     rho(x) = d pi(x) d.  fibers lists the sizes of the fiber's summands, one
-    per dilated map.
+    per dilated map.  vacuum holds the vacuum-column data of the blocks,
+    which must meet the premise of _vacuum, else PreconditionError.
     """
 
     input_state: DiagonalState
@@ -59,10 +61,12 @@ class DilationBundle:
     gram: GramSpace | None = None
     rep: FermionRep | None = None
     ambient_state: DiagonalState = field(init=False)
+    vacuum: _Vacuum = field(init=False, repr=False)
 
     def __post_init__(self):
         if sum(self.fibers) != self.blocks.shape[1]:
             raise ShapeError(f"fibers {self.fibers} do not add up to {self.blocks.shape[1]}")
+        object.__setattr__(self, "vacuum", _vacuum(self))
         object.__setattr__(self, "ambient_state", DiagonalState(
             np.kron(self.input_state.weights, self.fiber_state.weights)))
 
@@ -190,7 +194,8 @@ class _Vacuum:
 
 
 def _vacuum(bundle: DilationBundle) -> _Vacuum:
-    """The vacuum-column data of bundle, once its premise is checked in O(n f^2).
+    """The vacuum-column data of bundle, once its premise is checked in O(n f^2)
+    (by DilationBundle.__post_init__, so once per bundle).
 
     Premise: on each fiber summand, of size 2^r, the fiber state is tracial,
     and each block is its rebuild a[T, U] = c_(T ^ U) phase[T ^ U, U] from its
@@ -237,19 +242,32 @@ def _draws(bundle: DilationBundle, count: int, seed: int | None) -> np.ndarray:
                     dtype=complex).reshape(count, n, n)
 
 
-def _pairing_residual(vac: _Vacuum, state: DiagonalState, symbol: SchurSymbol,
-                      left: _Leg, right: _Leg, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Largest |phi(M(x) y) - phi~(left(x) right(y))| over every pair of
-    matrix units and the pairs (xs[b], ys[b]), M the multiplier of symbol.
-    Both sides vanish on (e_ij, e_kl) unless (k, l) = (j, i), and then phi~
-    is mu_i nu . L_i L_j right.units[j, :, i] for the fields L of left.  A
-    random pair is left(x) applied to the columns of right(y)."""
+def _unit_pairing(vac: _Vacuum, left: _Leg, right: _Leg) -> np.ndarray:
+    """P[i, j] = phi~(left(e_ij) right(e_ji)) = mu_i nu . L_i L_j
+    right.units[j, :, i] for the fields L of left.  phi~(left(e_ij)
+    right(e_kl)) is exactly 0 unless (k, l) = (j, i): the product sits in
+    block (i, l), and phi~ reads the diagonal blocks only."""
     # z[i, j] = right.units[j, :, i], the column of right(e_ji)
     z = np.moveaxis(right.units, 2, 0)
     if left.fields is not None:
         z = (left.fields[:, None] @ (left.fields[None] @ z[..., None]))[..., 0]
-    worst = max_abs(symbol.matrix * state.weights[:, None] - vac.weights[:, None] * (z @ vac.nu))
-    lhs = np.einsum("i,kii->k", state.weights, (symbol.matrix * xs) @ ys)
+    return vac.weights[:, None] * (z @ vac.nu)
+
+
+def _pairing_residual(bundle: DilationBundle, t: np.ndarray, state: DiagonalState,
+                      samples: int, seed: int | None, swap: bool) -> float:
+    """Largest |phi(M(x) y) - phi~(left(x) right(y))| over every pair of
+    matrix units (the table P of _unit_pairing against t_ij mu_i) and
+    seeded random pairs, M the multiplier of the symbol t and (left, right)
+    = (pi, rho), or (rho, pi) with each pair's draws swapped if swap.  A
+    random pair is left(x) applied to the columns of right(y)."""
+    if t.shape[0] != bundle.input_dim or state.dim != bundle.input_dim:
+        raise ShapeError("symbol, state and bundle dimensions do not match")
+    vac, draws = bundle.vacuum, _draws(bundle, 2 * samples, seed)
+    left, right = (vac.rho, vac.pi) if swap else (vac.pi, vac.rho)
+    xs, ys = draws[int(swap)::2], draws[int(not swap)::2]
+    worst = max_abs(t * state.weights[:, None] - _unit_pairing(vac, left, right))
+    lhs = np.einsum("i,kii->k", state.weights, (t * xs) @ ys)
     return max(worst, max_abs(lhs - vac.state(left.apply(xs, right.columns(ys)))))
 
 
@@ -259,11 +277,7 @@ def verify_factorization(bundle: DilationBundle, symbol: SchurSymbol,
     """Largest residual of phi(M_t(x) y) = phi~(pi(x) rho(y)) over all
     matrix-unit pairs and seeded random pairs, on vacuum columns (see
     _pairing_residual); samples over config.BYTE_CAP are refused first."""
-    if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
-        raise ShapeError("verify_factorization dimension mismatch")
-    vac = _vacuum(bundle)
-    draws = _draws(bundle, 2 * samples, seed)
-    return _pairing_residual(vac, state, symbol, vac.pi, vac.rho, draws[0::2], draws[1::2])
+    return _pairing_residual(bundle, symbol.matrix, state, samples, seed, swap=False)
 
 
 def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
@@ -277,7 +291,7 @@ def verify_morphism_markov(bundle: DilationBundle, samples: int = 10,
     random elements, read on vacuum columns without a leg call; a sample
     stack over config.BYTE_CAP is refused before any draw.
     """
-    vac = _vacuum(bundle)
+    vac = bundle.vacuum
     draws = _draws(bundle, samples, seed)
     phases = [bundle.input_state.modular_phases(t) for t in config.T_SAMPLES]
     reports = {}
@@ -348,12 +362,7 @@ def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,
     Matrix-unit pairs and seeded random pairs are taken as in
     verify_factorization, with the legs swapped (see _pairing_residual).
     """
-    if symbol.dim != bundle.input_dim or state.dim != bundle.input_dim:
-        raise ShapeError("star_swap_check dimension mismatch")
-    vac = _vacuum(bundle)
-    draws = _draws(bundle, 2 * samples, seed)
-    return _pairing_residual(vac, state, SchurSymbol(symbol.matrix.T), vac.rho, vac.pi,
-                             draws[1::2], draws[0::2])
+    return _pairing_residual(bundle, symbol.matrix.T, state, samples, seed, swap=True)
 
 
 def verify_even_closure(bundle: DilationBundle) -> float:
@@ -366,6 +375,6 @@ def verify_even_closure(bundle: DilationBundle) -> float:
     """
     if bundle.rep is None:
         raise PreconditionError("bundle does not carry a fermion representation")
-    vac = _vacuum(bundle)
+    vac = bundle.vacuum
     odd = vac.popcount % 2 == 1
     return 2.0 * max(max_abs(leg.units[:, odd]) for leg in (vac.pi, vac.rho))

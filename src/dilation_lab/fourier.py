@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .dilation import DilationBundle, _block_bundle
+from .dilation import DilationBundle, _block_bundle, _unit_pairing
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import _require_bytes, build_fermion_rep, exterior_map
 from .matcore import max_abs, rng
@@ -265,15 +265,12 @@ def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
     """Max residual of phi~(pi(lambda(g)) rho(lambda(h))) = delta_{gh,e} t_g,
     over all group pairs and random span combinations.
 
-    Entry (g, h) of the pairing table is sum_ab w~[a] P_g[a, b] R_h[b, a]
-    for P_g = pi(lambda(g)) and R_h = rho(lambda(h)), read from the blocks W
-    of the bundle.  P_g = lambda(g) (x) 1 is the identity on the blocks
-    (gv, v), and block (hu, u) of R_h is W_hu W_u, so the entry sums the
-    diagonals of the blocks (v, gv) of R_h, which are zero unless h = g^-1.
-    Every other entry is exactly 0, and entry (g, g^-1) is
-    w~ . diag(W_{g^-1 v} W_v), concatenated over v in row order: the dense
-    table up to summation order.  The products W_u W_v are formed one block
-    row u at a time, and neither leg is called.
+    The pairing table is read from the unit-pairing table P[i, j] =
+    phi~(pi(e_ij) rho(e_ji)) of the bundle's vacuum columns (see
+    dilation._unit_pairing).  lambda(g) is the sum of the units e_(gu, u), and
+    phi~(pi(e_ij) rho(e_kl)) vanishes unless (k, l) = (j, i), so entry (g, h)
+    is exactly 0 unless h = g^-1, and entry (g, g^-1) is sum_u P[gu, u].
+    Neither leg is called and no block product is formed.
 
     A sample pairs x = sum_g a_g pi(lambda(g)) with y = sum_h b_h rho(lambda(h)),
     so phi~(x y) - sum_g a_g b_{g^-1} t_g is a (table - E) b for the pairing
@@ -285,17 +282,9 @@ def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
     group, t = symbol.group, symbol.values
     m = group.order
     _require_bytes(f"a sample stack of {samples} pairs of {m} coefficients", samples * m)
-    blocks = bundle.blocks
-    diagonals = np.empty((m, m, blocks.shape[1]), dtype=complex)
-    for u, w_u in enumerate(blocks):
-        # diagonals[u, v] = diag(W_u W_v)
-        diagonals[u] = np.diagonal(w_u @ blocks, axis1=1, axis2=2)
-    weights = bundle.ambient_state.weights
-    table = np.zeros((m, m), dtype=complex)
-    for g, g_inv in enumerate(group.inverse):
-        table[g, g_inv] = weights @ diagonals[group.table[g_inv], np.arange(m)].reshape(-1)
-    expected = np.where(group.table == group.identity, t[:, None], 0.0)
-    defect = table - expected
+    pairing = _unit_pairing(bundle.vacuum, bundle.vacuum.pi, bundle.vacuum.rho)
+    defect = np.zeros((m, m), dtype=complex)
+    defect[np.arange(m), group.inverse] = pairing[group.table, np.arange(m)].sum(axis=1) - t
     # the same draws as one (a, b) pair per sample, in that order
     draws = rng(seed).standard_normal((samples, 2, m))
     return max(max_abs(defect),

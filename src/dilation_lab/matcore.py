@@ -28,6 +28,7 @@ __all__ = [
     "direct_sum",
     "block_conjugate",
     "eig_hermitian",
+    "negative_mass",
     "hermitian_sqrt",
     "solve_psd",
     "rng",
@@ -132,6 +133,14 @@ def block_conjugate(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
         stacked = (x[rows, j, None, None] * blocks[rows]).reshape(-1, f) @ blocks[j]
         grid[rows, :, j] = stacked.reshape(len(rows), f, f)
     return out
+
+
+def negative_mass(a: np.ndarray) -> float:
+    """max(0, -lowest eigenvalue) of the Hermitian part a/2 + a^H/2, halved
+    before the sum so that no finite entry overflows.  A NaN lowest
+    eigenvalue gives NaN: min(nan, 0.0) keeps it where max(0.0, nan) would
+    give 0.0, and 0.0 - min(...) is never -0.0."""
+    return 0.0 - min(float(np.linalg.eigvalsh(a / 2 + dagger(a) / 2)[0]), 0.0)
 
 
 def eig_hermitian(a, tol: float = config.TOL_NUM):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config
 from .errors import NotPsdError, PreconditionError, ShapeError
-from .matcore import as_square, eig_hermitian, max_abs
+from .matcore import as_square, eig_hermitian, max_abs, negative_mass
 from .states import MarkovMap
 
 __all__ = [
@@ -92,16 +92,17 @@ def multiplier_map(symbol: SchurSymbol) -> MarkovMap:
 def certify_symbol(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> dict[str, float]:
     """Residuals of unitality, self-adjointness and positivity of the symbol.
 
-    psd is the negative eigenvalue mass of the Hermitian part; when the
-    Hermiticity defect exceeds tol it counts into psd as well, so a symbol
-    that is not Hermitian within tol fails psd at any tolerance below tol.
+    psd is the negative eigenvalue mass of the Hermitian part (see
+    matcore.negative_mass); when the Hermiticity defect exceeds tol it
+    counts into psd as well, so a symbol that is not Hermitian within tol
+    fails psd at any tolerance below tol.
     For a symbol Hermitian within tol, psd <= TOL_PSD matches the Choi test
     of the induced map.  self_adjoint means real symmetric: the multiplier
     equals its GNS adjoint for every faithful diagonal state exactly then.
     """
     t = symbol.matrix
     herm_defect = max_abs(t - t.conj().T)
-    negative = max(0.0, -float(np.linalg.eigvalsh((t + t.conj().T) / 2)[0]))
+    negative = negative_mass(t)
     return {"unital": max_abs(np.diagonal(t) - 1.0),
             "self_adjoint": max(max_abs(t - t.T), max_abs(t.imag)),
             "psd": negative if herm_defect <= tol else herm_defect + negative}

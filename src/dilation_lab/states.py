@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config
 from .errors import PreconditionError, ShapeError
-from .matcore import as_square, dagger, matrix_unit, max_abs, unvec, vec
+from .matcore import as_square, dagger, matrix_unit, max_abs, negative_mass, unvec, vec
 
 __all__ = [
     "DiagonalState",
@@ -181,8 +181,7 @@ def markov_residuals(m: MarkovMap, state: DiagonalState) -> dict[str, float]:
 
     choi = choi_matrix(m)
     herm_defect = max_abs(choi - dagger(choi))
-    min_eig = float(np.linalg.eigvalsh((choi + dagger(choi)) / 2)[0])
-    negative = max(0.0, -min_eig)
+    negative = negative_mass(choi)
 
     # phi(m(x)) = phi(x) on matrix units: row of phi-functionals applied to super
     phi_row = vec(np.diag(state.weights)).conj()  # trace(D x) = <vec(D~), vec(x)> with real D

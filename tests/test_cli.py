@@ -397,6 +397,54 @@ def test_symbol_precondition_names_each_failing_residual():
     assert "self_adjoint" not in message and "Report" not in message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rota", "--depth", "-3"], "error: depth -3 must be at least 1\n"),
+    (["rota", "--depth", "0", "--steps", "0"], "error: depth 0 must be at least 1\n"),
+    *[([command, "--seed", "-1"], "error: seed must be nonnegative, got -1\n")
+      for command in COMMANDS],
+], ids=["depth-negative", "depth-zero", *[f"{command}-seed" for command in COMMANDS]])
+def test_usage_errors_name_their_flag(argv, message):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", message)
+
+
+# (t + t^H) / 2 overflowed on these symbols: check-schur died in the
+# eigensolver, and max(0, nan) read the psd residual as 0
+@pytest.mark.parametrize("command, payload, rows", [
+    ("check-schur", {"symbol": [[1, 1e308], [1e308, 1]], "weights": [0.5, 0.5]},
+     ["symbol_psd", "markov_cp"]),
+    ("fourier", {"group": "cyclic:2", "t": [1, 1e308]}, ["posdef_psd"]),
+], ids=["check-schur", "fourier"])
+def test_overflowing_symbol_fails_its_psd_rows(command, payload, rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run_in_process(command, payload)
+    assert code == 1
+    assert [(check["name"], check["residual"]) for check in report["checks"]
+            if not check["pass"]] == [(row, 1e308) for row in rows]
+
+
+def test_secondquant_refuses_an_overflowing_contraction():
+    # (t + t^T) / 2 overflowed, and its NaN norm passed the contraction test
+    payload = {"matrix": [[1e308, 1e308], [1e308, 1e308]], "window": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main("secondquant", payload)
+    assert (code, out, err) == (2, "", "error: matrix norm exceeds 1; not a contraction\n")
+
+
+def test_rota_refuses_an_overflowing_symbol():
+    payload = {"symbol": [[1, 1e308], [1e308, 1]], "weights": [0.5, 0.5]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main("rota", payload)
+    assert (code, out) == (2, "")
+    assert err == ("error: symbol must be unital, PSD, self-adjoint: "
+                   "psd residual 1.0e+308 > tol 1.0e-10\n")
+
+
 def test_rota_refuses_steps_before_building_the_chain():
     # a symbol the chain builder refuses, and a depth over its byte cap: the
     # steps error comes first in both cases

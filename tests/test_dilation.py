@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import tracemalloc
 
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 import dilation_lab.dilation as dilation_module
 from dilation_lab import (DiagonalState, DilationBundle, FermionRep, FourierSymbol,
                           PreconditionError, SchurSymbol, ShapeError, apply_multiplier,
-                          build_crossed_dilation, build_dilation, config,
-                          convex_combination_dilation, cyclic_group, random_posdef_symbol,
+                          build_crossed_dilation, build_dilation, cli, config,
+                          convex_combination_dilation, cyclic_group, dihedral_group,
+                          random_posdef_symbol,
                           schur_symbol_matrix, star_swap_check, symmetric_group,
                           verify_even_closure, verify_factorization, verify_morphism_markov)
 from dilation_lab.matcore import (dagger, direct_sum, matrix_unit, matrix_units, max_abs,
@@ -442,7 +445,7 @@ def built_bundles(draw):
         symbols, state, weights = draw(convex_families())
         return convex_combination_dilation([build_dilation(s, state) for s in symbols], weights)
     group = draw(st.sampled_from([cyclic_group(2), cyclic_group(3), cyclic_group(4),
-                                  symmetric_group(3)]))
+                                  cyclic_group(6), dihedral_group(3), symmetric_group(3)]))
     seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
     return build_crossed_dilation(random_posdef_symbol(group, rng(seed)))
 
@@ -506,7 +509,7 @@ def _unit_sample_routes(bundle, samples, seed):
     n = bundle.input_dim
     gen = rng(seed)
     draws = [random_complex(gen, n) for _ in range(samples)]
-    vac = dilation_module._vacuum(bundle)
+    vac = bundle.vacuum
     routes = []
     for mor, leg in ((bundle.pi, vac.pi), (bundle.rho, vac.rho)):
         units = [mor(x) for x in matrix_units(n)]
@@ -539,18 +542,18 @@ def test_every_ordered_unit_pair_is_checked():
     assert verify_morphism_markov(bad, samples=0, seed=1)["rho_multiplicative"] == 0.5
 
 
-def _rebuilt_from_vacuum_columns(bundle):
+def _rebuilt_from_vacuum_columns(blocks, fibers):
     """Each block rebuilt on each fiber summand as sum_S c_S gamma_S from its
     vacuum column c, gamma_S the dense ordered field products."""
-    rebuilt = np.zeros(bundle.blocks.shape, dtype=complex)
+    rebuilt = np.zeros(blocks.shape, dtype=complex)
     start = 0
-    for size in bundle.fibers:
+    for size in fibers:
         rank = size.bit_length() - 1
         products = np.stack(FermionRep(rank, np.eye(rank)).omega_products())
         # gamma_S Omega = e_S, so the vacuum column holds the c_S
         assert np.array_equal(products[:, :, 0], np.eye(size))
         part = slice(start, start + size)
-        rebuilt[:, part, part] = np.tensordot(bundle.blocks[:, part, start], products, axes=1)
+        rebuilt[:, part, part] = np.tensordot(blocks[:, part, start], products, axes=1)
         start += size
     return rebuilt
 
@@ -566,7 +569,8 @@ def test_every_built_block_is_rebuilt_from_its_vacuum_columns(bundle):
     for size in bundle.fibers:
         assert np.ptp(bundle.fiber_state.weights[start:start + size]) <= config.TOL_EXACT
         start += size
-    assert max_abs(bundle.blocks - _rebuilt_from_vacuum_columns(bundle)) <= config.TOL_EXACT
+    assert max_abs(bundle.blocks - _rebuilt_from_vacuum_columns(bundle.blocks, bundle.fibers)) \
+        <= config.TOL_EXACT
 
 
 def _off_premise_bundles():
@@ -579,18 +583,33 @@ def _off_premise_bundles():
     pair = build_dilation(SchurSymbol(T2), UNIFORM2)
     p = np.zeros((pair.rep.dim,) * 2)
     p[0, 0] = 1.0
-    return [(dataclasses.replace(bundle, blocks=blocks), SchurSymbol(T3), STATE3),
-            (dataclasses.replace(pair, blocks=np.stack([p, np.eye(pair.rep.dim)])),
-             SchurSymbol(T2), UNIFORM2)]
+    return [(bundle, blocks), (pair, np.stack([p, np.eye(pair.rep.dim)]))]
+
+
+def test_premise_is_checked_once_per_op(monkeypatch):
+    # once per bundle, at construction: check-schur builds one bundle for its
+    # three vacuum-column verifiers, and fourier one for its identity row
+    calls = []
+    vacuum = dilation_module._vacuum
+
+    def counted(bundle):
+        calls.append(bundle)
+        return vacuum(bundle)
+
+    monkeypatch.setattr(dilation_module, "_vacuum", counted)
+    for command in ("check-schur", "fourier"):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([command]) == 0
+        assert len(calls) == 1, command
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["rotated", "projector"])
 def test_blocks_off_the_clifford_algebra_are_refused(index):
-    bundle, symbol, state = _off_premise_bundles()[index]
-    assert max_abs(bundle.blocks - _rebuilt_from_vacuum_columns(bundle)) > 0.5
-    for check in (lambda: verify_factorization(bundle, symbol, state, samples=2),
-                  lambda: star_swap_check(bundle, symbol, state, samples=2),
-                  lambda: verify_morphism_markov(bundle, samples=2),
-                  lambda: verify_even_closure(bundle)):
-        with pytest.raises(PreconditionError, match="Clifford algebra"):
-            check()
+    # the premise is checked when a bundle is constructed, so no verifier
+    # ever sees such blocks
+    bundle, blocks = _off_premise_bundles()[index]
+    assert max_abs(blocks - _rebuilt_from_vacuum_columns(blocks, bundle.fibers)) > 0.5
+    with pytest.raises(PreconditionError, match="Clifford algebra"):
+        dataclasses.replace(bundle, blocks=blocks)

@@ -361,16 +361,16 @@ def test_swapped_rotations_break_field_covariance():
 def test_scaled_rho_block_breaks_the_fourier_identity():
     # rho through one block 1.01 W_1: still a map on the span, but its
     # pairings with pi no longer give delta_{gh,e} t_g
-    group = cyclic_group(3)
-    t = random_posdef_symbol(group, rng(13))
-    bundle = build_crossed_dilation(t)
-    blocks = bundle.blocks.copy()
-    blocks[1] *= 1.01
-    bad = dataclasses.replace(bundle, blocks=blocks)
-    assert verify_fourier_identity(bundle, t, samples=4, seed=2) <= config.TOL_NUM
-    residual = verify_fourier_identity(bad, t, samples=4, seed=2)
-    assert residual > config.TOL_NUM
-    assert abs(residual - _stacked_fourier_identity(bad, t, 4, 2)) <= 1e-13
+    for group in (cyclic_group(3), symmetric_group(3)):
+        t = random_posdef_symbol(group, rng(13))
+        bundle = build_crossed_dilation(t)
+        blocks = bundle.blocks.copy()
+        blocks[1] *= 1.01
+        bad = dataclasses.replace(bundle, blocks=blocks)
+        assert verify_fourier_identity(bundle, t, samples=4, seed=2) <= config.TOL_NUM
+        residual = verify_fourier_identity(bad, t, samples=4, seed=2)
+        assert residual > config.TOL_NUM
+        assert abs(residual - _stacked_fourier_identity(bad, t, 4, 2)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def test_support_pairing_matches_the_stacked_table(group):
 
 
 def test_fourier_identity_calls_no_leg(monkeypatch):
-    # the table is read from the blocks, so neither leg forms an image
+    # the table is read from the unit-pairing table, so neither leg forms an image
     t = random_posdef_symbol(cyclic_group(4), rng(21))
     bundle = build_crossed_dilation(t)
 
@@ -466,7 +466,7 @@ def test_group_verifiers_hold_fewer_than_four_ambient_images():
     t = FourierSymbol(group, np.eye(6)[0])
     bundle = build_crossed_dilation(t)
     image = np.dtype(complex).itemsize * bundle.ambient_dim ** 2
-    # the identity row alone forms one block row of W_u W_v at a time
+    # the identity row alone reads the m x m unit-pairing table
     tracemalloc.start()
     try:
         assert verify_fourier_identity(bundle, t, samples=20, seed=27) <= config.TOL_NUM

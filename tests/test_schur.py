@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilation_lab import (DiagonalState, GramSpace, NotPsdError, SchurSymbol,
-                          ShapeError, apply_multiplier, build_gram_space,
+from dilation_lab import (DiagonalState, GramSpace, NotPsdError, PreconditionError,
+                          SchurSymbol, ShapeError, apply_multiplier, build_gram_space,
                           certify_symbol, compose_symbols, config, markov_residuals,
                           multiplier_map)
 from dilation_lab.matcore import (max_abs, random_complex, random_unital_psd_symbol,
                                   random_weights, rng)
+from dilation_lab.schur import require_symbol
 
 
 def test_apply_multiplier_is_entrywise():
@@ -55,6 +56,17 @@ def test_certify_symbol_hermitian_complex_is_psd_but_not_self_adjoint():
     skew = SchurSymbol(np.array([[1.0, 0.4], [0.6, 1.0]]))
     assert abs(certify_symbol(skew)["psd"] - 0.2) < 1e-12
     assert certify_symbol(skew, tol=0.3)["psd"] == 0.0
+
+
+def test_nan_eigenvalue_fails_the_psd_residuals(monkeypatch):
+    # max(0, nan) is 0: a NaN from the eigensolver must not read as PSD
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
+    symbol = SchurSymbol(np.eye(2))
+    assert np.isnan(certify_symbol(symbol)["psd"])
+    residuals = markov_residuals(multiplier_map(symbol), DiagonalState([0.5, 0.5]))
+    assert np.isnan(residuals["cp_negative"]) and np.isnan(residuals["cp"])
+    with pytest.raises(PreconditionError, match="psd residual nan"):
+        require_symbol(symbol)
 
 
 def test_gram_space_cholesky_cross_check():
