@@ -265,7 +265,7 @@ def _pairing_residual(bundle: DilationBundle, t: np.ndarray, state: DiagonalStat
         raise ShapeError("symbol, state and bundle dimensions do not match")
     vac, draws = bundle.vacuum, _draws(bundle, 2 * samples, seed)
     left, right = (vac.rho, vac.pi) if swap else (vac.pi, vac.rho)
-    xs, ys = draws[int(swap)::2], draws[int(not swap)::2]
+    xs, ys = (draws[1::2], draws[0::2]) if swap else (draws[0::2], draws[1::2])
     worst = max_abs(t * state.weights[:, None] - _unit_pairing(vac, left, right))
     lhs = np.einsum("i,kii->k", state.weights, (t * xs) @ ys)
     return max(worst, max_abs(lhs - vac.state(left.apply(xs, right.columns(ys)))))

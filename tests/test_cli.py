@@ -410,8 +410,8 @@ def test_usage_errors_name_their_flag(argv, message):
     assert (code, out.getvalue(), err.getvalue()) == (2, "", message)
 
 
-# (t + t^H) / 2 overflowed on these symbols: check-schur died in the
-# eigensolver, and max(0, nan) read the psd residual as 0
+# (t + t^H) / 2 overflows on these symbols, and max(0, nan) would read the
+# NaN eigenvalue of its inf entries as a psd residual of 0
 @pytest.mark.parametrize("command, payload, rows", [
     ("check-schur", {"symbol": [[1, 1e308], [1e308, 1]], "weights": [0.5, 0.5]},
      ["symbol_psd", "markov_cp"]),
@@ -427,7 +427,7 @@ def test_overflowing_symbol_fails_its_psd_rows(command, payload, rows):
 
 
 def test_secondquant_refuses_an_overflowing_contraction():
-    # (t + t^T) / 2 overflowed, and its NaN norm passed the contraction test
+    # (t + t^T) / 2 overflows here, and a NaN norm must not pass as <= 1
     payload = {"matrix": [[1e308, 1e308], [1e308, 1e308]], "window": 1}
     with warnings.catch_warnings():
         warnings.simplefilter("error")

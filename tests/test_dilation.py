@@ -14,9 +14,9 @@ from dilation_lab import (DiagonalState, DilationBundle, FermionRep, FourierSymb
                           PreconditionError, SchurSymbol, ShapeError, apply_multiplier,
                           build_crossed_dilation, build_dilation, cli, config,
                           convex_combination_dilation, cyclic_group, dihedral_group,
-                          random_posdef_symbol,
-                          schur_symbol_matrix, star_swap_check, symmetric_group,
-                          verify_even_closure, verify_factorization, verify_morphism_markov)
+                          random_posdef_symbol, schur_symbol_matrix, star_swap_check,
+                          symmetric_group, verify_even_closure, verify_factorization,
+                          verify_morphism_markov)
 from dilation_lab.matcore import (dagger, direct_sum, matrix_unit, matrix_units, max_abs,
                                   random_complex, random_unital_psd_symbol, random_weights, rng)
 from dilation_lab.states import modular_conjugate
