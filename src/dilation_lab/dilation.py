@@ -12,9 +12,10 @@ ambient state: phi(M_t(x) y) = phi~(pi(x) rho(y)).  Convex combinations of
 certified maps dilate by direct sums with reweighted ambient states, and the
 bilinear adjoint swaps the roles of pi and rho up to symbol transposition.
 
-Every bundle lies in M_n (x) C for C the Clifford algebra of the fields,
-checked once when it is constructed (see _vacuum), and the verifiers read
-every row on its vacuum columns without forming an ambient image.
+A bundle holds the Clifford coefficients of its blocks, so it lies in
+M_n (x) C for C the Clifford algebra of the fields by construction (see
+_synthesize), and the verifiers read every row on its vacuum columns
+without forming an ambient image.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import config
 from .errors import PreconditionError, ShapeError, SizeError
 from .fock import FermionRep, _jordan_wigner, _ordered_products, _require_bytes, build_fermion_rep
-from .matcore import as_square, block_conjugate, dagger, direct_sum, max_abs, random_complex, rng
+from .matcore import as_square, block_conjugate, dagger, max_abs, random_complex, rng
 from .schur import GramSpace, SchurSymbol, build_gram_space, require_symbol
 from .states import DiagonalState
 
@@ -46,43 +47,53 @@ class DilationBundle:
     """Ambient algebra data dilating one (or a convex family of) multiplier(s).
 
     The ambient algebra is M_n (x) M_f with the product state input_state
-    (x) fiber_state.  blocks is the (n, f, f) stack of the diagonal blocks of
-    the symmetry d = sum_i e_ii (x) blocks[i], so d itself is never formed.
-    The blocks determine both legs on all of M_n: pi(x) = x (x) 1 and
-    rho(x) = d pi(x) d.  fibers lists the sizes of the fiber's summands, one
-    per dilated map.  vacuum holds the vacuum-column data of the blocks,
-    which must meet the premise of _vacuum, else PreconditionError.
+    (x) fiber_state, and the symmetry d = sum_i e_ii (x) blocks[i] is never
+    formed.  coefficients is the (n, f) stack of the blocks' vacuum columns,
+    which fix them: each lies in the Clifford algebra of the fields.  fibers
+    lists the sizes of the fiber's summands, one per dilated map.
+    __post_init__ refuses n f over the dimension cap, then sets blocks and
+    vacuum by _synthesize.  The blocks determine both legs on all of M_n:
+    pi(x) = x (x) 1 and rho(x) = d pi(x) d.
     """
 
     input_state: DiagonalState
     fiber_state: DiagonalState
-    blocks: np.ndarray
+    coefficients: np.ndarray
     fibers: tuple[int, ...]
     gram: GramSpace | None = None
     rep: FermionRep | None = None
     ambient_state: DiagonalState = field(init=False)
+    blocks: np.ndarray = field(init=False, repr=False)
     vacuum: _Vacuum = field(init=False, repr=False)
 
     def __post_init__(self):
-        if sum(self.fibers) != self.blocks.shape[1]:
-            raise ShapeError(f"fibers {self.fibers} do not add up to {self.blocks.shape[1]}")
-        object.__setattr__(self, "vacuum", _vacuum(self))
+        coefficients = np.asarray(self.coefficients, dtype=complex)
+        n, f = coefficients.shape
+        if sum(self.fibers) != f or self.fiber_state.dim != f:
+            raise ShapeError(f"fibers {self.fibers} and fiber state of dimension "
+                             f"{self.fiber_state.dim} do not match {f} coefficients")
+        if n * f > config.dim_cap():
+            raise SizeError(f"ambient dimension {n * f} exceeds cap {config.dim_cap()}")
+        object.__setattr__(self, "coefficients", coefficients)
+        blocks, vacuum = _synthesize(self)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "vacuum", vacuum)
         object.__setattr__(self, "ambient_state", DiagonalState(
             np.kron(self.input_state.weights, self.fiber_state.weights)))
 
     @property
     def input_dim(self) -> int:
-        return self.blocks.shape[0]
+        return self.coefficients.shape[0]
 
     @property
     def ambient_dim(self) -> int:
-        return self.blocks.shape[0] * self.blocks.shape[1]
+        return self.coefficients.size
 
     def pi(self, x: np.ndarray) -> np.ndarray:
         """x (x) 1: x_ij on the diagonal of block (i, j) of a zeroed array, the
         entries of np.kron(x, 1) up to the sign of zero, without its n^2 f^2
         products."""
-        n, f, _ = self.blocks.shape
+        n, f = self.coefficients.shape
         x = as_square(x, "morphism argument")
         if x.shape != (n, n):
             raise ShapeError(f"pi argument must be {n} x {n}, got shape {x.shape}")
@@ -96,40 +107,19 @@ class DilationBundle:
         return block_conjugate(self.blocks, as_square(x, "morphism argument"))
 
 
-def _block_bundle(state: DiagonalState, f: int, parts,
-                  kind: type[DilationBundle] = DilationBundle) -> DilationBundle:
-    """The bundle of `kind` over M_n (x) M_f with the product state state (x) fiber.
-
-    parts() returns the (n, f, f) diagonal blocks of the symmetry d, the
-    fiber state on M_f and the other fields of `kind`.  The fiber state alone
-    holds f entries and the blocks n f^2, so parts runs only once the ambient
-    dimension n f is within the dimension cap; this is the one place where
-    that dimension meets the cap.  The blocks are all the bundle needs for
-    its legs (see DilationBundle).
-    """
-    n = state.dim
-    if n * f > config.dim_cap():
-        raise SizeError(f"ambient dimension {n * f} exceeds cap {config.dim_cap()}")
-    blocks, fiber, fields = parts()
-    return kind(input_state=state, fiber_state=fiber, blocks=blocks, **fields)
-
-
 def build_dilation(symbol: SchurSymbol, state: DiagonalState,
                    tol: float = config.TOL_NUM) -> DilationBundle:
     """Construct the fermionic dilation bundle for a symbol that is unital and
-    self-adjoint within tol and PSD within TOL_PSD."""
+    self-adjoint within tol and PSD within TOL_PSD: block i is the field
+    w(v_i) of Gram row i."""
     require_symbol(symbol, tol)
     if state.dim != symbol.dim:
         raise ShapeError("state dimension does not match symbol")
     gram = build_gram_space(symbol, tol)
-    f = 1 << gram.rank
-
-    def parts():
-        rep = build_fermion_rep(gram)
-        blocks = rep.omega(rep.embedding)
-        return blocks, DiagonalState.tracial(f), {"gram": gram, "rep": rep, "fibers": (f,)}
-
-    return _block_bundle(state, f, parts)
+    rep = build_fermion_rep(gram)
+    return DilationBundle(input_state=state, fiber_state=DiagonalState.tracial(rep.dim),
+                          coefficients=_field_coefficients(gram.embedding), fibers=(rep.dim,),
+                          gram=gram, rep=rep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +162,7 @@ class _Leg:
 
 @dataclass(frozen=True, eq=False)
 class _Vacuum:
-    """A bundle's vacuum-column data (see _vacuum): the input weights mu, the
+    """A bundle's vacuum-column data (see _synthesize): the input weights mu, the
     weight nu[a] of the summand whose vacuum is fiber index a (else 0), the
     popcount |S| of each fiber index S in its summand, and the two legs."""
 
@@ -193,21 +183,32 @@ class _Vacuum:
         return reversal[:, None, None] * np.conj(np.swapaxes(cols, 0, 3))
 
 
-def _vacuum(bundle: DilationBundle) -> _Vacuum:
-    """The vacuum-column data of bundle, once its premise is checked in O(n f^2)
-    (by DilationBundle.__post_init__, so once per bundle).
+def _field_coefficients(vectors: np.ndarray) -> np.ndarray:
+    """The coefficient stack of the fields w(v) for the rows v of vectors
+    (n, r): w(f_k) Omega = e_(2^k), so v_k sits at index 2^k of 2^r."""
+    n, rank = vectors.shape
+    out = np.zeros((n, 1 << rank), dtype=complex)
+    out[:, 1 << np.arange(rank)] = vectors
+    return out
 
-    Premise: on each fiber summand, of size 2^r, the fiber state is tracial,
-    and each block is its rebuild a[T, U] = c_(T ^ U) phase[T ^ U, U] from its
-    vacuum column c within TOL_EXACT (0 off the summands): it lies in the
-    span C of the ordered field products gamma_S (fock._ordered_products).
-    Then phi~ is the weighted vacuum state, and gamma_S Omega = e_S makes
-    a -> a Omega isometric in max-abs.  Else PreconditionError.
+
+def _synthesize(bundle: DilationBundle) -> tuple[np.ndarray, _Vacuum]:
+    """The (n, f, f) blocks of bundle and its vacuum-column data, from its
+    coefficients once the premise is checked (by DilationBundle.__post_init__,
+    so once per bundle).
+
+    Premise: each fiber summand has size 2^r and a tracial fiber state, else
+    PreconditionError.  On a summand, block i is sum_S c_S gamma_S for its
+    coefficients c there and the ordered field products gamma_S
+    (fock._ordered_products): a[T, U] = c_(T ^ U) phase[T ^ U, U], and 0 off
+    the summands.  So every block lies in the Clifford algebra C of the
+    fields, phi~ is the weighted vacuum state on M_n (x) C, and
+    gamma_S Omega = e_S makes a -> a Omega isometric in max-abs.
     """
-    blocks, weights = bundle.blocks, bundle.fiber_state.weights
-    n, f, _ = blocks.shape
+    coefficients, weights = bundle.coefficients, bundle.fiber_state.weights
+    n, f = coefficients.shape
+    blocks = np.zeros((n, f, f), dtype=complex)
     omega, nu, local = np.zeros(f), np.zeros(f), np.zeros(f, dtype=np.int64)
-    rebuilt = np.zeros(blocks.shape, dtype=complex)
     start = 0
     for size in bundle.fibers:
         rank, part = size.bit_length() - 1, slice(start, start + size)
@@ -218,17 +219,13 @@ def _vacuum(bundle: DilationBundle) -> _Vacuum:
         phase = _ordered_products(bit[:, 0], sign[:-1])[1]
         r = np.arange(size)
         masks = r[:, None] ^ r
-        rebuilt[:, part, part] = (blocks[:, part, start] / phase[:, 0])[:, masks] * phase[masks, r]
+        blocks[:, part, part] = coefficients[:, part][:, masks] * phase[masks, r]
         omega[start], nu[start], local[part] = 1.0, weights[part].sum(), r
         start += size
-    gap = max_abs(blocks - rebuilt)
-    if gap > config.TOL_EXACT:
-        raise PreconditionError(f"blocks are not in the Clifford algebra of the fields: "
-                                f"rebuild from the vacuum columns is off by {gap:.2e}")
-    # rho's unit columns U[i, :, k] = w_i (w_k Omega): n^2 f^2, not n^2 f^3
-    return _Vacuum(bundle.input_state.weights, nu, np.bitwise_count(local).astype(int),
-                   _Leg(np.broadcast_to(omega[:, None], (n, f, n)), None),
-                   _Leg(blocks @ (blocks @ omega).T, blocks))
+    # rho's unit columns U[i, :, k] = w_i (w_k Omega) = w_i c_k: n^2 f^2, not n^2 f^3
+    return blocks, _Vacuum(bundle.input_state.weights, nu, np.bitwise_count(local).astype(int),
+                           _Leg(np.broadcast_to(omega[:, None], (n, f, n)), None),
+                           _Leg(blocks @ coefficients.T, blocks))
 
 
 def _draws(bundle: DilationBundle, count: int, seed: int | None) -> np.ndarray:
@@ -326,8 +323,8 @@ def convex_combination_dilation(bundles, weights) -> DilationBundle:
 
     All bundles must share the input algebra and input state; the fiber state
     is the weighted direct sum, so the factorization identity adds up.  The
-    sum is a plain block bundle over all of M_n whose fibers are those of the
-    bundles in order.
+    sum's coefficients are the bundles' side by side, so block i is the
+    direct sum of their blocks i, and its fibers are theirs in order.
     """
     bundles = list(bundles)
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -342,15 +339,12 @@ def convex_combination_dilation(bundles, weights) -> DilationBundle:
             raise PreconditionError("bundles must share the input dimension")
         if max_abs(b.input_state.weights - base_state.weights) > config.TOL_NUM:
             raise PreconditionError("bundles must share the input state")
-
-    def parts():
-        # block i of the sum is the direct sum of the bundles' blocks i, so the
-        # ambient algebra is M_n (x) (F_1 + F_2 + ...) with the reweighted fibers
-        blocks = np.stack([direct_sum([b.blocks[i] for b in bundles]) for i in range(n)])
-        fiber = np.concatenate([wi * b.fiber_state.weights for wi, b in zip(w, bundles)])
-        return blocks, DiagonalState(fiber), {"fibers": sum((b.fibers for b in bundles), ())}
-
-    return _block_bundle(base_state, sum(b.fiber_state.dim for b in bundles), parts)
+    return DilationBundle(
+        input_state=base_state,
+        fiber_state=DiagonalState(np.concatenate([wi * b.fiber_state.weights
+                                                  for wi, b in zip(w, bundles)])),
+        coefficients=np.concatenate([b.coefficients for b in bundles], axis=1),
+        fibers=sum((b.fibers for b in bundles), ()))
 
 
 def star_swap_check(bundle: DilationBundle, symbol: SchurSymbol,

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .dilation import DilationBundle, _block_bundle, _unit_pairing
+from .dilation import DilationBundle, _field_coefficients, _unit_pairing
 from .errors import PreconditionError, ShapeError, SizeError
-from .fock import _require_bytes, build_fermion_rep, exterior_map
+from .fock import _jordan_wigner, _require_bytes, build_fermion_rep, exterior_map
 from .matcore import max_abs, rng
 from .schur import SchurSymbol, build_gram_space, certify_symbol, require_symbol
 from .states import DiagonalState
@@ -213,18 +213,12 @@ class CrossedBundle(DilationBundle):
     """Dilation bundle of a group multiplier with its crossed-product data.
 
     lam stacks the left-regular unitaries lambda(g), actions the orthogonal
-    translations O_g of the embedding rows, rotations their exterior lifts.
+    translations O_g of the embedding rows.
     """
 
     symbol: FourierSymbol
     lam: np.ndarray
     actions: np.ndarray
-    rotations: np.ndarray
-
-
-def _covariant_blocks(group: FiniteGroup, rotations: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Diagonal blocks of the block-diagonal covariant copy: block h = alpha(h^-1)(a)."""
-    return np.stack([r @ a @ r.T for r in rotations[group.inverse]])
 
 
 def _require_crossed(bundle: DilationBundle) -> None:
@@ -236,28 +230,25 @@ def build_crossed_dilation(symbol: FourierSymbol,
                            tol: float = config.TOL_NUM) -> CrossedBundle:
     """Dilation bundle for the multiplier of a certified positive-definite t.
 
-    Its legs x (x) 1 and d (x (x) 1) d act on all of M_m, m the group order,
-    and with the tracial state they dilate the Schur multiplier of the
-    symbol (t_{g h^-1}); on the group algebra that multiplier is
+    Block u is the field w(O_(u^-1) v_e) of the translated identity row, the
+    covariant copy of w(v_e) that verify_covariance checks.  Its legs
+    x (x) 1 and d (x (x) 1) d act on all of M_m, m the group order, and with
+    the tracial state they dilate the Schur multiplier of the symbol
+    (t_{g h^-1}); on the group algebra that multiplier is
     lambda(g) -> t_g lambda(g) (transference).
     """
     gram = SchurSymbol(gram_matrix(symbol))
     require_symbol(gram, tol, "coefficients")
     group = symbol.group
     space = build_gram_space(gram, tol)
-    lam = build_group_algebra(group)
-    f = 1 << space.rank
-
-    def parts():
-        rep = build_fermion_rep(space)
-        actions = _translation_action(space.embedding, group)
-        rotations = np.stack([exterior_map(a) for a in actions])
-        blocks = _covariant_blocks(group, rotations, rep.omega(space.embedding[group.identity]))
-        return blocks, DiagonalState.tracial(f), {"gram": space, "rep": rep, "symbol": symbol,
-                                                  "lam": lam, "actions": actions,
-                                                  "rotations": rotations, "fibers": (f,)}
-
-    return _block_bundle(DiagonalState.tracial(group.order), f, parts, CrossedBundle)
+    rep = build_fermion_rep(space)
+    actions = _translation_action(space.embedding, group)
+    rows = actions[group.inverse] @ space.embedding[group.identity]
+    return CrossedBundle(input_state=DiagonalState.tracial(group.order),
+                         fiber_state=DiagonalState.tracial(rep.dim),
+                         coefficients=_field_coefficients(rows), fibers=(rep.dim,),
+                         gram=space, rep=rep, symbol=symbol,
+                         lam=build_group_algebra(group), actions=actions)
 
 
 def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
@@ -293,27 +284,34 @@ def verify_fourier_identity(bundle: CrossedBundle, symbol: FourierSymbol,
 
 def verify_covariance(bundle: CrossedBundle) -> dict[str, float]:
     """Residuals of the translation action: orthogonality of each O_g,
-    O_g O_h = O_{gh}, and Lam(g) omega-copy(h) Lam(g)* = omega-copy(gh)."""
+    O_g O_h = O_{gh}, and Lam(g) copy(h) Lam(g)* = copy(gh) for the copy of
+    w(v_h) with block u = R_(u^-1) w(v_h) R_(u^-1)^T, R_g = exterior_map(O_g).
+
+    field_covariance is the larger residual of two identities that give it:
+    R_g w(e_k) = w(O_g e_k) R_g for every basis vector e_k makes block u of
+    copy(h) w(O_(u^-1) v_h) (the bundle's block u at h = e), and with
+    O_g v_h = v_gh that is w(v_(u^-1 h)), which Lam(g) moves to block gu.
+    w(e_k) is a signed permutation, so R_g w(e_k) permutes the columns of
+    R_g and w(e_j) R_g its rows: r f^2 per (g, k), and no f x f product.
+    """
     _require_crossed(bundle)
     group = bundle.symbol.group
     m = group.order
-    actions = bundle.actions
+    actions, rows = bundle.actions, bundle.gram.embedding
     rank = actions.shape[1]
-    # fields[h, u]: diagonal block u of the covariant copy of omega(row h)
-    fields = np.stack([_covariant_blocks(group, bundle.rotations, w)
-                       for w in bundle.rep.omega(bundle.gram.embedding)])
+    bit, _, sign = _jordan_wigner(rank)
+    # w(e_k) sends e_U to sign[k, U] e_(U ^ 2^k), and sign[k] is even under that flip
+    flips, sign = np.arange(1 << rank) ^ bit, sign[:-1]
 
     ortho = max(max_abs(actions[g].T @ actions[g] - np.eye(rank)) for g in range(m))
     homo = max(max_abs(actions[g] @ actions[h] - actions[group.mul(g, h)])
                for g in range(m) for h in range(m))
-    # Lam(g) = lambda(g) (x) 1 moves block (u, v) to (gu, gv), so conjugating a
-    # block-diagonal copy by it permutes the diagonal blocks: block gu of
-    # Lam(g) copy(h) Lam(g)* is block u of copy(h).  Row g of the Cayley
-    # table lists those blocks gu, and each copy(h) is compared with
-    # copy(gh) at them, one (m, f, f) row at a time.
-    cov = 0.0
-    for g in range(m):
-        for h in range(m):
-            cov = max(cov, max_abs(fields[h] - fields[group.mul(g, h)][group.table[g]]))
+    # [g, h] holds O_g v_h against v_gh
+    cov = max_abs(rows @ np.swapaxes(actions, 1, 2) - rows[group.table])
+    for action in actions:
+        lift = exterior_map(action)
+        after = np.moveaxis(lift[:, flips], 1, 0) * sign[:, None, :]  # R_g w(e_k)
+        before = lift[flips] * sign[:, :, None]  # w(e_j) R_g
+        cov = max(cov, max_abs(after - np.tensordot(action, before, axes=(0, 0))))
     return {"orthogonal": ortho, "action_homomorphism": homo,
             "field_covariance": cov}

@@ -85,8 +85,10 @@ def test_even_closure_on_a_crossed_bundle():
 def test_even_closure_reports_an_odd_leak():
     # rho over the blocks (w_0, 1) sends e_01 to the odd w_0 in block (0, 1)
     bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
-    blocks = np.stack([bundle.rep.generator_omega(0), np.eye(bundle.rep.dim)])
-    leaky = dataclasses.replace(bundle, blocks=blocks)
+    coefficients = np.stack([bundle.coefficients[0], np.eye(bundle.rep.dim)[0]])
+    leaky = dataclasses.replace(bundle, coefficients=coefficients)
+    assert max_abs(leaky.blocks - np.stack([bundle.rep.generator_omega(0),
+                                            np.eye(bundle.rep.dim)])) <= 1e-15
     residual = verify_even_closure(leaky)
     assert residual > 0.5
     # the dense value: max |P g P - g| over the ambient unit images
@@ -401,9 +403,9 @@ def _skewed_bundle():
     # fields but not self-adjoint, so rho(e_01)^* = -i w_1 w_0 is not
     # rho(e_10) = i w_1 w_0
     bundle = build_dilation(SchurSymbol(T3), STATE3)
-    blocks = bundle.blocks.copy()
-    blocks[1] = 1j * blocks[1]
-    return dataclasses.replace(bundle, blocks=blocks)
+    coefficients = bundle.coefficients.copy()
+    coefficients[1] *= 1j
+    return dataclasses.replace(bundle, coefficients=coefficients)
 
 
 def _s3_signs():
@@ -470,9 +472,9 @@ def _scaled_bundle():
     # rho through one block 1.01 w_1: in the Clifford algebra of the fields,
     # but no longer multiplicative
     bundle = build_dilation(SchurSymbol(T3), STATE3)
-    blocks = bundle.blocks.copy()
-    blocks[1] *= 1.01
-    return dataclasses.replace(bundle, blocks=blocks)
+    coefficients = bundle.coefficients.copy()
+    coefficients[1] *= 1.01
+    return dataclasses.replace(bundle, coefficients=coefficients)
 
 
 @pytest.mark.parametrize("make", [lambda: build_dilation(SchurSymbol(T3), STATE3),
@@ -536,16 +538,19 @@ def test_every_ordered_unit_pair_is_checked():
     # e_11 (x) Q is not rho(e_11), and Q - 1 has max-abs 1/2
     bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
     eye = np.eye(bundle.rep.dim)
+    # Q Omega = (e_0 + e_1) / 2, and 1 Omega = e_0
+    bad = dataclasses.replace(bundle, coefficients=np.stack([(eye[0] + eye[1]) / 2, eye[0]]))
     q = (eye + bundle.rep.omega(np.eye(bundle.rep.rank)[0])) / 2
-    bad = dataclasses.replace(bundle, blocks=np.stack([q, eye]))
+    assert max_abs(bad.blocks - np.stack([q, eye])) <= 1e-15
     assert _dense_morphism_reports(bad, 0, 1)["rho_multiplicative"] == 0.0
     assert verify_morphism_markov(bad, samples=0, seed=1)["rho_multiplicative"] == 0.5
 
 
-def _rebuilt_from_vacuum_columns(blocks, fibers):
+def _rebuilt_from_vacuum_columns(coefficients, fibers):
     """Each block rebuilt on each fiber summand as sum_S c_S gamma_S from its
     vacuum column c, gamma_S the dense ordered field products."""
-    rebuilt = np.zeros(blocks.shape, dtype=complex)
+    n, f = coefficients.shape
+    rebuilt = np.zeros((n, f, f), dtype=complex)
     start = 0
     for size in fibers:
         rank = size.bit_length() - 1
@@ -553,7 +558,7 @@ def _rebuilt_from_vacuum_columns(blocks, fibers):
         # gamma_S Omega = e_S, so the vacuum column holds the c_S
         assert np.array_equal(products[:, :, 0], np.eye(size))
         part = slice(start, start + size)
-        rebuilt[:, part, part] = np.tensordot(blocks[:, part, start], products, axes=1)
+        rebuilt[:, part, part] = np.tensordot(coefficients[:, part], products, axes=1)
         start += size
     return rebuilt
 
@@ -562,41 +567,31 @@ def _rebuilt_from_vacuum_columns(blocks, fibers):
 @given(built_bundles())
 def test_every_built_block_is_rebuilt_from_its_vacuum_columns(bundle):
     # the premise of the vacuum-column route: each summand is a Fock space
-    # with its tracial state, and every block lies in the Clifford algebra of
-    # its fields
+    # with its tracial state, and the blocks synthesized from the
+    # coefficients are the dense sums of the ordered field products, whose
+    # vacuum columns are the coefficients
     assert sum(bundle.fibers) == bundle.fiber_state.dim
     start = 0
     for size in bundle.fibers:
         assert np.ptp(bundle.fiber_state.weights[start:start + size]) <= config.TOL_EXACT
+        assert np.array_equal(bundle.blocks[:, start:start + size, start],
+                              bundle.coefficients[:, start:start + size])
         start += size
-    assert max_abs(bundle.blocks - _rebuilt_from_vacuum_columns(bundle.blocks, bundle.fibers)) \
-        <= config.TOL_EXACT
-
-
-def _off_premise_bundles():
-    # w_1 R for a rotation R of two basis vectors, and a rank-one projector P
-    bundle = build_dilation(SchurSymbol(T3), STATE3)
-    blocks = bundle.blocks.copy()
-    rotation = np.eye(bundle.rep.dim)
-    rotation[:2, :2] = [[0.8, -0.6], [0.6, 0.8]]
-    blocks[1] = blocks[1] @ rotation
-    pair = build_dilation(SchurSymbol(T2), UNIFORM2)
-    p = np.zeros((pair.rep.dim,) * 2)
-    p[0, 0] = 1.0
-    return [(bundle, blocks), (pair, np.stack([p, np.eye(pair.rep.dim)]))]
+    assert max_abs(bundle.blocks - _rebuilt_from_vacuum_columns(bundle.coefficients,
+                                                                bundle.fibers)) <= 1e-15
 
 
 def test_premise_is_checked_once_per_op(monkeypatch):
     # once per bundle, at construction: check-schur builds one bundle for its
     # three vacuum-column verifiers, and fourier one for its identity row
     calls = []
-    vacuum = dilation_module._vacuum
+    synthesize = dilation_module._synthesize
 
     def counted(bundle):
         calls.append(bundle)
-        return vacuum(bundle)
+        return synthesize(bundle)
 
-    monkeypatch.setattr(dilation_module, "_vacuum", counted)
+    monkeypatch.setattr(dilation_module, "_synthesize", counted)
     for command in ("check-schur", "fourier"):
         calls.clear()
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -605,11 +600,13 @@ def test_premise_is_checked_once_per_op(monkeypatch):
         assert len(calls) == 1, command
 
 
-@pytest.mark.parametrize("index", [0, 1], ids=["rotated", "projector"])
-def test_blocks_off_the_clifford_algebra_are_refused(index):
-    # the premise is checked when a bundle is constructed, so no verifier
-    # ever sees such blocks
-    bundle, blocks = _off_premise_bundles()[index]
-    assert max_abs(blocks - _rebuilt_from_vacuum_columns(blocks, bundle.fibers)) > 0.5
-    with pytest.raises(PreconditionError, match="Clifford algebra"):
-        dataclasses.replace(bundle, blocks=blocks)
+def test_fiber_summands_off_the_premise_are_refused():
+    # a summand that is not a Fock space, or whose fiber state is not
+    # tracial, is refused when the bundle is constructed
+    bundle = build_dilation(SchurSymbol(T2), UNIFORM2)
+    with pytest.raises(PreconditionError, match="tracial state"):
+        dataclasses.replace(bundle, fibers=(3, 1))
+    with pytest.raises(PreconditionError, match="tracial state"):
+        dataclasses.replace(bundle, fiber_state=DiagonalState([0.4, 0.2, 0.2, 0.2]))
+    with pytest.raises(ShapeError):
+        dataclasses.replace(bundle, fibers=(2,))

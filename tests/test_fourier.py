@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dilation_lab.fourier as fourier_module
 from dilation_lab import (DilationBundle, FiniteGroup, FourierSymbol, PreconditionError,
                           SchurSymbol, ShapeError, SizeError,
                           apply_multiplier, build_crossed_dilation,
@@ -295,21 +296,49 @@ def test_covariance_requires_a_crossed_bundle():
 # dense references: conjugation by Lam(g) as GEMMs, pairings of full products
 
 
+def _rotations(bundle):
+    """The exterior lifts R_g = exterior_map(O_g), through the module's name so
+    that a patched exterior_map reaches them."""
+    return np.stack([fourier_module.exterior_map(a) for a in bundle.actions])
+
+
+def _covariant_blocks(group, rotations, a):
+    """Diagonal blocks of the block-diagonal covariant copy: block h = alpha(h^-1)(a)."""
+    return np.stack([r @ a @ r.T for r in rotations[group.inverse]])
+
+
 def _dense_covariance(bundle):
-    group = bundle.symbol.group
-    m, f = group.order, bundle.rotations.shape[1]
+    """field_covariance as it was read before the intertwining route: the
+    dense copies of every field conjugated by every Lam(g)."""
+    group, rotations = bundle.symbol.group, _rotations(bundle)
+    m, f = group.order, rotations.shape[1]
     big_lam = [np.kron(bundle.lam[g], np.eye(f)) for g in range(m)]
     fields = []
     for row in bundle.gram.embedding:
         a = bundle.rep.omega(row)
         field = np.zeros((m * f, m * f), dtype=complex)
         for h in range(m):
-            r = bundle.rotations[group.inv(h)]
+            r = rotations[group.inv(h)]
             field[h * f : (h + 1) * f, h * f : (h + 1) * f] = r @ a @ r.T
         fields.append(field)
     return max(max_abs(big_lam[g] @ fields[h] @ big_lam[g].conj().T
                        - fields[group.mul(g, h)])
                for g in range(m) for h in range(m))
+
+
+def _dense_intertwining(bundle):
+    """max |R_g w(e_k) - w(O_g e_k) R_g| over g and k from dense fields and
+    GEMMs, and max |O_g v_h - v_gh| over g and h."""
+    group, rotations, rows = bundle.symbol.group, _rotations(bundle), bundle.gram.embedding
+    basis = np.eye(bundle.rep.rank)
+    worst = 0.0
+    for g, (action, r) in enumerate(zip(bundle.actions, rotations)):
+        for k, e in enumerate(basis):
+            worst = max(worst, max_abs(r @ bundle.rep.omega(e)
+                                       - bundle.rep.omega(action @ e) @ r))
+        for h, row in enumerate(rows):
+            worst = max(worst, max_abs(action @ row - rows[group.mul(g, h)]))
+    return worst
 
 
 def _dense_fourier_identity(bundle, symbol, samples, seed):
@@ -342,20 +371,52 @@ def test_block_paths_match_dense_references(group):
     for g in range(group.order):
         x = bundle.lam[g]
         assert max_abs(bundle.rho(x) - d @ bundle.pi(x) @ d) <= 1e-13
-    assert verify_covariance(bundle)["field_covariance"] == _dense_covariance(bundle)
+    covariance = verify_covariance(bundle)["field_covariance"]
+    assert abs(covariance - _dense_intertwining(bundle)) <= 1e-13
+    assert _dense_covariance(bundle) <= 1e-13
     residual = verify_fourier_identity(bundle, t, samples=8, seed=12)
     assert abs(residual - _dense_fourier_identity(bundle, t, 8, 12)) <= 1e-13
 
 
 def test_swapped_rotations_break_field_covariance():
+    # O_1 and O_2 swapped on Z_3 is g -> g^-1, an automorphism: still a
+    # homomorphism, and each swapped R_g still intertwines the fields with
+    # its O_g, but O_g v_h is no longer v_gh
     group = cyclic_group(3)
     bundle = build_crossed_dilation(random_posdef_symbol(group, rng(13)))
-    rotations = bundle.rotations[[0, 2, 1]]
-    assert max_abs(rotations[1] - bundle.rotations[1]) > 1e-3
-    bad = dataclasses.replace(bundle, rotations=rotations)
+    actions = bundle.actions[[0, 2, 1]]
+    assert max_abs(actions[1] - bundle.actions[1]) > 1e-3
+    bad = dataclasses.replace(bundle, actions=actions)
     residuals = verify_covariance(bad)
-    assert residuals["field_covariance"] > config.TOL_NUM
-    assert residuals["field_covariance"] == _dense_covariance(bad)
+    assert residuals["action_homomorphism"] <= config.TOL_NUM
+    assert residuals["field_covariance"] > 1.0
+    assert abs(residuals["field_covariance"] - _dense_intertwining(bad)) <= 1e-13
+    assert _dense_covariance(bad) > 1.0
+
+
+@pytest.mark.parametrize("group", [cyclic_group(3), cyclic_group(6), symmetric_group(3)],
+                         ids=["z3", "z6", "s3"])
+def test_a_flipped_rotation_column_breaks_field_covariance(group, monkeypatch):
+    # R_g for one g != e with the sign of one one-particle column flipped:
+    # still orthogonal and still fixing the vacuum, but it no longer lifts
+    # O_g, and the copies it makes are no longer covariant
+    bundle = build_crossed_dilation(random_posdef_symbol(group, rng(13)))
+    target = bundle.actions[1 if group.identity != 1 else 2]
+    exterior_map = fourier_module.exterior_map
+
+    def flipped(action):
+        lift = exterior_map(action)
+        if np.array_equal(action, target):
+            lift[:, 1] *= -1.0
+        return lift
+
+    monkeypatch.setattr(fourier_module, "exterior_map", flipped)
+    residuals = verify_covariance(bundle)
+    assert residuals["orthogonal"] <= config.TOL_NUM
+    assert residuals["action_homomorphism"] <= config.TOL_NUM
+    assert residuals["field_covariance"] > 1.0
+    assert abs(residuals["field_covariance"] - _dense_intertwining(bundle)) <= 1e-13
+    assert _dense_covariance(bundle) > 1.0
 
 
 def test_scaled_rho_block_breaks_the_fourier_identity():
@@ -364,9 +425,9 @@ def test_scaled_rho_block_breaks_the_fourier_identity():
     for group in (cyclic_group(3), symmetric_group(3)):
         t = random_posdef_symbol(group, rng(13))
         bundle = build_crossed_dilation(t)
-        blocks = bundle.blocks.copy()
-        blocks[1] *= 1.01
-        bad = dataclasses.replace(bundle, blocks=blocks)
+        coefficients = bundle.coefficients.copy()
+        coefficients[1] *= 1.01
+        bad = dataclasses.replace(bundle, coefficients=coefficients)
         assert verify_fourier_identity(bundle, t, samples=4, seed=2) <= config.TOL_NUM
         residual = verify_fourier_identity(bad, t, samples=4, seed=2)
         assert residual > config.TOL_NUM
@@ -393,10 +454,10 @@ def _stacked_fourier_identity(bundle, symbol, samples, seed):
 
 
 def _permuted_copies_covariance(bundle):
-    """field_covariance from one permuted copy of the whole field stack per g."""
+    """field_covariance as the stacked formula: one permuted copy of the whole
+    (m, m, f, f) field stack per g."""
     group = bundle.symbol.group
-    fields = np.stack([np.stack([r @ bundle.rep.omega(row) @ r.T
-                                 for r in bundle.rotations[group.inverse]])
+    fields = np.stack([_covariant_blocks(group, _rotations(bundle), bundle.rep.omega(row))
                        for row in bundle.gram.embedding])
     cov = 0.0
     for g in range(group.order):
@@ -447,8 +508,15 @@ def test_fourier_identity_calls_no_leg(monkeypatch):
 
 @pytest.mark.parametrize("group", STACKED_GROUPS, ids=STACKED_IDS)
 def test_row_wise_covariance_is_the_permuted_copies_loop(group):
+    # the crossed blocks w(O_(u^-1) v_e) are the covariant copies of w(v_e),
+    # and the intertwining row reads what the stacked copies read, to rounding
     bundle = build_crossed_dilation(random_posdef_symbol(group, rng(23)))
-    assert verify_covariance(bundle)["field_covariance"] == _permuted_copies_covariance(bundle)
+    copies = _covariant_blocks(group, _rotations(bundle), bundle.rep.omega(
+        bundle.gram.embedding[group.identity]))
+    assert max_abs(bundle.blocks - copies) <= 1e-13
+    covariance = verify_covariance(bundle)["field_covariance"]
+    assert abs(covariance - _dense_intertwining(bundle)) <= 1e-13
+    assert abs(covariance - _permuted_copies_covariance(bundle)) <= 1e-13
 
 
 def test_crossed_pi_is_the_kronecker_product_of_its_projection():
