@@ -133,7 +133,10 @@ def build_gram_space(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> GramSp
     A symbol real and symmetric within tol is accepted, and the eigensolver
     reads the lower triangle of its real part.  Eigendirections with
     eigenvalue below TOL_RANK times the largest are dropped, so rank-deficient
-    symbols embed into their honest quotient.
+    symbols embed into their honest quotient.  The symbol is taken as unital:
+    each kept row is scaled to unit length, so w(v_i) squares to the
+    identity to rounding, and the mass the cut drops stays a defect of
+    <v_i, v_j> against t_ij.
     """
     t = symbol.matrix
     if max_abs(t - t.T) > tol or max_abs(t.imag) > tol:
@@ -146,8 +149,9 @@ def build_gram_space(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> GramSp
     if not np.any(keep):
         raise NotPsdError("symbol is numerically zero; no Gram space")
     cols = np.flatnonzero(keep)[::-1]  # largest eigenvalue first
-    embedding = (v[:, cols].real * np.sqrt(w[cols]))
-    return GramSpace(rank=len(cols), embedding=embedding)
+    embedding = v[:, cols].real * np.sqrt(w[cols])
+    return GramSpace(rank=len(cols),
+                     embedding=embedding / np.linalg.norm(embedding, axis=1, keepdims=True))
 
 
 def compose_symbols(a: SchurSymbol, b: SchurSymbol) -> SchurSymbol:

@@ -101,6 +101,20 @@ def test_defect_inputs_pass_the_gate(bench, key, index, tmp_path):
     assert run.gate(shape, code, out.getvalue()) == []
 
 
+# A `multipliers` op that failed its gate: the symbol's smallest eigenvalue,
+# 6.2e-11, is under the rank cut, and the Gram rows it shortened made
+# d_squares_to_identity read 2.4e-11 against TOL_EXACT.
+def test_nearly_singular_multipliers_op_passes_the_gate(bench, tmp_path):
+    workloads, run = bench["workloads"], bench["run"]
+    shape = workloads.WORKLOADS["multipliers"].shape("schur-3")
+    path = tmp_path / "schur-3.json"
+    workloads.write_input(str(path), 11, shape, 151)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(shape.argv(str(path)))
+    assert run.gate(shape, code, out.getvalue()) == []
+
+
 # A benchmark run exits 1 when any of its ops fails the gate, and a faster
 # program reaches op indices the slower one never drew.  So the first ops of
 # every `multipliers` shape run here at two seeds, before any benchmark does,

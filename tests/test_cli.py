@@ -147,6 +147,30 @@ def test_full_rank_9x9_check_schur_is_refused_at_once():
     assert "cap" in err
 
 
+# Symbols whose smallest eigenvalue is under the rank cut TOL_RANK * 2: the
+# Gram rows keep rank 1, and the cut mass 5e-11 shortened them, so d^2 = 1
+# failed at TOL_EXACT although every symbol_* row passed.
+@pytest.mark.parametrize("offset", [-5e-11, 5e-11], ids=["below-one", "above-one"])
+def test_nearly_singular_symbols_dilate(offset):
+    payload = {"symbol": [[1.0, 1.0 + offset], [1.0 + offset, 1.0]], "weights": [0.5, 0.5]}
+    code, report = run_in_process("check-schur", payload)
+    assert [row["name"] for row in report["checks"] if not row["pass"]] == []
+    assert code == 0
+
+
+def test_a_barely_unital_symbol_fails_in_the_pairing_rows():
+    # t_00 = 1 + 5e-10 passes symbol_unital within --tol.  The unit Gram rows
+    # make d a symmetry to rounding, so the defect |t - t^| shows up where the
+    # multiplier is compared with its dilation: the matrix-unit pairings carry
+    # mu_0 * 5e-10, but the sampled pairs multiply it by random entries of
+    # size about 2, and so exceed --tol in factorization and star_swap
+    payload = {"symbol": [[1.0000000005, 0.5], [0.5, 1.0]], "weights": [0.5, 0.5]}
+    code, report = run_in_process("check-schur", payload)
+    failed = [row["name"] for row in report["checks"] if not row["pass"]]
+    assert failed == ["factorization", "star_swap"]
+    assert code == 1
+
+
 def _limit_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
