@@ -333,7 +333,7 @@ def _dense_intertwining(bundle):
     basis = np.eye(bundle.rep.rank)
     worst = 0.0
     for g, (action, r) in enumerate(zip(bundle.actions, rotations)):
-        for k, e in enumerate(basis):
+        for e in basis:
             worst = max(worst, max_abs(r @ bundle.rep.omega(e)
                                        - bundle.rep.omega(action @ e) @ r))
         for h, row in enumerate(rows):
