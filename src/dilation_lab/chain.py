@@ -36,7 +36,7 @@ import numpy as np
 
 from . import config
 from .errors import PreconditionError, ShapeError, SizeError
-from .fock import FermionRep, build_fermion_rep, majorana_frame, second_quantize_action
+from .fock import FermionRep, _reversal_sign, build_fermion_rep, exterior_map
 from .matcore import dagger, frobenius, hermitian_sqrt, matrix_units, max_abs
 from .schur import GramSpace, SchurSymbol, build_gram_space, require_symbol
 from .states import DiagonalState
@@ -495,51 +495,49 @@ def verify_rota_secondquant(t: np.ndarray, window: int, n: int) -> float:
 
     With Ehat, E_n the second quantizations of the projections P, P_n and J
     the Fock inclusion of the base space into the window space, compares
-    Ehat(E_n(J(x))) against J(Gamma(T)^(2n) x) over the field-monomial basis.
-    Each map acts on the monomials directly; Gamma(T) is applied 2n times, so
+    Ehat(E_n(J(x))) against J(Gamma(T)^(2n) x) over the field monomials x.
+    On field polynomials Gamma(s) is the exterior map of s on vacuum vectors,
+    and a -> a Omega is isometric in max-abs, so both sides act on the
+    identity stack of coefficients.  Gamma(T) is applied 2n times, so
     functoriality is checked rather than assumed.
     """
     t = _check_symmetric_contraction(t, config.TOL_NUM)
     m = t.shape[0]
     total = m * (2 * window + 1)
     if total > config.FERMION_RANK_CAP:
-        raise SizeError(f"window space rank {total} exceeds fermion cap")
+        raise SizeError(f"window space rank {total} exceeds fermion cap {config.FERMION_RANK_CAP}")
     if n < 0 or 2 * n > 2 * window:
         raise PreconditionError("need 0 <= n <= window")
     dil = build_schaffer(t, window)
-    base, win = majorana_frame(m), majorana_frame(total)
-    xs = base.field_monomials()
-
-    include = second_quantize_action(base, win, dil.embed)
+    include = exterior_map(dil.embed)
     p_n = _span_projection(dil, n, 2 * window - n)
-    lhs = second_quantize_action(win, win, p_n)(include(xs))
-    lhs = second_quantize_action(win, win, dil.embed @ dil.embed.T)(lhs)
-    gamma_t = second_quantize_action(base, base, t)
-    rhs = xs
+    lhs = exterior_map(dil.embed @ dil.embed.T) @ (exterior_map(p_n) @ include)
+    gamma_t = exterior_map(t)
+    rhs = np.eye(1 << m)
     for _ in range(2 * n):
-        rhs = gamma_t(rhs)
-    return max_abs(lhs - include(rhs))
+        rhs = gamma_t @ rhs
+    return max_abs(lhs - include @ rhs)
+
+
+def _vacuum_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j] = tau(x_i y_j) for the field polynomials with coefficient columns
+    a[:, i] and b[:, j]: tau(gamma_S gamma_T) is the reversal sign of S when
+    S = T, else 0."""
+    popcount = np.bitwise_count(np.arange(a.shape[0]))
+    return a.T @ (_reversal_sign(popcount)[:, None] * b)
 
 
 def verify_gamma_factorization(t: np.ndarray) -> float:
     """Residual of tau(Gamma(T)(x) y) = tau~(pi(x) rho(y)) over field monomials,
     with pi the Fock inclusion into the doubled space and rho = Gamma(U*) o pi
-    for the one-step symmetry dilation U."""
+    for the one-step symmetry dilation U, each an exterior map on coefficients."""
     t = _check_symmetric_contraction(t, config.TOL_NUM)
     m = t.shape[0]
     if m > 2:
         raise SizeError("doubled factorization check limited to base dim <= 2")
     d = hermitian_sqrt(np.eye(m) - t @ t).real
     u = halmos_block(t, d)
-    base, double = majorana_frame(m), majorana_frame(2 * m)
-    basis = base.field_monomials()
-
-    iota = np.vstack([np.eye(m), np.zeros((m, m))])
-    pi = second_quantize_action(base, double, iota)(basis)
-    rho = second_quantize_action(double, double, u.T)(pi)
-    gamma_t = second_quantize_action(base, base, t)(basis)
-
-    # [a, b] = tau(g_a y_b), the trace of a product as a sum of entry products
-    lhs = np.einsum("aij,bji->ab", gamma_t, basis) / base.dim
-    rhs = np.einsum("aij,bji->ab", pi, rho) / double.dim
-    return max_abs(lhs - rhs)
+    pi = exterior_map(np.vstack([np.eye(m), np.zeros((m, m))]))
+    rho = exterior_map(u.T) @ pi
+    lhs = _vacuum_pairing(exterior_map(t), np.eye(1 << m))
+    return max_abs(lhs - _vacuum_pairing(pi, rho))

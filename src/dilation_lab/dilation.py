@@ -26,7 +26,8 @@ import numpy as np
 
 from . import config
 from .errors import PreconditionError, ShapeError, SizeError
-from .fock import FermionRep, _jordan_wigner, _ordered_products, _require_bytes, build_fermion_rep
+from .fock import (FermionRep, _field_polynomial, _require_bytes, _reversal_sign,
+                   build_fermion_rep)
 from .matcore import as_square, block_conjugate, dagger, max_abs, random_complex, rng
 from .schur import GramSpace, SchurSymbol, build_gram_space, require_symbol
 from .states import DiagonalState
@@ -179,8 +180,7 @@ class _Vacuum:
     def adjoint(self, cols: np.ndarray) -> np.ndarray:
         """The column stack of the adjoints: block (k, i) adjoint at (i, k), and
         (sum_S c_S gamma_S)^* = sum_S conj(c_S) (-1)^(|S|(|S|-1)/2) gamma_S."""
-        reversal = 1.0 - 2.0 * (self.popcount * (self.popcount - 1) // 2 % 2)
-        return reversal[:, None, None] * np.conj(np.swapaxes(cols, 0, 3))
+        return _reversal_sign(self.popcount)[:, None, None] * np.conj(np.swapaxes(cols, 0, 3))
 
 
 def _field_coefficients(vectors: np.ndarray) -> np.ndarray:
@@ -200,10 +200,9 @@ def _synthesize(bundle: DilationBundle) -> tuple[np.ndarray, _Vacuum]:
     Premise: each fiber summand has size 2^r and a tracial fiber state, else
     PreconditionError.  On a summand, block i is sum_S c_S gamma_S for its
     coefficients c there and the ordered field products gamma_S
-    (fock._ordered_products): a[T, U] = c_(T ^ U) phase[T ^ U, U], and 0 off
-    the summands.  So every block lies in the Clifford algebra C of the
-    fields, phi~ is the weighted vacuum state on M_n (x) C, and
-    gamma_S Omega = e_S makes a -> a Omega isometric in max-abs.
+    (fock._field_polynomial), and 0 off the summands.  So every block lies in
+    the Clifford algebra C of the fields, phi~ is the weighted vacuum state on
+    M_n (x) C, and gamma_S Omega = e_S makes a -> a Omega isometric in max-abs.
     """
     coefficients, weights = bundle.coefficients, bundle.fiber_state.weights
     n, f = coefficients.shape
@@ -215,12 +214,8 @@ def _synthesize(bundle: DilationBundle) -> tuple[np.ndarray, _Vacuum]:
         if size != 1 << rank or np.ptp(weights[part]) > config.TOL_EXACT:
             raise PreconditionError(f"fiber summand of size {size} at {start} is not a "
                                     "Fock space with its tracial state")
-        bit, _, sign = _jordan_wigner(rank)
-        phase = _ordered_products(bit[:, 0], sign[:-1])[1]
-        r = np.arange(size)
-        masks = r[:, None] ^ r
-        blocks[:, part, part] = coefficients[:, part][:, masks] * phase[masks, r]
-        omega[start], nu[start], local[part] = 1.0, weights[part].sum(), r
+        blocks[:, part, part] = _field_polynomial(coefficients[:, part])
+        omega[start], nu[start], local[part] = 1.0, weights[part].sum(), np.arange(size)
         start += size
     # rho's unit columns U[i, :, k] = w_i (w_k Omega) = w_i c_k: n^2 f^2, not n^2 f^3
     return blocks, _Vacuum(bundle.input_state.weights, nu, np.bitwise_count(local).astype(int),

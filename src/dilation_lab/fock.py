@@ -12,17 +12,21 @@ Conventions
   the empty subset, tau(x) = <vacuum, x vacuum>.
 * Field operators w(v) = l(v) + l(v)* satisfy w(v)^2 = |v|^2 and generate,
   together with their i(l - l*) partners, a Majorana basis of the full matrix
-  algebra; ordered products of Majoranas are trace-orthogonal.  Second
-  quantization of a real contraction T acts on that basis through the exterior
-  powers of T doubled over the (real, imaginary) Majorana pairs, which is the
-  unique trace-preserving unital completely positive extension of the Wick
-  rule w-polynomial(v_1, ..., v_k) -> w-polynomial(T v_1, ..., T v_k).
-* Gamma(T) is computed as an action on a stack of k matrices: Majorana
+  algebra; ordered products of Majoranas are trace-orthogonal.  The ordered
+  field products gamma_S satisfy gamma_S vacuum = e_S, so a field polynomial
+  is its vacuum column, written back by _field_polynomial (wick_inverse).
+* exterior_map(T) = Lambda(T) has the minors of T as entries; it is built by
+  the Jordan-Wigner rule as Lambda(T) e_A = l(T e_a) Lambda(T) e_(A - a).
+  Second quantization of a real contraction T is the unique trace-preserving
+  unital completely positive extension of the Wick rule
+  w-polynomial(v_1, ..., v_k) -> w-polynomial(T v_1, ..., T v_k); on field
+  polynomials it is Lambda(T) on vacuum columns, which is how the chain
+  module applies it.
+* second_quantize gives Gamma(T) on the whole matrix algebra: Majorana
   coefficients from a MajoranaFrame (built per call), the doubled lift as
-  exterior_map(T) C exterior_map(T)^T, and resynthesis, O(k 8^r) in all.
-  second_quantize_action returns that action; second_quantize applies it to
-  the 4^r matrix units and returns the 4^r_out x 4^r_in superoperator as a
-  MarkovMap, for composition, Choi matrices and the Markov certificates.
+  Lambda(T) C Lambda(T)^T, and resynthesis, O(8^r) per matrix, applied to
+  the 4^r matrix units for the 4^r_out x 4^r_in superoperator, returned as a
+  MarkovMap for composition, Choi matrices and the Markov certificates.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ __all__ = [
     "second_quantize",
     "MajoranaFrame",
     "majorana_frame",
-    "second_quantize_action",
 ]
 
 
@@ -356,36 +359,42 @@ def verify_q_relation(space, e, f, q: float) -> float:
     raise ShapeError(f"verify_q_relation: unsupported space {type(space).__name__}")
 
 
+def _field_polynomial(coefficients: np.ndarray) -> np.ndarray:
+    """sum_S c_S gamma_S over the ordered field products gamma_S (bitmask
+    order, _ordered_products) for coefficient vectors c of length 2^rank, or a
+    stack of them: entry [T, U] is c_(T ^ U) phase[T ^ U, U].  gamma_S Omega
+    = e_S, so c is the vacuum column, and a -> a Omega is isometric in max-abs."""
+    size = coefficients.shape[-1]
+    bit, _, sign = _jordan_wigner(size.bit_length() - 1)
+    phase = _ordered_products(bit[:, 0], sign[:-1])[1]
+    r = np.arange(size)
+    masks = r[:, None] ^ r
+    return coefficients[..., masks] * phase[masks, r]
+
+
+def _reversal_sign(popcount) -> np.ndarray:
+    """(-1)^(k(k-1)/2) for each popcount k: reversing the k factors of an
+    ordered field product gamma_S gives that sign, so gamma_S^* is gamma_S
+    times it and tau(gamma_S gamma_T) is it when S = T, else 0."""
+    k = np.asarray(popcount, dtype=np.int64)
+    return 1.0 - 2.0 * (k * (k - 1) // 2 % 2)
+
+
 def wick_inverse(rep: FermionRep, xi) -> np.ndarray:
     """Operator x in the span of ordered field products with x(vacuum) = xi.
 
-    The columns of the Wick matrix are the vacuum images of the ordered
-    products w(f_{i1}) ... w(f_{ik}); in the graded wedge basis the system is
-    triangular with unit diagonal, so the solve is always well posed.
+    The Wick matrix, whose columns are the vacuum images of the ordered
+    products w(f_{i1}) ... w(f_{ik}), is the identity in the wedge basis, so
+    x = sum_S xi_S gamma_S.
     """
     vec_xi = np.asarray(xi, dtype=complex).reshape(-1)
     if vec_xi.size != rep.dim:
         raise ShapeError(f"Fock vector length {vec_xi.size}, expected {rep.dim}")
-    prods = rep.omega_products()
-    wick = np.column_stack([p[:, 0] for p in prods])
-    coeff = np.linalg.solve(wick, vec_xi)
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for mask, c in enumerate(coeff):
-        if c != 0:
-            out += c * prods[mask]
-    return out
+    return _field_polynomial(vec_xi)
 
 
 # ---------------------------------------------------------------------------
 # exterior powers and second quantization
-
-
-def _subsets_by_size(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bitmasks, index arrays) of all k-subsets of {0..d-1}, ascending order."""
-    combos = list(itertools.combinations(range(d), k))
-    masks = np.array([sum(1 << i for i in c) for c in combos], dtype=np.int64)
-    idx = np.array(combos, dtype=np.int64).reshape(len(combos), k)
-    return masks, idx
 
 
 def exterior_map(t: np.ndarray) -> np.ndarray:
@@ -394,23 +403,27 @@ def exterior_map(t: np.ndarray) -> np.ndarray:
     Entry [B, A] (bitmask indices, |B| = |A| = k) is the k x k minor of t with
     rows B and columns A; sizes that differ give zero.  For square t this is
     the Fock-space lift fixing the vacuum, unitary when t is orthogonal.
+    Column A is l(t e_a) applied to column A without a, its lowest mode, by
+    the Jordan-Wigner rule: one output mode k at a time, a signed slice of at
+    most 2^(d_out - 1) x 2^(d_in - 1) entries from rows without k to rows with k.
     """
     tt = np.asarray(t)
     if tt.ndim != 2:
         raise ShapeError("exterior_map needs a 2-d array")
+    for d in tt.shape:
+        if (1 << d) > config.dim_cap():
+            raise SizeError(f"exterior_map dimension 2^{d} exceeds the dimension cap "
+                            f"{config.dim_cap()}")
     d_out, d_in = tt.shape
-    if (1 << d_out) > config.dim_cap() or (1 << d_in) > config.dim_cap():
-        raise SizeError("exterior_map output exceeds dimension cap")
     out = np.zeros((1 << d_out, 1 << d_in), dtype=tt.dtype if tt.dtype == complex else float)
     out[0, 0] = 1.0
-    for k in range(1, min(d_in, d_out) + 1):
-        masks_b, idx_b = _subsets_by_size(d_out, k)
-        masks_a, idx_a = _subsets_by_size(d_in, k)
-        sub = tt[idx_b[:, None, :, None], idx_a[None, :, None, :]]
-        # A subnormal pivot makes LAPACK's LU raise floating-point flags; its
-        # minors stand as computed, and the residual rows judge them.
-        with np.errstate(all="ignore"):
-            out[np.ix_(masks_b, masks_a)] = np.linalg.det(sub)
+    _, _, sign = _jordan_wigner(d_out)
+    # from the top mode down, so column A without a is written before column A
+    for a in reversed(range(d_in)):
+        for k in np.flatnonzero(tt[:, a]):
+            # axes: rows (above k, bit k, below k), columns (above a, bit a, below a)
+            lam = out.reshape(1 << (d_out - 1 - k), 2, 1 << k, 1 << (d_in - 1 - a), 2, 1 << a)
+            lam[:, 1, :, :, 1, 0] += tt[k, a] * sign[k, :1 << k, None] * lam[:, 0, :, :, 0, 0]
     return out
 
 
@@ -482,12 +495,6 @@ class MajoranaFrame:
             out[(r ^ x) * r.size + r] = self.phase[masks].T @ coeffs[masks]
         return out
 
-    def field_monomials(self) -> np.ndarray:
-        """Ordered products of the fields w(f_k) = Majorana 2k over subsets of
-        the modes (bitmask order): the products at the masks with no odd bit."""
-        fields = np.flatnonzero(self.pair % self.dim == 0)
-        return _signed_permutations(self.flip[fields], self.phase[fields])
-
 
 def majorana_frame(rank: int) -> MajoranaFrame:
     """MajoranaFrame over `rank` modes; its phase table, 4^rank products of
@@ -558,21 +565,3 @@ def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
         units = np.eye(n_in, min(step, n_in - start), -start, dtype=complex)
         super_op[:, start:start + units.shape[1]] = _lift(frame_in, frame_out, lam, units)
     return MarkovMap(dim_out=rep_out.dim, dim_in=rep_in.dim, super=super_op)
-
-
-def second_quantize_action(frame_in: MajoranaFrame, frame_out: MajoranaFrame, t):
-    """Gamma(t) of second_quantize as a map on stacks of matrices, shape
-    (k, dim_in, dim_in) to (k, dim_out, dim_out), with no superoperator:
-    O(k 8^rank).  The contraction is checked as in second_quantize; the
-    frames carry their own byte cap.
-    """
-    lam = exterior_map(_checked_contraction(t, frame_in.rank, frame_out.rank, config.TOL_NUM))
-
-    def apply(xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=complex)
-        if xs.ndim != 3 or xs.shape[1:] != (frame_in.dim, frame_in.dim):
-            raise ShapeError(f"Gamma(t) needs a stack of {frame_in.dim} x {frame_in.dim} matrices")
-        images = _lift(frame_in, frame_out, lam, xs.reshape(xs.shape[0], -1).T)
-        return images.T.reshape(-1, frame_out.dim, frame_out.dim)
-
-    return apply

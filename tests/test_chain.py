@@ -369,7 +369,7 @@ def test_second_quantized_rota():
         assert verify_rota_secondquant(np.array([[0.5]]), window=2, n=n) < 1e-9
     with pytest.raises(PreconditionError):
         verify_rota_secondquant(np.array([[0.5]]), window=2, n=3)
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match="window space rank 13 exceeds fermion cap 12"):
         verify_rota_secondquant(np.array([[0.5]]), window=6, n=1)
 
 
@@ -398,24 +398,27 @@ def test_secondquant_verifiers_form_no_superoperator(monkeypatch):
 
 
 def test_rota_secondquant_applies_gamma_t_once_per_step(monkeypatch):
-    # Gamma(T) applied 2n times, never Gamma(T^(2n)): functoriality is checked
+    # Lambda(T) built once, from T and never from T^(2n), and applied 2n
+    # times: functoriality is checked rather than assumed
+    class Applied(np.ndarray):
+        calls = 0
+
+        def __matmul__(self, other):
+            Applied.calls += 1
+            return np.asarray(self) @ other
+
     built = []
-    original = chain_module.second_quantize_action
+    original = chain_module.exterior_map
 
-    def spy(frame_in, frame_out, t):
-        apply = original(frame_in, frame_out, t)
-        record = {"ranks": (frame_in.rank, frame_out.rank), "t": np.array(t), "calls": 0}
-        built.append(record)
+    def spy(t):
+        built.append(np.array(t))
+        lifted = original(t)
+        return lifted.view(Applied) if built[-1].shape == (1, 1) else lifted
 
-        def counted(xs):
-            record["calls"] += 1
-            return apply(xs)
-        return counted
-
-    monkeypatch.setattr(chain_module, "second_quantize_action", spy)
+    monkeypatch.setattr(chain_module, "exterior_map", spy)
     t = np.array([[0.5]])
     assert verify_rota_secondquant(t, window=2, n=2) < 1e-9
-    base = [r for r in built if r["ranks"] == (1, 1)]
+    base = [a for a in built if a.shape == t.shape]
     assert len(base) == 1
-    assert np.array_equal(base[0]["t"], t)
-    assert base[0]["calls"] == 4
+    assert np.array_equal(base[0], t)
+    assert Applied.calls == 4

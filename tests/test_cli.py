@@ -320,16 +320,29 @@ def test_rota_tolerance_reaches_the_chain_builder():
 
 
 def test_large_window_skips_oversized_fock_checks():
-    result = run_cli("secondquant", "--window", "4")
+    # window rank 1 * 13 is over FERMION_RANK_CAP
+    result = run_cli("secondquant", "--window", "6")
     assert result.returncode == 0, result.stderr
     names = [c["name"] for c in json.loads(result.stdout)["checks"]]
     assert not any(name.startswith("rota_secondquant") for name in names)
     assert any(name.startswith("ppnp") for name in names)
     # the report names what it left out, and why, on stderr
     notes = [line for line in result.stderr.splitlines() if line.startswith("skipped")]
-    assert len(notes) == 1
-    assert notes[0].startswith("skipped rota_secondquant_1, rota_secondquant_2: ")
-    assert "cap" in notes[0]
+    assert notes == ["skipped rota_secondquant_1, rota_secondquant_2: "
+                     "window space rank 13 exceeds fermion cap 12"]
+
+
+# (m, window) with window rank m (2 window + 1) from 9 to the cap 12
+@pytest.mark.parametrize("m, window", [(3, 1), (2, 2), (1, 5), (4, 1)])
+def test_window_ranks_up_to_the_fermion_cap_report_rota_rows(m, window):
+    a = rng(m).standard_normal((m, m))
+    a = (a + a.T) / 2
+    payload = {"matrix": (0.9 * a / np.abs(np.linalg.eigvalsh(a)).max()).tolist(),
+               "window": window}
+    code, report = run_in_process("secondquant", payload, "--steps", "2")
+    assert code == 0
+    rows = [c["name"] for c in report["checks"] if c["name"].startswith("rota_secondquant")]
+    assert rows == [f"rota_secondquant_{n}" for n in range(1, min(2, window) + 1)]
 
 
 def _no_constant(name):
@@ -851,7 +864,7 @@ def test_fourier_stdout_matches_golden(key):
     assert out == _golden(f"fourier-{key}.json")
 
 
-@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
 def test_secondquant_fixture_stdout_matches_golden(window):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -11,8 +11,8 @@ from dilation_lab import (GramSpace, PreconditionError, SchurSymbol, ShapeError,
                           SizeError, build_fermion_rep, build_gram_space,
                           choi_matrix, config, exterior_map, interleave_double,
                           second_quantize, verify_q_relation, wick_inverse)
-from dilation_lab.fock import (QWord, TruncatedQFock, creation_apply,
-                               majorana_frame, q_gram, second_quantize_action)
+from dilation_lab.fock import (QWord, TruncatedQFock, _field_polynomial, creation_apply,
+                               majorana_frame, q_gram)
 from dilation_lab.matcore import dagger, max_abs, random_complex, rng
 
 Q_VALUES = (-0.9, -0.5, 0.0, 0.5, 0.9)
@@ -179,7 +179,7 @@ def test_fermion_operators_match_dense_reference(rank):
     assert np.array_equal(rep.parity(), np.diag(signs))
     monomials = _dense_products(fields, rep.dim)
     assert np.array_equal(np.stack(rep.omega_products()), monomials)
-    assert np.array_equal(majorana_frame(rank).field_monomials(), monomials)
+    assert np.array_equal(_field_polynomial(np.eye(rep.dim)), monomials)
 
 
 @pytest.mark.parametrize("rank", range(8))
@@ -286,6 +286,22 @@ def test_wick_inverse_roundtrip():
         wick_inverse(rep, np.zeros(5))
 
 
+def test_wick_inverse_at_rank_10():
+    # the Wick matrix is the identity: no 2^rank products, no solve
+    rep = _standard_rep(10)
+    gen = rng(11)
+    xi = np.zeros(rep.dim, dtype=complex)
+    xi[0], xi[0b10010010] = 0.5, 2.0 - 1.0j  # 1/2 + (2 - i) w(f_1) w(f_4) w(f_7)
+    x = wick_inverse(rep, xi)
+    assert np.array_equal(x[:, 0], xi)
+    vs = random_complex(gen, rep.dim)[:, :3]
+    fields = [rep.omega(np.eye(10)[k]) for k in (1, 4, 7)]
+    expected = 0.5 * vs + (2.0 - 1.0j) * (fields[0] @ (fields[1] @ (fields[2] @ vs)))
+    assert max_abs(x @ vs - expected) <= 1e-12
+    dense = random_complex(gen, rep.dim)[:, 0]
+    assert np.array_equal(wick_inverse(rep, dense)[:, 0], dense)
+
+
 def test_rep_size_guards():
     with pytest.raises(SizeError):
         build_fermion_rep(GramSpace.standard(13))
@@ -295,6 +311,23 @@ def test_rep_size_guards():
 
 # ---------------------------------------------------------------------------
 # exterior powers and second quantization
+
+
+def _minor_exterior(t):
+    """Reference exterior map: entry [B, A] is the determinant of the minor of
+    t with rows B and columns A, all of one size k at once."""
+    tt = np.asarray(t)
+    d_out, d_in = tt.shape
+    out = np.zeros((1 << d_out, 1 << d_in), dtype=tt.dtype if tt.dtype == complex else float)
+    out[0, 0] = 1.0
+    for k in range(1, min(d_in, d_out) + 1):
+        rows = list(itertools.combinations(range(d_out), k))
+        cols = list(itertools.combinations(range(d_in), k))
+        sub = tt[np.array(rows)[:, None, :, None], np.array(cols)[None, :, None, :]]
+        with np.errstate(all="ignore"):  # LU on a subnormal pivot raises flags
+            out[np.ix_([sum(1 << i for i in b) for b in rows],
+                       [sum(1 << i for i in a) for a in cols])] = np.linalg.det(sub)
+    return out
 
 
 def test_exterior_map_structure():
@@ -326,13 +359,13 @@ def test_exterior_map_rectangular():
     np.testing.assert_allclose(lifted.T @ lifted, np.eye(2), atol=1e-14)
     with pytest.raises(ShapeError):
         exterior_map(np.zeros(3))
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match=r"dimension 2\^13 exceeds the dimension cap 4096"):
         exterior_map(np.eye(13))
 
 
 def test_exterior_map_of_subnormal_entries_warns_nothing():
-    # the 2 x 2 minor of [[0, 1], [s, 0]] pivots on the subnormal s, where
-    # LAPACK's LU raises a divide-by-zero flag; the minors stand as computed
+    # the 2 x 2 minor of [[0, 1], [s, 0]] pivots on the subnormal s, where an
+    # LU determinant raises a divide-by-zero flag; the minors stand as computed
     s = 2.225073858507e-311
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -495,36 +528,28 @@ def test_second_quantize_matches_dense_reference(t):
     assert max_abs(g.super - _dense_second_quantize(rep_in, rep_out, t)) <= 1e-13
 
 
-# rank 6 on one side at most: a dense 6 -> 6 superoperator alone is 256 MiB
+@settings(max_examples=100, deadline=None)
+@given(real_contractions(max_dim=6))
+@example(np.zeros((0, 3)))
+@example(np.zeros((3, 0)))
+@example(np.array([[0.6, 0.2, 0.0], [0.1, -0.5, 0.3]]))
+def test_exterior_map_matches_the_minors(t):
+    lifted = exterior_map(t)
+    assert lifted.shape == (1 << t.shape[0], 1 << t.shape[1])
+    assert max_abs(lifted - _minor_exterior(t)) <= 1e-13
+
+
 @settings(max_examples=60, deadline=None)
-@given(real_contractions(max_dim=6), st.integers(min_value=1, max_value=3),
-       st.integers(min_value=0, max_value=2 ** 32 - 1))
-@example(np.array([[0.6, 0.2, 0.0], [0.1, -0.5, 0.3]]), 2, 0)
-@example(np.array([[0.3, -0.2], [0.5, 0.1], [0.0, 0.4], [-0.1, 0.2], [0.2, 0.0], [0.1, 0.3]]), 2, 1)
-def test_second_quantize_action_matches_dense_path(t, k, seed):
-    """Gamma(t) applied to a random complex stack equals second_quantize's
-    superoperator applied one matrix at a time."""
+@given(real_contractions(max_dim=6))
+@example(np.array([[0.6, 0.2, 0.0], [0.1, -0.5, 0.3]]))
+@example(np.array([[0.3, -0.2], [0.5, 0.1], [0.0, 0.4], [-0.1, 0.2], [0.2, 0.0], [0.1, 0.3]]))
+def test_second_quantize_of_field_monomials_is_the_exterior_map(t):
+    """second_quantize, through the Majorana frame, sends the field monomial
+    gamma_A to the field polynomial with vacuum column exterior_map(t)[:, A]."""
     rep_in, rep_out = _standard_rep(t.shape[1]), _standard_rep(t.shape[0])
-    gen = rng(seed)
-    xs = np.stack([random_complex(gen, rep_in.dim) for _ in range(k)])
-    act = second_quantize_action(majorana_frame(rep_in.rank), majorana_frame(rep_out.rank), t)
     g = second_quantize(rep_in, rep_out, t)
-    assert max_abs(act(xs) - np.stack([g(x) for x in xs])) <= 1e-13
-
-
-def test_second_quantize_action_guards(monkeypatch):
-    frames = {rank: majorana_frame(rank) for rank in (2, 3)}
-    with pytest.raises(ShapeError):
-        second_quantize_action(frames[2], frames[3], np.eye(2))
-    with pytest.raises(PreconditionError):
-        second_quantize_action(frames[2], frames[2], 1.2 * np.eye(2))
-    with pytest.raises(ShapeError):
-        second_quantize_action(frames[2], frames[2], np.eye(2))(np.eye(4))
-    # the frame's phase table takes 16 * 8^rank bytes, bounded by the byte cap
-    monkeypatch.setattr(config, "BYTE_CAP", 16 * 8 ** 3 - 1)
-    with pytest.raises(SizeError):
-        majorana_frame(3)
-    majorana_frame(2)
+    images = np.stack([g(x) for x in rep_in.omega_products()])
+    assert max_abs(images - _field_polynomial(exterior_map(t).T)) <= 1e-13
 
 
 def test_second_quantize_guards_its_superoperator_by_bytes(monkeypatch):
@@ -534,6 +559,11 @@ def test_second_quantize_guards_its_superoperator_by_bytes(monkeypatch):
     majorana_frame(2)
     with pytest.raises(SizeError):
         second_quantize(rep, rep, np.eye(2))
+    # the frame's phase table takes 16 * 8^rank bytes, bounded by the byte cap
+    monkeypatch.setattr(config, "BYTE_CAP", 16 * 8 ** 3 - 1)
+    with pytest.raises(SizeError):
+        majorana_frame(3)
+    majorana_frame(2)
 
 
 def test_second_quantize_identity_is_exact_at_every_rank():
