@@ -22,6 +22,19 @@ M_n (x) A^(x)N, and every element the Markov rows feed them (J_q(e_ij),
 beta^p of a source unit) sits in one block, so the rows work on stacks of
 single tail x tail blocks instead of ambient matrices.
 
+In the wedge basis every even field monomial gamma_S is a signed permutation,
+e_r -> phase[S, r] e_(r ^ S), so the monomials of E^(x)s on s legs sit on
+disjoint XOR diagonals: K = (S_1..S_s) flips the concatenated bits K with
+phase prod_l phase[S_l, r_l].  Projecting onto E^(x)s reads each diagonal
+once, c_K = sum_R phase_K[R] y[R ^ K, R] / leg^s, and writes
+phase_K[R] c_K back onto it: one gather, one weighted sum and one scatter
+for all legs together.  The Markov and Rota rows form no matrix product at
+all: they keep to einsum and indexing, because a multithreaded GEMM leaves
+OpenBLAS workers spinning for about 0.1 s of CPU after it returns, which on
+two cores slows whatever runs next.  Where both sides of a row have the
+form X (x) 1 on the legs a past expectation traces out, the row compares
+the two X before the identity is formed; the max-abs is the same to the bit.
+
 All identities are local in the chain, so truncation at depth N is exact for
 indices <= N.  The same module carries the shifted unitary dilation of a
 symmetric contraction (exactly unitary on a cyclic window, strong dilation
@@ -36,7 +49,8 @@ import numpy as np
 
 from . import config
 from .errors import PreconditionError, ShapeError, SizeError
-from .fock import FermionRep, _reversal_sign, build_fermion_rep, exterior_map
+from .fock import (FermionRep, _field_products, _reversal_sign, build_fermion_rep,
+                   exterior_map)
 from .matcore import dagger, frobenius, hermitian_sqrt, matrix_units, max_abs
 from .schur import GramSpace, SchurSymbol, build_gram_space, require_symbol
 from .states import DiagonalState
@@ -61,9 +75,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ChainSpace:
-    """Truncated chain M_n (x) A^(x)depth with its product state, and two
-    arrays build_chain computes once: pairs[i, j] = w_i w_j on one leg and
-    even_basis, the even field monomials (a trace-orthogonal basis of E)."""
+    """Truncated chain M_n (x) A^(x)depth with its product state, and what
+    build_chain computes once: pairs[i, j] = w_i w_j on one leg, and
+    even_basis, the even tensor monomials of E^(x)s for s = 0..depth.
+
+    even_basis[s] is a pair (index, phase) of (count, leg^s) arrays: monomial
+    K sends e_R to phase[K, R] e_(R ^ K), and index[K, R] is the flat position
+    (R ^ K) leg^s + R of that entry in a leg^s x leg^s block.  The monomials
+    sit on disjoint XOR diagonals, so index never repeats a position, and
+    even_basis[1] is the per-leg table of E's monomials."""
 
     symbol: SchurSymbol
     state: DiagonalState
@@ -71,7 +91,7 @@ class ChainSpace:
     gram: GramSpace
     rep: FermionRep
     pairs: np.ndarray = field(repr=False)
-    even_basis: np.ndarray = field(repr=False)
+    even_basis: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @property
     def input_dim(self) -> int:
@@ -100,7 +120,7 @@ class ChainSpace:
         if not 1 <= depth < self.depth:
             raise PreconditionError("shallower depth out of range")
         return ChainSpace(self.symbol, self.state, depth, self.gram, self.rep,
-                          self.pairs, self.even_basis)
+                          self.pairs, self.even_basis[:depth + 1])
 
 
 _ENTRY_BYTES = np.dtype(complex).itemsize
@@ -148,9 +168,24 @@ def build_chain(symbol: SchurSymbol, state: DiagonalState, depth: int,
     rep = build_fermion_rep(gram)
     omegas = rep.omega(rep.embedding)
     pairs = np.einsum("iab,jbc->ijac", omegas, omegas)
-    even_basis = np.stack([p for mask, p in enumerate(rep.omega_products())
-                           if mask.bit_count() % 2 == 0])
-    return ChainSpace(symbol, state, depth, gram, rep, pairs, even_basis)
+    return ChainSpace(symbol, state, depth, gram, rep, pairs, _even_monomials(rep.rank, depth))
+
+
+def _even_monomials(rank: int, depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """ChainSpace.even_basis: the even field monomials of one leg, as flips
+    and phases (fock._field_products), and their tensor products on s legs
+    for s = 0..depth, a new leg appended as the lowest bits at each step."""
+    flip, phase = _field_products(rank)
+    even = np.bitwise_count(flip) % 2 == 0
+    flip, phase = flip[even], phase[even]
+    flips, phases = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=complex)
+    out = [(flips[:, None], phases)]
+    for _ in range(depth):
+        flips = (flips[:, None] << rank | flip).ravel()
+        phases = (phases[:, None, :, None] * phase[:, None, :]).reshape(flips.size, -1)
+        r = np.arange(phases.shape[-1])
+        out.append(((r ^ flips[:, None]) * r.size + r, phases))
+    return tuple(out)
 
 
 # Block stacks: an element of M_n (x) A^(x)depth that sits in block (i, j)
@@ -178,18 +213,19 @@ def _lift(powers: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], side, side)
 
 
-def _pair_powers(chain: ChainSpace, q: int) -> np.ndarray:
-    """(w_i w_j)^(x)q on the first q legs, shape (n, n, leg^q, leg^q)."""
+def _pair_powers(chain: ChainSpace, q: int) -> list[np.ndarray]:
+    """(w_i w_j)^(x)l on the first l legs, shape (n, n, leg^l, leg^l), for
+    every level l = 0..q."""
     n = chain.input_dim
-    powers = np.ones((n, n, 1, 1), dtype=complex)
+    powers = [np.ones((n, n, 1, 1), dtype=complex)]
     for _ in range(q):
-        powers = _lift(powers, chain.pairs)
+        powers.append(_lift(powers[-1], chain.pairs))
     return powers
 
 
-def _embed_blocks(chain: ChainSpace, q: int) -> np.ndarray:
-    """Block (i, j) of J_q(e_ij), (w_i w_j)^(x)q (x) 1, at [i, j]."""
-    powers = _pair_powers(chain, q)
+def _embed_blocks(chain: ChainSpace, powers: np.ndarray) -> np.ndarray:
+    """Block (i, j) of J_q(e_ij), (w_i w_j)^(x)q (x) 1, at [i, j], from the
+    pair powers of level q."""
     return _lift(powers, np.eye(chain.tail_dim // powers.shape[-1], dtype=complex))
 
 
@@ -198,7 +234,7 @@ def embed_J(chain: ChainSpace, q: int):
     matrix or a stack."""
     if not 0 <= q <= chain.depth:
         raise PreconditionError("embedding index out of range")
-    blocks = _embed_blocks(chain, q)
+    blocks = _embed_blocks(chain, _pair_powers(chain, q)[q])
     n = chain.input_dim
 
     def embed(x: np.ndarray) -> np.ndarray:
@@ -237,48 +273,54 @@ def build_beta(chain: ChainSpace, x: np.ndarray) -> np.ndarray:
     return _from_blocks(_beta_blocks(chain, _to_blocks(x, n), 1))
 
 
-def _project_even(basis: np.ndarray, y: np.ndarray, slots: int) -> np.ndarray:
-    """Projection onto E on each leg of a stack y of shape (..., leg^slots,
-    leg^slots), through E's trace-orthonormal monomials (no leg^2 x leg^2
-    projector).  The chain contracts with einsum loops, not BLAS: a
-    multithreaded GEMM leaves OpenBLAS workers spinning for about 0.1 s of CPU
-    after it returns, which on two cores slows whatever runs next."""
-    leg = basis.shape[-1]
-    for s in range(slots):
-        outer, inner = leg ** s, leg ** (slots - s - 1)
-        parts = y.reshape(-1, outer, leg, inner, outer, leg, inner)
-        coeffs = np.einsum("xoapsbt,kab->xopstk", parts, basis.conj())
-        y = np.einsum("xopstk,kab->xoapsbt", coeffs, basis).reshape(y.shape)
-        y /= leg  # in place: one chunk-sized array fewer at the peak
-    return y
+def _project_even(monomials: tuple[np.ndarray, np.ndarray], y: np.ndarray) -> np.ndarray:
+    """Projection onto E on each of the s legs of a stack y of shape
+    (..., leg^s, leg^s), with monomials = ChainSpace.even_basis[s].
+
+    The even tensor monomials K are trace-orthogonal signed permutations on
+    disjoint XOR diagonals, so the projection reads y only on them: one
+    gather of y[R ^ K, R], the coefficients c_K = sum_R phase[K, R]
+    y[R ^ K, R] / leg^s (the phases are real), and one scatter of
+    phase[K, R] c_K; every other entry is zero.  No leg^2 x leg^2 projector
+    and no matrix product is formed, so no BLAS call is made."""
+    side = y.shape[-1]
+    if side == 1:
+        return y  # E^(x)0 is the scalars
+    index, phase = monomials
+    flat = y.reshape(*y.shape[:-2], side * side)
+    coeffs = np.einsum("...kr,kr->...k", flat[..., index], phase)
+    coeffs /= side
+    out = np.zeros_like(flat)
+    out[..., index] = coeffs[..., None] * phase
+    return out.reshape(y.shape)
 
 
-def _block_expectations(chain: ChainSpace, n: int):
-    """(past, future) expectations at level n on block stacks (..., input,
-    input, tail, tail).
+def _past_blocks(chain: ChainSpace, n: int, blocks: np.ndarray) -> np.ndarray:
+    """Past expectation at level n on a block stack (..., side, side) over
+    whole legs, without its trailing identity: E_{n]} of each block is y (x) 1
+    on legs n+1.., and this returns the (..., leg^n, leg^n) stack y.
 
-    Both act block by block.  The past traces out legs n+1..depth and projects
-    legs 1..n onto E, the same on every block, so it takes any stack of
-    tail x tail blocks.  The future strips (w_i w_k)^(x)n from block (i, k)
-    by the partial trace over legs 1..n, projects the other legs onto E and
-    puts the factor back.
-    """
+    It traces out legs n+1.. and projects legs 1..n onto E, the same on every
+    block, so it takes any stack of blocks, and the depth is read from their
+    side: the same call serves every chain over this leg, down to the depth-0
+    chain of the shift check, on which it is the identity."""
     lower = chain.leg_dim ** n
+    upper = blocks.shape[-1] // lower
+    legs = blocks.reshape(*blocks.shape[:-2], lower, upper, lower, upper)
+    return _project_even(chain.even_basis[n], np.einsum("...arbr->...ab", legs) / upper)
+
+
+def _future_blocks(chain: ChainSpace, n: int, powers: np.ndarray,
+                   blocks: np.ndarray) -> np.ndarray:
+    """Future expectation at level n on a block stack (..., input, input, tail,
+    tail), with powers the pair powers of level n: it strips (w_i w_k)^(x)n
+    from block (i, k) by the partial trace over legs 1..n, projects the other
+    legs onto E and puts the factor back."""
+    lower = powers.shape[-1]
     upper = chain.tail_dim // lower
-    powers = _pair_powers(chain, n)
-
-    def legs(blocks):
-        return blocks.reshape(*blocks.shape[:-2], lower, upper, lower, upper)
-
-    def past(blocks):
-        y = _project_even(chain.even_basis, np.einsum("...arbr->...ab", legs(blocks)) / upper, n)
-        return _lift(y, np.eye(upper))
-
-    def future(blocks):
-        y = np.einsum("...arbs,...ab->...rs", legs(blocks), powers.conj()) / lower
-        return _lift(powers, _project_even(chain.even_basis, y, chain.depth - n))
-
-    return past, future
+    legs = blocks.reshape(*blocks.shape[:-2], lower, upper, lower, upper)
+    y = np.einsum("...arbs,...ab->...rs", legs, powers.conj()) / lower
+    return _lift(powers, _project_even(chain.even_basis[chain.depth - n], y))
 
 
 def expectations(chain: ChainSpace, n: int):
@@ -287,6 +329,8 @@ def expectations(chain: ChainSpace, n: int):
     if not 0 <= n <= chain.depth:
         raise PreconditionError("expectation level out of range")
     size, dim = chain.input_dim, chain.ambient_dim
+    powers = _pair_powers(chain, n)[n]
+    trailing = np.eye(chain.tail_dim // powers.shape[-1])
 
     def on_matrices(blockwise):
         def expect(x) -> np.ndarray:
@@ -296,8 +340,8 @@ def expectations(chain: ChainSpace, n: int):
             return _from_blocks(blockwise(_to_blocks(xa, size)))
         return expect
 
-    past, future = _block_expectations(chain, n)
-    return on_matrices(past), on_matrices(future)
+    return (on_matrices(lambda blocks: _lift(_past_blocks(chain, n, blocks), trailing)),
+            on_matrices(lambda blocks: _future_blocks(chain, n, powers, blocks)))
 
 
 def verify_embedding(chain: ChainSpace, q: int) -> dict[str, float]:
@@ -338,26 +382,23 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
     in block (i, j); both expectations act block by block, so every row works
     on single blocks.  A source unit whose legs n+1..depth-p differ maps to
     exact zero on both sides of the shift identity, so only the units whose
-    traced legs agree are lifted.
+    traced legs agree are lifted.  Both sides of the past and the shift
+    identities are X (x) 1 on the legs the past traces out, and those rows
+    compare the two X.
     """
     if not 0 <= n <= q <= chain.depth:
         raise PreconditionError("need 0 <= n <= q <= depth")
-    past_n, future_n = _block_expectations(chain, n)
-    j_n = _embed_blocks(chain, n)
+    powers = _pair_powers(chain, q)
     t_step = (chain.symbol.matrix ** (q - n))[:, :, None, None]
     t_level = (chain.symbol.matrix ** n)[:, :, None, None]
-    past = max_abs(past_n(_embed_blocks(chain, q)) - t_step * j_n)
-    future = max_abs(future_n(_embed_blocks(chain, 0)) - t_level * j_n)
+    past = max_abs(_past_blocks(chain, n, _embed_blocks(chain, powers[q])) - t_step * powers[n])
+    future = max_abs(_future_blocks(chain, n, powers[n], _embed_blocks(chain, powers[0]))
+                     - t_level * _embed_blocks(chain, powers[n]))
 
     power = q - n
     shift = 0.0
     if power > 0:
         src_depth = chain.depth - power
-        past_q = _block_expectations(chain, q)[0]
-        if src_depth >= 1:
-            src_past = _block_expectations(chain.shallower(src_depth), n)[0]
-        else:
-            src_past = lambda x: x  # depth-0 chain: the past at level 0 is everything
         kept, traced = chain.leg_dim ** n, chain.leg_dim ** (src_depth - n)
         count = kept * kept * traced
         # each source unit is lifted into all input^2 blocks at once, and the
@@ -365,8 +406,8 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
         chunk = max(1, config.CHUNK_BYTES // (4 * _ENTRY_BYTES * chain.ambient_dim ** 2))
         for start in range(0, count, chunk):
             units = _traced_units(kept, traced, start, min(start + chunk, count))[:, None, None]
-            lhs = past_q(_beta_blocks(chain, units, power))
-            rhs = _beta_blocks(chain, src_past(units), power)
+            lhs = _past_blocks(chain, q, _beta_blocks(chain, units, power))
+            rhs = _beta_blocks(chain, _past_blocks(chain, n, units), power)
             shift = max(shift, max_abs(lhs - rhs))
     return {"past": past, "future": future, "shift": shift}
 
@@ -376,11 +417,11 @@ def verify_rota(chain: ChainSpace, n: int) -> float:
     each on its own block."""
     if not 1 <= n <= chain.depth:
         raise PreconditionError("need 1 <= n <= depth")
-    past_0 = _block_expectations(chain, 0)[0]
-    future_n = _block_expectations(chain, n)[1]
-    j_0 = _embed_blocks(chain, 0)
+    powers = _pair_powers(chain, n)
+    future = _future_blocks(chain, n, powers[n], _embed_blocks(chain, powers[0]))
     t_pow = (chain.symbol.matrix ** (2 * n))[:, :, None, None]
-    return max_abs(past_0(future_n(j_0)) - t_pow * j_0)
+    # E_{0]} is the normalized trace of each block times 1: compare the traces
+    return max_abs(_past_blocks(chain, 0, future) - t_pow)
 
 
 # ---------------------------------------------------------------------------

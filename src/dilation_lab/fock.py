@@ -248,6 +248,14 @@ def _ordered_products(flip: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, 
     return out_flip, out_phase
 
 
+def _field_products(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, phase) of the ordered field products gamma_S over every subset S
+    of {0..rank-1} in bitmask order: gamma_S sends e_r to phase[S, r] e_(r ^ S),
+    so flip[S] = S, and every phase is +-1."""
+    bit, _, sign = _jordan_wigner(rank)
+    return _ordered_products(bit[:, 0], sign[:-1])
+
+
 def _signed_permutations(flip: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Dense stack of e_r -> phase[i, r] e_(r ^ flip[i]), within the byte cap."""
     count, dim = phase.shape
@@ -319,8 +327,7 @@ class FermionRep:
 
     def omega_products(self) -> tuple[np.ndarray, ...]:
         """Ordered products of w(f_k) over subsets of {0..rank-1} (bitmask order)."""
-        bit, _, sign = _jordan_wigner(self.rank)
-        return tuple(_signed_permutations(*_ordered_products(bit[:, 0], sign[:-1])))
+        return tuple(_signed_permutations(*_field_products(self.rank)))
 
 
 def build_fermion_rep(gram: GramSpace) -> FermionRep:
@@ -361,12 +368,11 @@ def verify_q_relation(space, e, f, q: float) -> float:
 
 def _field_polynomial(coefficients: np.ndarray) -> np.ndarray:
     """sum_S c_S gamma_S over the ordered field products gamma_S (bitmask
-    order, _ordered_products) for coefficient vectors c of length 2^rank, or a
+    order, _field_products) for coefficient vectors c of length 2^rank, or a
     stack of them: entry [T, U] is c_(T ^ U) phase[T ^ U, U].  gamma_S Omega
     = e_S, so c is the vacuum column, and a -> a Omega is isometric in max-abs."""
     size = coefficients.shape[-1]
-    bit, _, sign = _jordan_wigner(size.bit_length() - 1)
-    phase = _ordered_products(bit[:, 0], sign[:-1])[1]
+    phase = _field_products(size.bit_length() - 1)[1]
     r = np.arange(size)
     masks = r[:, None] ^ r
     return coefficients[..., masks] * phase[masks, r]

@@ -117,13 +117,13 @@ def test_nearly_singular_multipliers_op_passes_the_gate(bench, tmp_path):
 
 # A benchmark run exits 1 when any of its ops fails the gate, and a faster
 # program reaches op indices the slower one never drew.  So the first ops of
-# every `multipliers` and `secondquant` shape run here at two seeds, before
-# any benchmark does, and so do those of the ill-conditioned `fourier` shapes
-# of `defects`.
+# every `multipliers`, `secondquant` and `chain` shape run here at two seeds,
+# before any benchmark does, and so do those of the ill-conditioned `fourier`
+# shapes of `defects`.
 SWEEP_SEEDS = (1234, 77)
 SWEEPS = [pytest.param(workload, seed, id=f"{prefix}{seed}")
           for workload, prefix in (("multipliers", ""), ("defects", "defects-fourier-"),
-                                   ("secondquant", "secondquant-"))
+                                   ("secondquant", "secondquant-"), ("chain", "chain-"))
           for seed in SWEEP_SEEDS]
 
 

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilation_lab import chain as chain_module
 from dilation_lab import fock as fock_module
-from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol,
+from dilation_lab import (DiagonalState, FermionRep, PreconditionError, SchurSymbol,
                           ShapeError, SizeError, build_beta, build_chain,
                           build_schaffer, embed_J, expectations, halmos_block,
                           verify_embedding, verify_gamma_factorization,
@@ -202,8 +204,8 @@ def test_markov_rows_match_dense_reference_off_the_identity(monkeypatch):
     # zero to zero, so the skipped units stay exact zeros
     original = chain_module._project_even
 
-    def skewed(basis, y, slots):
-        out = original(basis, y, slots)
+    def skewed(monomials, y):
+        out = original(monomials, y)
         side = out.shape[-1]
         return out * (1 + 1e-3 * np.arange(side * side).reshape(side, side) / side ** 2)
 
@@ -214,6 +216,90 @@ def test_markov_rows_match_dense_reference_off_the_identity(monkeypatch):
                 report = verify_markov_property(chain, lo, hi)
                 assert report == _dense_markov_property(chain, lo, hi), (lo, hi)
                 assert report["shift"] > 1e-6
+
+
+def _field_monomials(rank):
+    """Ordered products of the fields w(f_k) over every subset of modes in
+    bitmask order, multiplied out from the dense fields, and whether each is
+    even."""
+    fields = FermionRep(rank, np.eye(rank)).omega(np.eye(rank))
+    monomials = []
+    for mask in range(1 << rank):
+        product = np.eye(1 << rank, dtype=complex)
+        for k in range(rank):
+            if mask >> k & 1:
+                product = product @ fields[k]
+        monomials.append(product)
+    masks = np.arange(1 << rank)
+    return np.stack(monomials), np.bitwise_count(masks) % 2 == 0
+
+
+def _tensor_monomials(rank, slots):
+    """Kronecker products of field monomials on `slots` legs, first leg
+    outermost, and whether every factor is even (the monomials of E^(x)slots)."""
+    single, even = _field_monomials(rank)
+    stack, all_even = np.ones((1, 1, 1), dtype=complex), np.ones(1, dtype=bool)
+    for _ in range(slots):
+        side = stack.shape[-1] * single.shape[-1]
+        stack = np.einsum("kab,lcd->klacbd", stack, single).reshape(-1, side, side)
+        all_even = (all_even[:, None] & even).ravel()
+    return stack, all_even
+
+
+def _basis_projection(basis, y, slots):
+    """Reference projection onto E on each of `slots` legs: per leg, the
+    expansion of y over the dense trace-orthogonal even monomials `basis`
+    and its resynthesis, two einsums over every entry."""
+    leg = basis.shape[-1]
+    for s in range(slots):
+        outer, inner = leg ** s, leg ** (slots - s - 1)
+        parts = y.reshape(-1, outer, leg, inner, outer, leg, inner)
+        coeffs = np.einsum("xoapsbt,kab->xopstk", parts, basis.conj())
+        y = np.einsum("xopstk,kab->xoapsbt", coeffs, basis).reshape(y.shape) / leg
+    return y
+
+
+def _kernel(rank, slots, y):
+    return chain_module._project_even(chain_module._even_monomials(rank, slots)[slots], y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_even_projection_matches_the_basis_expansion(rank, slots, batch, seed):
+    gen = rng(seed)
+    side = (1 << rank) ** slots
+    y = gen.standard_normal((batch, side, side)) + 1j * gen.standard_normal((batch, side, side))
+    monomials, even = _field_monomials(rank)
+    expected = _basis_projection(monomials[even], y, slots)
+    assert max_abs(_kernel(rank, slots, y) - expected) <= 1e-14
+
+
+# every (rank, slots) with at most 64 x 64 blocks, whose tensor monomials fit
+SMALL_LEGS = [(rank, slots) for rank in (1, 2, 3) for slots in (1, 2, 3) if rank * slots <= 6]
+
+
+@pytest.mark.parametrize("rank, slots", SMALL_LEGS, ids=[f"r{r}-s{s}" for r, s in SMALL_LEGS])
+def test_even_projection_fixes_even_monomials_and_kills_the_rest(rank, slots):
+    monomials, even = _tensor_monomials(rank, slots)
+    projected = _kernel(rank, slots, monomials)
+    assert max_abs(projected[even] - monomials[even]) <= 1e-15
+    assert np.all(projected[~even] == 0)
+
+
+@pytest.mark.parametrize("rank, slots", SMALL_LEGS, ids=[f"r{r}-s{s}" for r, s in SMALL_LEGS])
+def test_even_projection_is_an_idempotent_trace_preserving_bimodule_map(rank, slots):
+    gen = rng(9600 + 10 * rank + slots)
+    monomials, even = _tensor_monomials(rank, slots)
+    side = monomials.shape[-1]
+    y = np.stack([random_complex(gen, side) for _ in range(3)])
+    projected = _kernel(rank, slots, y)
+    assert max_abs(_kernel(rank, slots, projected) - projected) <= 1e-15
+    assert max_abs(np.trace(projected, axis1=-2, axis2=-1)
+                   - np.trace(y, axis1=-2, axis2=-1)) <= 1e-13
+    # a and b in E^(x)slots: random combinations of the even monomials
+    a, b = (np.einsum("k,kab->ab", random_complex(gen, 1, int(even.sum())).ravel(),
+                      monomials[even]) for _ in range(2))
+    assert max_abs(_kernel(rank, slots, a @ y @ b) - a @ projected @ b) <= 1e-13
 
 
 def test_traced_units_are_the_units_with_agreeing_traced_legs():
