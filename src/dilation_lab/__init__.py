@@ -16,7 +16,7 @@ from .condexp import (ConditionalExpectation, SubalgebraBasis, conditional_expec
 from .config import dim_cap
 from .dilation import (DilationBundle, build_dilation, convex_combination_dilation,
                        star_swap_check, verify_even_closure, verify_factorization,
-                       verify_morphism_markov)
+                       verify_morphism_markov, verify_symmetry)
 from .errors import (DilationLabError, NotExpectationError, NotPsdError,
                      PreconditionError, ShapeError, SizeError)
 from .fock import (FermionRep, build_fermion_rep, exterior_map, interleave_double,
@@ -54,5 +54,5 @@ __all__ = [
     "verify_expectation", "verify_factorization", "verify_fourier_identity",
     "verify_gamma_factorization", "verify_markov_property",
     "verify_morphism_markov", "verify_ppnp", "verify_q_relation", "verify_rota",
-    "verify_rota_secondquant", "wick_inverse", "word_closure",
+    "verify_rota_secondquant", "verify_symmetry", "wick_inverse", "word_closure",
 ]

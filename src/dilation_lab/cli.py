@@ -21,13 +21,14 @@ from . import config
 from .chain import (build_chain, build_schaffer, verify_gamma_factorization,
                     verify_markov_property, verify_ppnp, verify_rota,
                     verify_rota_secondquant)
-from .dilation import build_dilation, star_swap_check, verify_factorization, verify_morphism_markov
+from .dilation import (build_dilation, star_swap_check, verify_factorization,
+                       verify_morphism_markov, verify_symmetry)
 from .errors import DilationLabError, SizeError
 from .fock import build_fermion_rep, second_quantize
 from .fourier import (FourierSymbol, FiniteGroup, build_crossed_dilation, certify_posdef,
                       cyclic_group, dihedral_group, symmetric_group,
                       verify_covariance, verify_fourier_identity)
-from .matcore import dagger, max_abs
+from .matcore import max_abs
 from .schur import GramSpace, SchurSymbol, certify_symbol, multiplier_map, symbol_tolerances
 from .states import DiagonalState, markov_residuals
 
@@ -138,15 +139,6 @@ class Checks:
         return all(row["pass"] for row in self.rows)
 
 
-def _add_symmetry_rows(checks: Checks, name: str, blocks: np.ndarray) -> None:
-    """Rows of the symmetry with these diagonal blocks being self-adjoint and
-    squaring to the identity.  Each is read from the blocks: off them the
-    symmetry and its square are exactly zero."""
-    checks.add(f"{name}_self_adjoint", max_abs(blocks - dagger(blocks)), config.TOL_EXACT)
-    checks.add(f"{name}_squares_to_identity",
-               max_abs(blocks @ blocks - np.eye(blocks.shape[-1])), config.TOL_EXACT)
-
-
 def run_check_schur(args) -> tuple[Checks, int]:
     symbol, state = _parse_symbol(_load_json(args.input, "schur2.json"))
     checks = Checks()
@@ -169,7 +161,8 @@ def run_check_schur(args) -> tuple[Checks, int]:
         return checks, 1
 
     bundle = build_dilation(symbol, state, tol=args.tol)
-    _add_symmetry_rows(checks, "d", bundle.blocks)
+    for name, residual in verify_symmetry(bundle).items():
+        checks.add(f"d_{name}", residual, config.TOL_EXACT)
     # block i of d D - D d, with the density's block D_i = diag(w[i])
     w = bundle.ambient_state.weights.reshape(bundle.blocks.shape[:2])
     checks.add("d_in_centralizer",
@@ -221,7 +214,8 @@ def run_fourier(args) -> tuple[Checks, int]:
         return checks, 1
 
     bundle = build_crossed_dilation(symbol, tol=args.tol)
-    _add_symmetry_rows(checks, "w", bundle.blocks)
+    for name, residual in verify_symmetry(bundle).items():
+        checks.add(f"w_{name}", residual, config.TOL_EXACT)
     for name, residual in verify_covariance(bundle).items():
         checks.add(name, residual, args.tol)
     checks.add("fourier_identity",

@@ -40,6 +40,7 @@ __all__ = [
     "convex_combination_dilation",
     "star_swap_check",
     "verify_even_closure",
+    "verify_symmetry",
 ]
 
 
@@ -221,6 +222,17 @@ def _synthesize(bundle: DilationBundle) -> tuple[np.ndarray, _Vacuum]:
     return blocks, _Vacuum(bundle.input_state.weights, nu, np.bitwise_count(local).astype(int),
                            _Leg(np.broadcast_to(omega[:, None], (n, f, n)), None),
                            _Leg(blocks @ coefficients.T, blocks))
+
+
+def verify_symmetry(bundle: DilationBundle) -> dict[str, float]:
+    """Residuals of d = sum_i e_ii (x) blocks[i] being self-adjoint and squaring to 1 on
+    vacuum columns Omega (see _synthesize): max |b[:, Omega] - conj(b[Omega, :])| is the
+    dense value to the bit, and max |b (b Omega) - Omega| (rho's units) up to rounding."""
+    blocks, vac = bundle.blocks, bundle.vacuum
+    omega, squares = vac.pi.units[0, :, 0], np.diagonal(vac.rho.units, 0, 0, 2).T
+    adjoint = np.conj(np.swapaxes(blocks[:, omega != 0], 1, 2))
+    return {"self_adjoint": max_abs(blocks[:, :, omega != 0] - adjoint),
+            "squares_to_identity": max_abs(squares - omega)}
 
 
 def _draws(bundle: DilationBundle, count: int, seed: int | None) -> np.ndarray:

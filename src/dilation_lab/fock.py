@@ -404,7 +404,7 @@ def wick_inverse(rep: FermionRep, xi) -> np.ndarray:
 
 
 def exterior_map(t: np.ndarray) -> np.ndarray:
-    """Direct sum of exterior powers of t on wedge bases.
+    """Direct sum of exterior powers of t on wedge bases, or of each map of a stack t.
 
     Entry [B, A] (bitmask indices, |B| = |A| = k) is the k x k minor of t with
     rows B and columns A; sizes that differ give zero.  For square t this is
@@ -412,24 +412,29 @@ def exterior_map(t: np.ndarray) -> np.ndarray:
     Column A is l(t e_a) applied to column A without a, its lowest mode, by
     the Jordan-Wigner rule: one output mode k at a time, a signed slice of at
     most 2^(d_out - 1) x 2^(d_in - 1) entries from rows without k to rows with k.
+    One slice covers a stack, skipped only where t[..., k, a] is 0 in every map,
+    and each map of the result is bitwise its lift on its own.
     """
     tt = np.asarray(t)
-    if tt.ndim != 2:
-        raise ShapeError("exterior_map needs a 2-d array")
-    for d in tt.shape:
+    if tt.ndim < 2:
+        raise ShapeError("exterior_map needs a 2-d array or a stack of them")
+    *stack, d_out, d_in = tt.shape
+    for d in (d_out, d_in):
         if (1 << d) > config.dim_cap():
             raise SizeError(f"exterior_map dimension 2^{d} exceeds the dimension cap "
                             f"{config.dim_cap()}")
-    d_out, d_in = tt.shape
-    out = np.zeros((1 << d_out, 1 << d_in), dtype=tt.dtype if tt.dtype == complex else float)
-    out[0, 0] = 1.0
-    _, _, sign = _jordan_wigner(d_out)
+    out = np.zeros((*stack, 1 << d_out, 1 << d_in),
+                   dtype=tt.dtype if tt.dtype == complex else float)
+    out[..., 0, 0] = 1.0
+    ts = tt[..., None] * _jordan_wigner(d_out)[2][:-1, None, :]  # t[..., k, a] sign[k]
+    pairs = (tt != 0).any(axis=tuple(range(len(stack)))) if stack else tt
     # from the top mode down, so column A without a is written before column A
     for a in reversed(range(d_in)):
-        for k in np.flatnonzero(tt[:, a]):
+        for k in np.flatnonzero(pairs[:, a]):
             # axes: rows (above k, bit k, below k), columns (above a, bit a, below a)
-            lam = out.reshape(1 << (d_out - 1 - k), 2, 1 << k, 1 << (d_in - 1 - a), 2, 1 << a)
-            lam[:, 1, :, :, 1, 0] += tt[k, a] * sign[k, :1 << k, None] * lam[:, 0, :, :, 0, 0]
+            lam = out.reshape(*stack, 1 << (d_out - 1 - k), 2, 1 << k,
+                              1 << (d_in - 1 - a), 2, 1 << a)
+            lam[..., 1, :, :, 1, 0] += ts[..., k, a, None, :1 << k, None] * lam[..., 0, :, :, 0, 0]
     return out
 
 

@@ -287,29 +287,28 @@ def verify_covariance(bundle: CrossedBundle) -> dict[str, float]:
     O_g O_h = O_{gh}, and Lam(g) copy(h) Lam(g)* = copy(gh) for the copy of
     w(v_h) with block u = R_(u^-1) w(v_h) R_(u^-1)^T, R_g = exterior_map(O_g).
 
-    field_covariance is the larger residual of two identities that give it:
+    Each of orthogonal, action_homomorphism and the lifts R_g is one call on
+    the stack of O_g.  field_covariance is the larger residual of two identities that give it:
     R_g w(e_k) = w(O_g e_k) R_g for every basis vector e_k makes block u of
     copy(h) w(O_(u^-1) v_h) (the bundle's block u at h = e), and with
     O_g v_h = v_gh that is w(v_(u^-1 h)), which Lam(g) moves to block gu.
     w(e_k) is a signed permutation, so R_g w(e_k) permutes the columns of
-    R_g and w(e_j) R_g its rows: r f^2 per (g, k), and no f x f product.
+    R_g and w(e_j) R_g its rows: r f^2 per (g, k), and no f x f product, one
+    g at a time so that the (r, f, f) temporaries stay in cache.
     """
     _require_crossed(bundle)
     group = bundle.symbol.group
-    m = group.order
     actions, rows = bundle.actions, bundle.gram.embedding
     rank = actions.shape[1]
     bit, _, sign = _jordan_wigner(rank)
     # w(e_k) sends e_U to sign[k, U] e_(U ^ 2^k), and sign[k] is even under that flip
     flips, sign = np.arange(1 << rank) ^ bit, sign[:-1]
 
-    ortho = max(max_abs(actions[g].T @ actions[g] - np.eye(rank)) for g in range(m))
-    homo = max(max_abs(actions[g] @ actions[h] - actions[group.mul(g, h)])
-               for g in range(m) for h in range(m))
+    ortho = max_abs(np.swapaxes(actions, 1, 2) @ actions - np.eye(rank))
+    homo = max_abs(actions[:, None] @ actions[None] - actions[group.table])
     # [g, h] holds O_g v_h against v_gh
     cov = max_abs(rows @ np.swapaxes(actions, 1, 2) - rows[group.table])
-    for action in actions:
-        lift = exterior_map(action)
+    for action, lift in zip(actions, exterior_map(actions)):
         after = np.moveaxis(lift[:, flips], 1, 0) * sign[:, None, :]  # R_g w(e_k)
         before = lift[flips] * sign[:, :, None]  # w(e_j) R_g
         cov = max(cov, max_abs(after - np.tensordot(action, before, axes=(0, 0))))

@@ -130,8 +130,8 @@ def require_symbol(symbol: SchurSymbol, tol: float = config.TOL_NUM,
 def build_gram_space(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> GramSpace:
     """Factor a real symmetric PSD symbol as a Gram matrix of row vectors.
 
-    A symbol real and symmetric within tol is accepted, and the eigensolver
-    reads the lower triangle of its real part.  Eigendirections with
+    A symbol real and symmetric within tol is accepted, and the symmetric part
+    of its real part, which certify_symbol measures, is factored.  Eigendirections with
     eigenvalue below TOL_RANK times the largest are dropped, so rank-deficient
     symbols embed into their honest quotient.  The symbol is taken as unital:
     each kept row is scaled to unit length, so w(v_i) squares to the
@@ -141,7 +141,7 @@ def build_gram_space(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> GramSp
     t = symbol.matrix
     if max_abs(t - t.T) > tol or max_abs(t.imag) > tol:
         raise ShapeError("build_gram_space needs a real symmetric symbol")
-    w, v = eig_hermitian(t.real.astype(complex), tol)
+    w, v = eig_hermitian((t.real / 2 + t.real.T / 2).astype(complex), tol)
     if w[0] < -config.TOL_PSD:
         raise NotPsdError(f"symbol has eigenvalue {w[0]:.3e}, not PSD")
     w = np.clip(w, 0.0, None)

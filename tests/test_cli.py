@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol, build_dilation,
@@ -716,8 +716,21 @@ def test_check_schur_reports_any_real_symbol(payload):
 
 @settings(max_examples=50, deadline=None)
 @given(group_payloads())
+@example({"group": "cyclic:4", "t": [1.0, 1e-09, 1.0, 0.0]})
 def test_fourier_reports_any_coefficients(payload):
     _assert_reported("fourier", payload)
+
+
+def test_fourier_factors_the_symmetric_part_of_a_nearly_symmetric_symbol():
+    # t_1 = 1e-9 against t_3 = 0 makes the Gram matrix asymmetric by 1e-9,
+    # within --tol, and its symmetric part is PSD, so every posdef row
+    # passes; the lower triangle alone has eigenvalue -5e-10 < -TOL_PSD, and
+    # factoring it exited 2 with "not PSD" instead of reporting
+    code, report = run_in_process("fourier", {"group": "cyclic:4",
+                                              "t": [1.0, 1e-9, 1.0, 0.0]})
+    assert code == 1
+    failing = [row["name"] for row in report["checks"] if not row["pass"]]
+    assert failing == ["fourier_identity"]
 
 
 @st.composite

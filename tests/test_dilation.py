@@ -16,7 +16,7 @@ from dilation_lab import (DiagonalState, DilationBundle, FermionRep, FourierSymb
                           convex_combination_dilation, cyclic_group, dihedral_group,
                           random_posdef_symbol, schur_symbol_matrix, star_swap_check,
                           symmetric_group, verify_even_closure, verify_factorization,
-                          verify_morphism_markov)
+                          verify_morphism_markov, verify_symmetry)
 from dilation_lab.matcore import (dagger, direct_sum, matrix_unit, matrix_units, max_abs,
                                   random_complex, random_unital_psd_symbol, random_weights, rng)
 from dilation_lab.states import modular_conjugate
@@ -529,6 +529,46 @@ def _unit_sample_routes(bundle, samples, seed):
 def test_batched_unit_sample_residual_matches_per_pair_route(make):
     for batched, dense in _unit_sample_routes(make(), samples=4, seed=3):
         assert abs(batched - dense) <= 1e-13
+
+
+def _dense_symmetry(bundle):
+    """The symmetry rows from the dense blocks: d - d^* and d^2 - 1 vanish
+    off the diagonal blocks."""
+    blocks = bundle.blocks
+    return {"self_adjoint": max_abs(blocks - dagger(blocks)),
+            "squares_to_identity": max_abs(blocks @ blocks - np.eye(blocks.shape[-1]))}
+
+
+def _assert_symmetry_rows_match(bundle):
+    rows, dense = verify_symmetry(bundle), _dense_symmetry(bundle)
+    assert list(rows) == ["self_adjoint", "squares_to_identity"]
+    assert rows["self_adjoint"] == dense["self_adjoint"]
+    assert abs(rows["squares_to_identity"] - dense["squares_to_identity"]) <= 1e-15
+    return rows
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_dilation(SchurSymbol(T3), STATE3), _convex_bundle,
+    lambda: build_crossed_dilation(random_posdef_symbol(cyclic_group(6), rng(13))),
+    _skewed_bundle, _scaled_bundle], ids=["built", "convex", "crossed", "skewed", "scaled"])
+def test_symmetry_rows_on_vacuum_columns_match_the_dense_blocks(make):
+    _assert_symmetry_rows_match(make())
+
+
+@settings(max_examples=30, deadline=None)
+@given(built_bundles())
+def test_symmetry_rows_of_built_bundles_match_the_dense_blocks(bundle):
+    rows = _assert_symmetry_rows_match(bundle)
+    assert max(rows.values()) <= config.TOL_EXACT
+
+
+def test_perturbed_blocks_still_fail_the_symmetry_rows():
+    # i w_1 is skew-adjoint and squares to -1; 1.01 w_1 is self-adjoint and
+    # squares to 1.0201
+    skewed, scaled = verify_symmetry(_skewed_bundle()), verify_symmetry(_scaled_bundle())
+    assert min(skewed.values()) > 1.0
+    assert scaled["self_adjoint"] == 0.0
+    assert abs(scaled["squares_to_identity"] - 0.0201) <= 1e-15
 
 
 def test_every_ordered_unit_pair_is_checked():

@@ -539,6 +539,36 @@ def test_exterior_map_matches_the_minors(t):
     assert max_abs(lifted - _minor_exterior(t)) <= 1e-13
 
 
+@st.composite
+def map_stacks(draw):
+    """Stacks (..., d_out, d_in) of real or complex maps, with 0-sized maps,
+    empty stacks, and exact zeros in some maps of a stack but not in others."""
+    stack = tuple(draw(st.lists(st.integers(min_value=0, max_value=3), max_size=2)))
+    shape = (*stack, draw(st.integers(min_value=0, max_value=4)),
+             draw(st.integers(min_value=0, max_value=4)))
+    gen = rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    t = gen.standard_normal(shape)
+    if draw(st.booleans()):
+        t = t + 1j * gen.standard_normal(shape)
+    t[gen.random(shape) < draw(st.sampled_from([0.0, 0.4, 0.8]))] = 0.0
+    return t
+
+
+@settings(max_examples=80, deadline=None)
+@given(map_stacks())
+@example(np.zeros((2, 0, 0)))
+@example(np.ones((2, 0, 3)))
+@example(np.ones((2, 3, 0), dtype=complex))
+@example(np.ones((0, 3, 3)))
+def test_a_stacked_lift_is_each_map_lifted_on_its_own(t):
+    lifted = exterior_map(t)
+    assert lifted.shape == (*t.shape[:-2], 1 << t.shape[-2], 1 << t.shape[-1])
+    for index in np.ndindex(t.shape[:-2]):
+        alone = exterior_map(t[index])
+        assert lifted[index].dtype == alone.dtype
+        assert np.array_equal(lifted[index], alone)
+
+
 @settings(max_examples=60, deadline=None)
 @given(real_contractions(max_dim=6))
 @example(np.array([[0.6, 0.2, 0.0], [0.1, -0.5, 0.3]]))

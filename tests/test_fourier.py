@@ -297,9 +297,10 @@ def test_covariance_requires_a_crossed_bundle():
 
 
 def _rotations(bundle):
-    """The exterior lifts R_g = exterior_map(O_g), through the module's name so
-    that a patched exterior_map reaches them."""
-    return np.stack([fourier_module.exterior_map(a) for a in bundle.actions])
+    """The exterior lifts R_g = exterior_map(O_g), one call on the stack of
+    actions as in verify_covariance, through the module's name so that a
+    patched exterior_map reaches them."""
+    return fourier_module.exterior_map(bundle.actions)
 
 
 def _covariant_blocks(group, rotations, a):
@@ -404,11 +405,13 @@ def test_a_flipped_rotation_column_breaks_field_covariance(group, monkeypatch):
     target = bundle.actions[1 if group.identity != 1 else 2]
     exterior_map = fourier_module.exterior_map
 
-    def flipped(action):
-        lift = exterior_map(action)
-        if np.array_equal(action, target):
-            lift[:, 1] *= -1.0
-        return lift
+    def flipped(actions):
+        # the lifts of the whole stack, with the flip in the slice of target
+        lifts = exterior_map(actions)
+        hits = np.all(actions == target, axis=(1, 2))
+        assert np.count_nonzero(hits) == 1
+        lifts[hits, :, 1] *= -1.0
+        return lifts
 
     monkeypatch.setattr(fourier_module, "exterior_map", flipped)
     residuals = verify_covariance(bundle)
@@ -417,6 +420,20 @@ def test_a_flipped_rotation_column_breaks_field_covariance(group, monkeypatch):
     assert residuals["field_covariance"] > 1.0
     assert abs(residuals["field_covariance"] - _dense_intertwining(bundle)) <= 1e-13
     assert _dense_covariance(bundle) > 1.0
+
+
+def test_covariance_lifts_every_action_in_one_call(monkeypatch):
+    bundle = build_crossed_dilation(random_posdef_symbol(cyclic_group(6), rng(13)))
+    shapes = []
+    exterior_map = fourier_module.exterior_map
+
+    def counted(actions):
+        shapes.append(np.shape(actions))
+        return exterior_map(actions)
+
+    monkeypatch.setattr(fourier_module, "exterior_map", counted)
+    verify_covariance(bundle)
+    assert shapes == [bundle.actions.shape]
 
 
 def test_scaled_rho_block_breaks_the_fourier_identity():

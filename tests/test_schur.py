@@ -108,7 +108,8 @@ def test_gram_space_accepts_a_symbol_symmetric_within_tol():
     with pytest.raises(ShapeError):
         build_gram_space(SchurSymbol(t))
     space = build_gram_space(SchurSymbol(t), tol=1e-6)
-    np.testing.assert_allclose(space.gram(), np.tril(t) + np.tril(t, -1).T, atol=1e-14)
+    # the symmetric part, which certify_symbol measures, not one triangle
+    np.testing.assert_allclose(space.gram(), t / 2 + t.T / 2, rtol=0, atol=1e-14)
 
 
 def test_gram_space_standard_and_validation():
