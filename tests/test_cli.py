@@ -332,13 +332,17 @@ def test_large_window_skips_oversized_fock_checks():
                      "window space rank 13 exceeds fermion cap 12"]
 
 
+def _seeded_contraction(m):
+    """A symmetric m x m matrix of norm 0.9 drawn from rng(m)."""
+    a = rng(m).standard_normal((m, m))
+    a = (a + a.T) / 2
+    return (0.9 * a / np.abs(np.linalg.eigvalsh(a)).max()).tolist()
+
+
 # (m, window) with window rank m (2 window + 1) from 9 to the cap 12
 @pytest.mark.parametrize("m, window", [(3, 1), (2, 2), (1, 5), (4, 1)])
 def test_window_ranks_up_to_the_fermion_cap_report_rota_rows(m, window):
-    a = rng(m).standard_normal((m, m))
-    a = (a + a.T) / 2
-    payload = {"matrix": (0.9 * a / np.abs(np.linalg.eigvalsh(a)).max()).tolist(),
-               "window": window}
+    payload = {"matrix": _seeded_contraction(m), "window": window}
     code, report = run_in_process("secondquant", payload, "--steps", "2")
     assert code == 0
     rows = [c["name"] for c in report["checks"] if c["name"].startswith("rota_secondquant")]
@@ -877,7 +881,8 @@ def test_fourier_stdout_matches_golden(key):
     assert out == _golden(f"fourier-{key}.json")
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 4])
+# window 5 has window rank 11
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
 def test_secondquant_fixture_stdout_matches_golden(window):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -892,6 +897,14 @@ def test_secondquant_2x2_stdout_matches_golden():
     code, out, err = run_main("secondquant", payload, "--steps", "1")
     assert code == 0, err
     assert out == _golden("secondquant-2x2-window1-steps1.json")
+
+
+def test_secondquant_4x4_stdout_matches_golden():
+    # window rank 12, the fermion cap
+    payload = {"matrix": _seeded_contraction(4), "window": 1}
+    code, out, err = run_main("secondquant", payload, "--steps", "1")
+    assert code == 0, err
+    assert out == _golden("secondquant-4x4-window1-steps1.json")
 
 
 # ---------------------------------------------------------------------------
