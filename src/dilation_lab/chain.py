@@ -455,21 +455,6 @@ def halmos_block(t: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.block([[t, d], [d, -t]])
 
 
-def _check_symmetric_contraction(t: np.ndarray, tol: float) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
-        raise ShapeError("contraction must be a square real matrix")
-    if not np.all(np.isfinite(t)):
-        raise PreconditionError("contraction entries must be finite")
-    if max_abs(t - t.T) > tol:
-        raise PreconditionError("contraction must be symmetric")
-    # halved before the sum, so no finite entry overflows into a NaN norm
-    symmetric = t / 2 + t.T / 2
-    if not np.max(np.abs(np.linalg.eigvalsh(symmetric))) <= 1.0 + tol:
-        raise PreconditionError("matrix norm exceeds 1; not a contraction")
-    return symmetric
-
-
 def build_schaffer(t: np.ndarray, window: int,
                    tol: float = config.TOL_NUM) -> SchafferDilation:
     """Cyclic-window unitary with P U^k restricted to slot 0 equal to T^k.
@@ -480,7 +465,17 @@ def build_schaffer(t: np.ndarray, window: int,
     started in slot 0 needs 2W steps before wrapping back into slot -1, so
     the dilation identity is exact for k <= 2W.
     """
-    t = _check_symmetric_contraction(t, tol)
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
+        raise ShapeError("contraction must be a square real matrix")
+    if not np.all(np.isfinite(t)):
+        raise PreconditionError("contraction entries must be finite")
+    if max_abs(t - t.T) > tol:
+        raise PreconditionError("contraction must be symmetric")
+    # halved before the sum, so no finite entry overflows into a NaN norm
+    t = t / 2 + t.T / 2
+    if not np.max(np.abs(np.linalg.eigvalsh(t))) <= 1.0 + tol:
+        raise PreconditionError("matrix norm exceeds 1; not a contraction")
     if window < 1:
         raise PreconditionError("window must be >= 1")
     m = t.shape[0]
@@ -531,33 +526,38 @@ def verify_ppnp(dil: SchafferDilation, n: int, length: int | None = None) -> flo
     return frobenius(compressed - np.linalg.matrix_power(dil.contraction, 2 * n))
 
 
-def verify_rota_secondquant(t: np.ndarray, window: int, n: int) -> float:
-    """Second-quantized form of the Rota identity through the shifted dilation.
+def verify_rota_secondquant(dil: SchafferDilation, steps: int) -> list[float]:
+    """Second-quantized form of the Rota identity through the shifted
+    dilation, the residuals of levels n = 1..steps.
 
     With Ehat, E_n the second quantizations of the projections P, P_n and J
     the Fock inclusion of the base space into the window space, compares
     Ehat(E_n(J(x))) against J(Gamma(T)^(2n) x) over the field monomials x.
     On field polynomials Gamma(s) is the exterior map of s on vacuum vectors,
     and a -> a Omega is isometric in max-abs, so both sides act on the
-    identity stack of coefficients.  Gamma(T) is applied 2n times, so
-    functoriality is checked rather than assumed.
+    identity stack of coefficients.  The inclusion E of slot 0 keeps the mode
+    order and E E^T is the coordinate projection onto slot 0, so
+    Lambda(E E^T) Lambda(P_n) Lambda(E) is exactly Lambda(P_n E) with the rows
+    outside slot 0's wedge vectors set to zero.  Level n applies Gamma(T) 2n
+    times, so functoriality is checked rather than assumed.
     """
-    t = _check_symmetric_contraction(t, config.TOL_NUM)
-    m = t.shape[0]
+    m, window = dil.base_dim, dil.window
     total = m * (2 * window + 1)
     if total > config.FERMION_RANK_CAP:
         raise SizeError(f"window space rank {total} exceeds fermion cap {config.FERMION_RANK_CAP}")
-    if n < 0 or 2 * n > 2 * window:
-        raise PreconditionError("need 0 <= n <= window")
-    dil = build_schaffer(t, window)
+    if not 0 <= steps <= window:
+        raise PreconditionError("need 0 <= steps <= window")
     include = exterior_map(dil.embed)
-    p_n = _span_projection(dil, n, 2 * window - n)
-    lhs = exterior_map(dil.embed @ dil.embed.T) @ (exterior_map(p_n) @ include)
-    gamma_t = exterior_map(t)
+    outside = ~include.any(axis=1)
+    gamma_t = exterior_map(dil.contraction)
     rhs = np.eye(1 << m)
-    for _ in range(2 * n):
-        rhs = gamma_t @ rhs
-    return max_abs(lhs - include @ rhs)
+    residuals = []
+    for n in range(1, steps + 1):
+        rhs = gamma_t @ (gamma_t @ rhs)
+        lhs = exterior_map(_span_projection(dil, n, 2 * window - n) @ dil.embed)
+        lhs[outside] = 0.0
+        residuals.append(max_abs(lhs - include @ rhs))
+    return residuals
 
 
 def _vacuum_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -568,16 +568,15 @@ def _vacuum_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.T @ (_reversal_sign(popcount)[:, None] * b)
 
 
-def verify_gamma_factorization(t: np.ndarray) -> float:
+def verify_gamma_factorization(dil: SchafferDilation) -> float:
     """Residual of tau(Gamma(T)(x) y) = tau~(pi(x) rho(y)) over field monomials,
     with pi the Fock inclusion into the doubled space and rho = Gamma(U*) o pi
-    for the one-step symmetry dilation U, each an exterior map on coefficients."""
-    t = _check_symmetric_contraction(t, config.TOL_NUM)
-    m = t.shape[0]
+    for the one-step symmetry dilation U of the dilation's T and D, each an
+    exterior map on coefficients."""
+    t, m = dil.contraction, dil.base_dim
     if m > 2:
         raise SizeError("doubled factorization check limited to base dim <= 2")
-    d = hermitian_sqrt(np.eye(m) - t @ t).real
-    u = halmos_block(t, d)
+    u = halmos_block(t, dil.defect)
     pi = exterior_map(np.vstack([np.eye(m), np.zeros((m, m))]))
     rho = exterior_map(u.T) @ pi
     lhs = _vacuum_pairing(exterior_map(t), np.eye(1 << m))

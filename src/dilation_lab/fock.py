@@ -23,10 +23,11 @@ Conventions
   polynomials it is Lambda(T) on vacuum columns, which is how the chain
   module applies it.
 * second_quantize gives Gamma(T) on the whole matrix algebra: Majorana
-  coefficients from a MajoranaFrame (built per call), the doubled lift as
-  Lambda(T) C Lambda(T)^T, and resynthesis, O(8^r) per matrix, applied to
-  the 4^r matrix units for the 4^r_out x 4^r_in superoperator, returned as a
-  MarkovMap for composition, Choi matrices and the Markov certificates.
+  coefficients from a MajoranaFrame (built per call, one for both sides
+  when their ranks agree), the doubled lift as Lambda(T) C Lambda(T)^T,
+  and resynthesis, O(8^r) per matrix, applied to the 4^r matrix units for
+  the 4^r_out x 4^r_in superoperator, returned as a MarkovMap for
+  composition, Choi matrices and the Markov certificates.
 """
 
 from __future__ import annotations
@@ -566,7 +567,8 @@ def second_quantize(rep_in: FermionRep, rep_out: FermionRep, t,
     tt = _checked_contraction(t, rep_in.rank, rep_out.rank, tol)
     n_in = rep_in.dim ** 2
     _require_bytes("second quantization superoperator", rep_out.dim ** 2 * n_in)
-    frame_in, frame_out = majorana_frame(rep_in.rank), majorana_frame(rep_out.rank)
+    frame_in = majorana_frame(rep_in.rank)
+    frame_out = frame_in if rep_out.rank == rep_in.rank else majorana_frame(rep_out.rank)
     lam = exterior_map(tt)
     super_op = np.empty((rep_out.dim ** 2, n_in), dtype=complex)
     # about CHUNK_BYTES per working array of the lift

@@ -249,11 +249,10 @@ def test_criterion_09_second_quantization_suite(capsys):
             choi = choi_matrix(second_quantize(rep, rep, t))
             choi_min = min(choi_min,
                            np.linalg.eigvalsh((choi + dagger(choi)) / 2)[0])
-    gamma_worst = max(verify_gamma_factorization(np.array([[0.5]])),
+    gamma_worst = max(verify_gamma_factorization(build_schaffer(np.array([[0.5]]), 1)),
                       verify_gamma_factorization(
-                          random_symmetric_contraction(gen, 2)))
-    rota_worst = max(verify_rota_secondquant(np.array([[0.5]]), 2, n)
-                     for n in (1, 2))
+                          build_schaffer(random_symmetric_contraction(gen, 2), 1)))
+    rota_worst = max(verify_rota_secondquant(build_schaffer(np.array([[0.5]]), 2), 2))
     ok = (identity_exact and functor_worst <= 1e-9 and choi_min >= -1e-9
           and gamma_worst <= 1e-9 and rota_worst <= 1e-9)
     _report(capsys, 9, "second quantization is an exact Markov functor", ok,

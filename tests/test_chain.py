@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilation_lab import chain as chain_module
+from dilation_lab import cli
 from dilation_lab import fock as fock_module
 from dilation_lab import (DiagonalState, FermionRep, PreconditionError, SchurSymbol,
                           ShapeError, SizeError, build_beta, build_chain,
@@ -452,19 +455,20 @@ def test_projection_sandwich_recovers_even_powers():
 
 def test_second_quantized_rota():
     for n in (1, 2):
-        assert verify_rota_secondquant(np.array([[0.5]]), window=2, n=n) < 1e-9
+        assert verify_rota_secondquant(build_schaffer(np.array([[0.5]]), 2), n)[n - 1] < 1e-9
     with pytest.raises(PreconditionError):
-        verify_rota_secondquant(np.array([[0.5]]), window=2, n=3)
+        verify_rota_secondquant(build_schaffer(np.array([[0.5]]), 2), 3)
     with pytest.raises(SizeError, match="window space rank 13 exceeds fermion cap 12"):
-        verify_rota_secondquant(np.array([[0.5]]), window=6, n=1)
+        verify_rota_secondquant(build_schaffer(np.array([[0.5]]), 6), 1)
 
 
 def test_gamma_factorization_small_matrices():
-    assert verify_gamma_factorization(np.array([[0.5]])) < 1e-12
+    assert verify_gamma_factorization(build_schaffer(np.array([[0.5]]), 1)) < 1e-12
     gen = rng(3)
-    assert verify_gamma_factorization(random_symmetric_contraction(gen, 2)) < 1e-11
+    assert verify_gamma_factorization(
+        build_schaffer(random_symmetric_contraction(gen, 2), 1)) < 1e-11
     with pytest.raises(SizeError):
-        verify_gamma_factorization(random_symmetric_contraction(gen, 3))
+        verify_gamma_factorization(build_schaffer(random_symmetric_contraction(gen, 3), 1))
 
 
 def test_secondquant_verifiers_form_no_superoperator(monkeypatch):
@@ -478,9 +482,74 @@ def test_secondquant_verifiers_form_no_superoperator(monkeypatch):
     monkeypatch.setattr(fock_module, "second_quantize", counted)
     monkeypatch.setattr(chain_module, "second_quantize", counted, raising=False)
     t = random_symmetric_contraction(rng(4), 2)
-    assert verify_rota_secondquant(t, window=1, n=1) < 1e-9
-    assert verify_gamma_factorization(t) < 1e-12
+    dil = build_schaffer(t, window=1)
+    assert max(verify_rota_secondquant(dil, 1)) < 1e-9
+    assert verify_gamma_factorization(dil) < 1e-12
     assert calls == []
+
+
+def _rota_secondquant_reference(dil, n):
+    """The dense form of level n: Lambda(E E^T) Lambda(P_n) Lambda(E) against
+    Lambda(E) Gamma(T)^(2n), with 2^R-square exterior maps of the window."""
+    include = fock_module.exterior_map(dil.embed)
+    p_n = chain_module._span_projection(dil, n, 2 * dil.window - n)
+    lhs = (fock_module.exterior_map(dil.embed @ dil.embed.T)
+           @ (fock_module.exterior_map(p_n) @ include))
+    gamma_t = fock_module.exterior_map(dil.contraction)
+    rhs = np.eye(1 << dil.base_dim)
+    for _ in range(2 * n):
+        rhs = gamma_t @ rhs
+    return max_abs(lhs - include @ rhs)
+
+
+def _assert_rota_secondquant_is_the_dense_form(t, window):
+    dil = build_schaffer(t, window)
+    assert verify_rota_secondquant(dil, window) == [
+        _rota_secondquant_reference(dil, n) for n in range(1, window + 1)]
+
+
+# (m, window) with window rank at most the fermion cap
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]), st.integers(0, 2 ** 32 - 1))
+def test_rota_secondquant_is_the_dense_form(shape, seed):
+    m, window = shape
+    _assert_rota_secondquant_is_the_dense_form(
+        random_symmetric_contraction(rng(seed), m), window)
+
+
+# the defect D = sqrt(1 - T^2) is singular: 0 for T = +-1, everywhere for
+# T = +-I, on one mode for diag(1, 0.3); T = 0 makes U a pure shift
+@pytest.mark.parametrize("t", [np.eye(2), -np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.3]),
+                               np.array([[1.0]]), np.array([[-1.0]])])
+@pytest.mark.parametrize("window", [1, 2])
+def test_rota_secondquant_is_the_dense_form_for_singular_defects(t, window):
+    _assert_rota_secondquant_is_the_dense_form(t, window)
+
+
+def test_secondquant_run_builds_one_dilation_and_one_lift_of_t(monkeypatch):
+    built, lifted = [], []
+    original_schaffer, original_lift = chain_module.build_schaffer, chain_module.exterior_map
+
+    def schaffer(*args, **kwargs):
+        built.append(original_schaffer(*args, **kwargs))
+        return built[-1]
+
+    def lift(t):
+        lifted.append(np.array(t))
+        return original_lift(t)
+
+    for module in (chain_module, cli):
+        monkeypatch.setattr(module, "build_schaffer", schaffer)
+    monkeypatch.setattr(chain_module, "exterior_map", lift)
+    for steps in (1, 2):
+        built.clear()
+        lifted.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["secondquant", "--window", "2", "--steps", str(steps)]) == 0
+        assert len(built) == 1
+        t = built[0].contraction
+        # one for the gamma_factorization row, one for every Rota level
+        assert sum(a.shape == t.shape and np.array_equal(a, t) for a in lifted) == 2
 
 
 def test_rota_secondquant_applies_gamma_t_once_per_step(monkeypatch):
@@ -503,7 +572,7 @@ def test_rota_secondquant_applies_gamma_t_once_per_step(monkeypatch):
 
     monkeypatch.setattr(chain_module, "exterior_map", spy)
     t = np.array([[0.5]])
-    assert verify_rota_secondquant(t, window=2, n=2) < 1e-9
+    assert max(verify_rota_secondquant(build_schaffer(t, window=2), 2)) < 1e-9
     base = [a for a in built if a.shape == t.shape]
     assert len(base) == 1
     assert np.array_equal(base[0], t)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -905,6 +906,33 @@ def test_secondquant_4x4_stdout_matches_golden():
     code, out, err = run_main("secondquant", payload, "--steps", "1")
     assert code == 0, err
     assert out == _golden("secondquant-4x4-window1-steps1.json")
+
+
+def test_rank_12_secondquant_peak_memory_is_bounded():
+    # the Rota rows lift P_n E, 2^12 x 2^4, and no 2^12-square map
+    payload = {"matrix": _seeded_contraction(4), "window": 1}
+    tracemalloc.start()
+    try:
+        code, _, err = run_main("secondquant", payload, "--steps", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak <= 32 * 2 ** 20
+
+
+REPORT_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                                 5e-324, 2.2250738585072014e-308, 1e-310, 1e308]) | st.floats()
+REPORT_ROWS = st.builds(lambda name, residual, tol, ok: {"name": name, "residual": residual,
+                                                          "tol": tol, "pass": ok},
+                        st.text(), REPORT_FLOATS, REPORT_FLOATS, st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(REPORT_ROWS, max_size=40), st.booleans(), st.integers(0, 2 ** 63 - 1))
+def test_report_text_is_json_dumps_with_indent_2(rows, ok, seed):
+    report = {"checks": rows, "pass": ok, "seed": seed}
+    assert cli._report_text(report) == json.dumps(report, indent=2)
 
 
 # ---------------------------------------------------------------------------
