@@ -28,8 +28,15 @@ disjoint XOR diagonals: K = (S_1..S_s) flips the concatenated bits K with
 phase prod_l phase[S_l, r_l].  Projecting onto E^(x)s reads each diagonal
 once, c_K = sum_R phase_K[R] y[R ^ K, R] / leg^s, and writes
 phase_K[R] c_K back onto it: one gather, one weighted sum and one scatter
-for all legs together.  The Markov and Rota rows form no matrix product at
-all: they keep to einsum and indexing, because a multithreaded GEMM leaves
+for all legs together.
+
+The shift row forms no block at all.  beta^p of a source unit B is
+A_ij (x) B in block (i, j), with A = (w_i w_j)^(x)p, and the diagonals of
+A (x) B on p + s legs are the outer product of the diagonals of A on p legs
+and of B on s legs.  A is exactly zero off its diagonals, and so is every
+projection, so comparing the two sides there gives the max-abs over whole
+blocks to the bit.  The Markov and Rota rows form no matrix product at all:
+they keep to einsum and indexing, because a multithreaded GEMM leaves
 OpenBLAS workers spinning for about 0.1 s of CPU after it returns, which on
 two cores slows whatever runs next.  Where both sides of a row have the
 form X (x) 1 on the legs a past expectation traces out, the row compares
@@ -130,13 +137,14 @@ def _planned_bytes(n: int, leg: int, depth: int) -> int:
     """Cost bound that decides whether a rota run over this chain is admitted.
 
     Its terms are the sizes of arrays that the Markov rows once built: the
-    shift check's source matrix units (one leg shallower), and the generator
-    stack and basis of a numerical closure of the chain algebras.  Neither is
-    built now: the rows work on single blocks, the shift check lifts only the
-    source units whose traced legs agree, and batched work is cut into chunks
-    of config.CHUNK_BYTES.  The terms stand as a bound on run time, which
-    grows with them: without the closure terms, shapes such as 4x4 rank 4
-    depth 2 would be admitted, and their shift check runs for minutes."""
+    shift check's source matrix units (one leg shallower), (dim // leg)^4
+    entries, and the generator stack and basis of a numerical closure of the
+    chain algebras.  The code forms none of them now: the rows work on single
+    blocks, the shift check reads only the even diagonals of its source
+    units' lifts, and batched work is cut into chunks of config.CHUNK_BYTES.
+    The terms stand as a bound on run time, which grew with them while the
+    shift check lifted whole blocks: without the closure terms, shapes such
+    as 4x4 rank 4 depth 2 would be admitted (README, Costs)."""
     dim = n * leg ** depth
     seed = 2 * (depth + 1) * n * n + 1
     closure = n * n * min(2 ** (n - 1), leg * leg // 2) ** depth
@@ -273,25 +281,33 @@ def build_beta(chain: ChainSpace, x: np.ndarray) -> np.ndarray:
     return _from_blocks(_beta_blocks(chain, _to_blocks(x, n), 1))
 
 
+def _even_part(phase: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """Projection onto E on each of s legs, read on its XOR diagonals: from
+    the gathered y[R ^ K, R] of a stack, shape (..., count, leg^s), and the
+    phases of ChainSpace.even_basis[s], the projection's entries at the same
+    places, phase[K, R] c_K with c_K = sum_R phase[K, R] y[R ^ K, R] / leg^s
+    (the phases are real)."""
+    coeffs = np.einsum("...kr,kr->...k", diagonals, phase)
+    coeffs /= phase.shape[-1]
+    return coeffs[..., None] * phase
+
+
 def _project_even(monomials: tuple[np.ndarray, np.ndarray], y: np.ndarray) -> np.ndarray:
     """Projection onto E on each of the s legs of a stack y of shape
     (..., leg^s, leg^s), with monomials = ChainSpace.even_basis[s].
 
     The even tensor monomials K are trace-orthogonal signed permutations on
     disjoint XOR diagonals, so the projection reads y only on them: one
-    gather of y[R ^ K, R], the coefficients c_K = sum_R phase[K, R]
-    y[R ^ K, R] / leg^s (the phases are real), and one scatter of
-    phase[K, R] c_K; every other entry is zero.  No leg^2 x leg^2 projector
-    and no matrix product is formed, so no BLAS call is made."""
+    gather of y[R ^ K, R], the coefficients of _even_part and one scatter;
+    every other entry is zero.  No leg^2 x leg^2 projector and no matrix
+    product is formed, so no BLAS call is made."""
     side = y.shape[-1]
     if side == 1:
         return y  # E^(x)0 is the scalars
     index, phase = monomials
     flat = y.reshape(*y.shape[:-2], side * side)
-    coeffs = np.einsum("...kr,kr->...k", flat[..., index], phase)
-    coeffs /= side
     out = np.zeros_like(flat)
-    out[..., index] = coeffs[..., None] * phase
+    out[..., index] = _even_part(phase, flat[..., index])
     return out.reshape(y.shape)
 
 
@@ -303,11 +319,14 @@ def _past_blocks(chain: ChainSpace, n: int, blocks: np.ndarray) -> np.ndarray:
     It traces out legs n+1.. and projects legs 1..n onto E, the same on every
     block, so it takes any stack of blocks, and the depth is read from their
     side: the same call serves every chain over this leg, down to the depth-0
-    chain of the shift check, on which it is the identity."""
+    chain, on which it is the identity.  With no leg to trace out it skips
+    the trace."""
     lower = chain.leg_dim ** n
     upper = blocks.shape[-1] // lower
-    legs = blocks.reshape(*blocks.shape[:-2], lower, upper, lower, upper)
-    return _project_even(chain.even_basis[n], np.einsum("...arbr->...ab", legs) / upper)
+    if upper > 1:
+        legs = blocks.reshape(*blocks.shape[:-2], lower, upper, lower, upper)
+        blocks = np.einsum("...arbr->...ab", legs) / upper
+    return _project_even(chain.even_basis[n], blocks)
 
 
 def _future_blocks(chain: ChainSpace, n: int, powers: np.ndarray,
@@ -360,14 +379,15 @@ def verify_embedding(chain: ChainSpace, q: int) -> dict[str, float]:
             "state_preserving": state}
 
 
-def _traced_units(kept: int, traced: int, start: int, stop: int) -> np.ndarray:
-    """Matrix units e_{(a, r), (b, r)} of M_kept (x) M_traced, numbers start
-    to stop - 1 in (a, b, r) order: the units whose traced factors agree."""
-    a, b, r = np.unravel_index(np.arange(start, stop), (kept, kept, traced))
-    side = kept * traced
-    units = np.zeros((stop - start, side, side), dtype=complex)
-    units[np.arange(stop - start), a * traced + r, b * traced + r] = 1
-    return units
+def _diagonal_outer(lifts: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Diagonals of A_ij (x) B_u in ChainSpace.even_basis[p + s] order, from
+    those of the lifts A on p legs, shape (input, input, count_p, leg^p), and
+    of the units B on s legs, shape (units, count_s, leg^s): the monomial
+    (K, L) and the row (R, S) of the product, B's legs in the low bits, give
+    (u, i, j, K count_s + L, R leg^s + S)."""
+    out = np.einsum("ijkr,uls->uijklrs", lifts, units)
+    return out.reshape(*out.shape[:3], lifts.shape[-2] * units.shape[-2],
+                       lifts.shape[-1] * units.shape[-1])
 
 
 def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float]:
@@ -380,11 +400,22 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
     checked on matrix-unit bases; the shift residual is 0 by construction
     when q = n.  J_q(e_ij) sits in block (i, j), and so does beta^p(x) for x
     in block (i, j); both expectations act block by block, so every row works
-    on single blocks.  A source unit whose legs n+1..depth-p differ maps to
-    exact zero on both sides of the shift identity, so only the units whose
-    traced legs agree are lifted.  Both sides of the past and the shift
-    identities are X (x) 1 on the legs the past traces out, and those rows
-    compare the two X.
+    on single blocks.  Both sides of the past identity are X (x) 1 on the
+    legs the past traces out, and the row compares the two X.
+
+    The shift row reads only the even XOR diagonals of ChainSpace.even_basis
+    and forms no lifted block.  A source unit e_ab (x) e_rs of the smaller
+    chain, with r, s on the legs n+1..depth-p that E_{q]} traces out, maps to
+    exact zero on both sides unless r = s, and to A_ij (x) e_ab / traced in
+    block (i, j) when r = s, for every r alike: A = (w_i w_j)^(x)p is beta^p
+    of the depth-0 unit.  It is exact zero again unless a ^ b is an even
+    flip, so the units that remain are the positions of even_basis[n], each
+    a single entry on the diagonals.  The diagonals of A (x) B are the outer
+    product of those of A and B, in even_basis[q] order, and the two sides
+    are the projection of that product and the product with the projected
+    B.  Off the diagonals both sides are exact zeros, so the max-abs over
+    the diagonals is the one over whole blocks.  The units are taken
+    config.CHUNK_BYTES of diagonal arrays at a time.
     """
     if not 0 <= n <= q <= chain.depth:
         raise PreconditionError("need 0 <= n <= q <= depth")
@@ -398,16 +429,23 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
     power = q - n
     shift = 0.0
     if power > 0:
-        src_depth = chain.depth - power
-        kept, traced = chain.leg_dim ** n, chain.leg_dim ** (src_depth - n)
-        count = kept * kept * traced
-        # each source unit is lifted into all input^2 blocks at once, and the
-        # past at level q holds about 4 such lifted stacks at the same time
-        chunk = max(1, config.CHUNK_BYTES // (4 * _ENTRY_BYTES * chain.ambient_dim ** 2))
+        # block (i, j) of beta^p(e_ab (x) e_rr) is A_ij (x) e_ab (x) e_rr, with
+        # A = beta^p of the depth-0 unit; E_{q]} traces e_rr to 1 / traced
+        lifts = _beta_blocks(chain, np.ones((1, 1, 1, 1), dtype=complex), power)
+        lifts = lifts.reshape(*lifts.shape[:2], -1)[..., chain.even_basis[power][0]]
+        traced = chain.leg_dim ** (chain.depth - q)
+        index, phase = chain.even_basis[n]
+        count = index.size
+        # lhs, rhs, their difference and its modulus take about four
+        # arrays of the chunk's diagonal size
+        chunk = max(1, config.CHUNK_BYTES // (4 * _ENTRY_BYTES * lifts.size * count))
         for start in range(0, count, chunk):
-            units = _traced_units(kept, traced, start, min(start + chunk, count))[:, None, None]
-            lhs = _past_blocks(chain, q, _beta_blocks(chain, units, power))
-            rhs = _beta_blocks(chain, _past_blocks(chain, n, units), power)
+            stop = min(start + chunk, count)
+            units = np.zeros((stop - start, count), dtype=complex)
+            units[np.arange(stop - start), np.arange(start, stop)] = 1 / traced
+            units = units.reshape(-1, *index.shape)
+            lhs = _even_part(chain.even_basis[q][1], _diagonal_outer(lifts, units))
+            rhs = _diagonal_outer(lifts, _even_part(phase, units))
             shift = max(shift, max_abs(lhs - rhs))
     return {"past": past, "future": future, "shift": shift}
 

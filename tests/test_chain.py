@@ -202,17 +202,18 @@ def test_markov_rows_match_dense_reference(n, rank, depth):
 
 
 def test_markov_rows_match_dense_reference_off_the_identity(monkeypatch):
-    # a projection that misses E by an entry-dependent 1e-3 makes the shift
-    # rows nonzero, so the comparison sees the lifted units; it still maps
-    # zero to zero, so the skipped units stay exact zeros
-    original = chain_module._project_even
+    # a projection that misses E by a monomial-dependent 1e-3 makes the shift
+    # rows nonzero, so the comparison sees the lifted units.  The skew sits
+    # in the step that both the dense projection and the shift check's
+    # diagonals go through; it still maps zero to zero, so the skipped units
+    # stay exact zeros
+    original = chain_module._even_part
 
-    def skewed(monomials, y):
-        out = original(monomials, y)
-        side = out.shape[-1]
-        return out * (1 + 1e-3 * np.arange(side * side).reshape(side, side) / side ** 2)
+    def skewed(phase, diagonals):
+        count = phase.shape[0]
+        return original(phase, diagonals) * (1 + 1e-3 * np.arange(count)[:, None] / count)
 
-    monkeypatch.setattr(chain_module, "_project_even", skewed)
+    monkeypatch.setattr(chain_module, "_even_part", skewed)
     for chain in (_chain(2), _gram_chain(rng(9500), 3, 2, 2)):
         for lo in range(3):
             for hi in range(lo + 1, 3):
@@ -305,10 +306,83 @@ def test_even_projection_is_an_idempotent_trace_preserving_bimodule_map(rank, sl
     assert max_abs(_kernel(rank, slots, a @ y @ b) - a @ projected @ b) <= 1e-13
 
 
+def _traced_units(kept, traced, start, stop):
+    """Matrix units e_{(a, r), (b, r)} of M_kept (x) M_traced, numbers start
+    to stop - 1 in (a, b, r) order: the units whose traced factors agree."""
+    a, b, r = np.unravel_index(np.arange(start, stop), (kept, kept, traced))
+    side = kept * traced
+    units = np.zeros((stop - start, side, side), dtype=complex)
+    units[np.arange(stop - start), a * traced + r, b * traced + r] = 1
+    return units
+
+
+def _lifted_shift(chain, n, q):
+    """Reference for the shift row on whole blocks: every source unit whose
+    traced legs agree is lifted by beta^(q-n) into tail x tail blocks, and
+    both pasts act on the whole lifted stacks, a chunk of units at a time."""
+    power = q - n
+    src_depth = chain.depth - power
+    kept, traced = chain.leg_dim ** n, chain.leg_dim ** (src_depth - n)
+    count = kept * kept * traced
+    # the past at level q holds about four lifted stacks of 16-byte entries
+    chunk = max(1, chain_module.config.CHUNK_BYTES // (4 * 16 * chain.ambient_dim ** 2))
+    shift = 0.0
+    for start in range(0, count, chunk):
+        units = _traced_units(kept, traced, start, min(start + chunk, count))[:, None, None]
+        lhs = chain_module._past_blocks(chain, q, chain_module._beta_blocks(chain, units, power))
+        rhs = chain_module._beta_blocks(chain, chain_module._past_blocks(chain, n, units), power)
+        shift = max(shift, max_abs(lhs - rhs))
+    return shift
+
+
+# (n, rank, depth) of the Gram chains at ranks and depths 1-3 that
+# build_chain admits
+GRAM_SHAPES = [(n, rank, depth) for rank in (1, 2, 3) for depth in (1, 2, 3)
+               for n in range(rank, 4)
+               if chain_module._planned_bytes(n, 2 ** rank, depth) <= chain_module.config.BYTE_CAP]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GRAM_SHAPES), st.integers(0, 2 ** 32 - 1))
+def test_shift_row_is_the_lifted_reference(shape, seed):
+    chain = _gram_chain(rng(seed), *shape)
+    pairs = [(n, q) for q in range(1, chain.depth + 1) for n in range(q)]
+    expected = [_lifted_shift(chain, n, q) for n, q in pairs]
+    assert [verify_markov_property(chain, n, q)["shift"] for n, q in pairs] == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module.config, "CHUNK_BYTES", 1)
+        assert [verify_markov_property(chain, n, q)["shift"] for n, q in pairs] == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(GRAM_SHAPES), st.integers(0, 2 ** 32 - 1))
+def test_pairs_and_even_projections_vanish_off_the_even_diagonals(shape, seed):
+    # the shift row compares its two sides on the even diagonals only, which
+    # gives the max over whole blocks because both sides are exact zeros off
+    # them: the lifts (w_i w_j)^(x)p and every projection onto E^(x)s
+    gen = rng(seed)
+    chain = _gram_chain(gen, *shape)
+
+    def vanishes(stack, s):
+        off = np.ones(chain.leg_dim ** (2 * s), dtype=bool)
+        off[chain.even_basis[s][0]] = False
+        return np.all(stack.reshape(*stack.shape[:-2], -1)[..., off] == 0)
+
+    assert vanishes(chain.pairs, 1)
+    powers = chain_module._pair_powers(chain, chain.depth)
+    lifts = np.ones((1, 1, 1, 1), dtype=complex)
+    for s in range(1, chain.depth + 1):
+        lifts = chain_module._beta_blocks(chain, lifts, 1)
+        assert vanishes(powers[s], s) and vanishes(lifts, s)
+        projected = chain_module._project_even(chain.even_basis[s],
+                                               random_complex(gen, chain.leg_dim ** s))
+        assert vanishes(projected, s)
+
+
 def test_traced_units_are_the_units_with_agreeing_traced_legs():
     kept, traced = 3, 4
     side = kept * traced
-    units = chain_module._traced_units(kept, traced, 0, kept * kept * traced)
+    units = _traced_units(kept, traced, 0, kept * kept * traced)
     agree = np.eye(traced, dtype=bool)[None, :, None, :]
     expected = matrix_units(side)[np.broadcast_to(agree, (kept, traced, kept, traced)).ravel()]
     assert units.shape == expected.shape
@@ -317,7 +391,7 @@ def test_traced_units_are_the_units_with_agreeing_traced_legs():
         return sorted(np.flatnonzero(stack.reshape(len(stack), -1)) % (side * side))
 
     assert positions(units) == positions(expected)
-    assert np.array_equal(chain_module._traced_units(kept, traced, 5, 9), units[5:9])
+    assert np.array_equal(_traced_units(kept, traced, 5, 9), units[5:9])
 
 
 def test_shift_check_is_the_same_in_small_chunks(monkeypatch):
