@@ -40,7 +40,7 @@ they keep to einsum and indexing, because a multithreaded GEMM leaves
 OpenBLAS workers spinning for about 0.1 s of CPU after it returns, which on
 two cores slows whatever runs next.  Where both sides of a row have the
 form X (x) 1 on the legs a past expectation traces out, the row compares
-the two X before the identity is formed; the max-abs is the same to the bit.
+the two X (J_q(e_ij) is still formed with them), the same max-abs to the bit.
 
 All identities are local in the chain, so truncation at depth N is exact for
 indices <= N.  The same module carries the shifted unitary dilation of a
@@ -390,8 +390,8 @@ def _diagonal_outer(lifts: np.ndarray, units: np.ndarray) -> np.ndarray:
                        lifts.shape[-1] * units.shape[-1])
 
 
-def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float]:
-    """Residuals of the three chain identities at levels (n, q), n <= q:
+def verify_markov_property(chain: ChainSpace) -> dict[tuple[int, int], dict[str, float]]:
+    """Residuals of the three chain identities for every n <= q, keyed (n, q), n-major:
 
       past:   E_{n]}(J_q(x)) = J_n(T^(q-n) x)   entrywise symbol power
       future: E_{[n}(J_0(x)) = J_n(T^n x)
@@ -400,8 +400,10 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
     checked on matrix-unit bases; the shift residual is 0 by construction
     when q = n.  J_q(e_ij) sits in block (i, j), and so does beta^p(x) for x
     in block (i, j); both expectations act block by block, so every row works
-    on single blocks.  Both sides of the past identity are X (x) 1 on the
-    legs the past traces out, and the row compares the two X.
+    on single blocks.  The pair powers, each J_q stack (q ascending, only J_0
+    and the current one held), each future row and each shift lift are built
+    once.  Both sides of the past identity are X (x) 1 on the legs the past
+    traces out, and the row compares the two X.
 
     The shift row reads only the even XOR diagonals of ChainSpace.even_basis
     and forms no lifted block.  A source unit e_ab (x) e_rs of the smaller
@@ -417,37 +419,45 @@ def verify_markov_property(chain: ChainSpace, n: int, q: int) -> dict[str, float
     the diagonals is the one over whole blocks.  The units are taken
     config.CHUNK_BYTES of diagonal arrays at a time.
     """
-    if not 0 <= n <= q <= chain.depth:
-        raise PreconditionError("need 0 <= n <= q <= depth")
-    powers = _pair_powers(chain, q)
-    t_step = (chain.symbol.matrix ** (q - n))[:, :, None, None]
-    t_level = (chain.symbol.matrix ** n)[:, :, None, None]
-    past = max_abs(_past_blocks(chain, n, _embed_blocks(chain, powers[q])) - t_step * powers[n])
-    future = max_abs(_future_blocks(chain, n, powers[n], _embed_blocks(chain, powers[0]))
-                     - t_level * _embed_blocks(chain, powers[n]))
+    powers = _pair_powers(chain, chain.depth)
+    t_pow = [(chain.symbol.matrix ** k)[:, :, None, None] for k in range(chain.depth + 1)]
+    j_0, futures, pasts = _embed_blocks(chain, powers[0]), [], {}
+    for q in range(chain.depth + 1):
+        j_q = _embed_blocks(chain, powers[q]) if q else j_0
+        futures.append(max_abs(_future_blocks(chain, q, powers[q], j_0) - t_pow[q] * j_q))
+        for n in range(q + 1):
+            pasts[n, q] = max_abs(_past_blocks(chain, n, j_q) - t_pow[q - n] * powers[n])
+        del j_q
+    del j_0, powers
+    # block (i, j) of beta^p(e_ab (x) e_rr) is A_ij (x) e_ab (x) e_rr, with
+    # A = beta^p of the depth-0 unit: keep the even diagonals of each A
+    lift, lifts = np.ones((1, 1, 1, 1), dtype=complex), [None]
+    for p in range(1, chain.depth + 1):
+        lift = _beta_blocks(chain, lift, 1)
+        lifts.append(lift.reshape(*lift.shape[:2], -1)[..., chain.even_basis[p][0]])
+    del lift
+    return {(n, q): {"past": pasts[n, q], "future": futures[n],
+                     "shift": _shift_residual(chain, lifts[q - n], n, q) if n < q else 0.0}
+            for n in range(chain.depth + 1) for q in range(n, chain.depth + 1)}
 
-    power = q - n
+
+def _shift_residual(chain: ChainSpace, lifts: np.ndarray, n: int, q: int) -> float:
+    """The shift row at levels n < q from the even diagonals of beta^(q-n)."""
+    traced = chain.leg_dim ** (chain.depth - q)  # E_{q]} traces e_rr to 1 / traced
+    index, phase = chain.even_basis[n]
+    count = index.size
+    # lhs, rhs, their difference and its modulus: about four chunk-sized arrays
+    chunk = max(1, config.CHUNK_BYTES // (4 * _ENTRY_BYTES * lifts.size * count))
     shift = 0.0
-    if power > 0:
-        # block (i, j) of beta^p(e_ab (x) e_rr) is A_ij (x) e_ab (x) e_rr, with
-        # A = beta^p of the depth-0 unit; E_{q]} traces e_rr to 1 / traced
-        lifts = _beta_blocks(chain, np.ones((1, 1, 1, 1), dtype=complex), power)
-        lifts = lifts.reshape(*lifts.shape[:2], -1)[..., chain.even_basis[power][0]]
-        traced = chain.leg_dim ** (chain.depth - q)
-        index, phase = chain.even_basis[n]
-        count = index.size
-        # lhs, rhs, their difference and its modulus take about four
-        # arrays of the chunk's diagonal size
-        chunk = max(1, config.CHUNK_BYTES // (4 * _ENTRY_BYTES * lifts.size * count))
-        for start in range(0, count, chunk):
-            stop = min(start + chunk, count)
-            units = np.zeros((stop - start, count), dtype=complex)
-            units[np.arange(stop - start), np.arange(start, stop)] = 1 / traced
-            units = units.reshape(-1, *index.shape)
-            lhs = _even_part(chain.even_basis[q][1], _diagonal_outer(lifts, units))
-            rhs = _diagonal_outer(lifts, _even_part(phase, units))
-            shift = max(shift, max_abs(lhs - rhs))
-    return {"past": past, "future": future, "shift": shift}
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        units = np.zeros((stop - start, count), dtype=complex)
+        units[np.arange(stop - start), np.arange(start, stop)] = 1 / traced
+        units = units.reshape(-1, *index.shape)
+        lhs = _even_part(chain.even_basis[q][1], _diagonal_outer(lifts, units))
+        rhs = _diagonal_outer(lifts, _even_part(phase, units))
+        shift = max(shift, max_abs(lhs - rhs))
+    return shift
 
 
 def verify_rota(chain: ChainSpace, n: int) -> float:

@@ -194,12 +194,9 @@ def run_rota(args) -> tuple[Checks, int]:
             f"steps {args.steps} must lie in 1..depth ({args.depth})")
     chain = build_chain(symbol, state, args.depth, tol=args.tol)
     checks = Checks()
-    for n in range(args.depth + 1):
-        for q in range(n, args.depth + 1):
-            res = verify_markov_property(chain, n, q)
-            checks.add(f"markov_past_{n}_{q}", res["past"], args.tol)
-            checks.add(f"markov_future_{n}_{q}", res["future"], args.tol)
-            checks.add(f"markov_shift_{n}_{q}", res["shift"], args.tol)
+    for (n, q), res in verify_markov_property(chain).items():
+        for kind in ("past", "future", "shift"):
+            checks.add(f"markov_{kind}_{n}_{q}", res[kind], args.tol)
     checks.add(f"rota_{args.steps}", verify_rota(chain, args.steps), args.tol)
     return checks, 0 if checks.all_pass() else 1
 

@@ -45,6 +45,9 @@ class DiagonalState:
             raise PreconditionError("state weights must be finite")
         if np.any(w <= 0):
             raise PreconditionError("state weights must be strictly positive (faithful)")
+        # positive weights summing to 1 are at most 1; refused before the sum
+        if np.any(w > 1.0 + config.TOL_NUM):
+            raise PreconditionError(f"state weights must not exceed 1, got {w.max():.6g}")
         if abs(w.sum() - 1.0) > config.TOL_NUM:
             raise PreconditionError(f"state weights sum to {w.sum():.12f}, expected 1")
         object.__setattr__(self, "weights", w)

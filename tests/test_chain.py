@@ -142,13 +142,43 @@ def test_beta_matches_dense_conjugation():
 
 
 def test_markov_property_all_levels_depth_two():
-    chain = _chain(2)
-    for n in range(3):
-        for q in range(n, 3):
-            report = verify_markov_property(chain, n, q)
-            assert max(report.values()) < 1e-12, (n, q, report)
-    with pytest.raises(PreconditionError):
-        verify_markov_property(chain, 2, 1)
+    rows = verify_markov_property(_chain(2))
+    assert list(rows) == [(n, q) for n in range(3) for q in range(n, 3)]
+    for (n, q), report in rows.items():
+        assert max(report.values()) < 1e-12, (n, q, report)
+
+
+def _markov_row_reference(chain, n, q):
+    """One row of verify_markov_property on its own: the pair powers up to q,
+    the J_0, J_n and J_q block stacks and the future row at n built afresh,
+    and the shift lifts beta^(q-n) of the depth-0 unit formed for this row."""
+    powers = chain_module._pair_powers(chain, q)
+    t_step = (chain.symbol.matrix ** (q - n))[:, :, None, None]
+    t_level = (chain.symbol.matrix ** n)[:, :, None, None]
+    past = max_abs(chain_module._past_blocks(
+        chain, n, chain_module._embed_blocks(chain, powers[q])) - t_step * powers[n])
+    future = max_abs(chain_module._future_blocks(
+        chain, n, powers[n], chain_module._embed_blocks(chain, powers[0]))
+        - t_level * chain_module._embed_blocks(chain, powers[n]))
+    power = q - n
+    shift = 0.0
+    if power > 0:
+        lifts = chain_module._beta_blocks(chain, np.ones((1, 1, 1, 1), dtype=complex), power)
+        lifts = lifts.reshape(*lifts.shape[:2], -1)[..., chain.even_basis[power][0]]
+        traced = chain.leg_dim ** (chain.depth - q)
+        index, phase = chain.even_basis[n]
+        count = index.size
+        chunk = max(1, chain_module.config.CHUNK_BYTES // (4 * 16 * lifts.size * count))
+        for start in range(0, count, chunk):
+            stop = min(start + chunk, count)
+            units = np.zeros((stop - start, count), dtype=complex)
+            units[np.arange(stop - start), np.arange(start, stop)] = 1 / traced
+            units = units.reshape(-1, *index.shape)
+            lhs = chain_module._even_part(chain.even_basis[q][1],
+                                          chain_module._diagonal_outer(lifts, units))
+            rhs = chain_module._diagonal_outer(lifts, chain_module._even_part(phase, units))
+            shift = max(shift, max_abs(lhs - rhs))
+    return {"past": past, "future": future, "shift": shift}
 
 
 def _dense_beta_power(chain, x, power):
@@ -195,10 +225,10 @@ def test_markov_rows_match_dense_reference(n, rank, depth):
     gen = rng(9400 + 100 * n + 10 * rank + depth)
     for _ in range(2):
         chain = _gram_chain(gen, n, rank, depth)
+        rows = verify_markov_property(chain)
         for lo in range(depth + 1):
             for hi in range(lo, depth + 1):
-                assert verify_markov_property(chain, lo, hi) == \
-                    _dense_markov_property(chain, lo, hi), (lo, hi)
+                assert rows[lo, hi] == _dense_markov_property(chain, lo, hi), (lo, hi)
 
 
 def test_markov_rows_match_dense_reference_off_the_identity(monkeypatch):
@@ -215,9 +245,10 @@ def test_markov_rows_match_dense_reference_off_the_identity(monkeypatch):
 
     monkeypatch.setattr(chain_module, "_even_part", skewed)
     for chain in (_chain(2), _gram_chain(rng(9500), 3, 2, 2)):
+        rows = verify_markov_property(chain)
         for lo in range(3):
             for hi in range(lo + 1, 3):
-                report = verify_markov_property(chain, lo, hi)
+                report = rows[lo, hi]
                 assert report == _dense_markov_property(chain, lo, hi), (lo, hi)
                 assert report["shift"] > 1e-6
 
@@ -348,10 +379,46 @@ def test_shift_row_is_the_lifted_reference(shape, seed):
     chain = _gram_chain(rng(seed), *shape)
     pairs = [(n, q) for q in range(1, chain.depth + 1) for n in range(q)]
     expected = [_lifted_shift(chain, n, q) for n, q in pairs]
-    assert [verify_markov_property(chain, n, q)["shift"] for n, q in pairs] == expected
+    rows = verify_markov_property(chain)
+    assert [rows[n, q]["shift"] for n, q in pairs] == expected
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chain_module.config, "CHUNK_BYTES", 1)
-        assert [verify_markov_property(chain, n, q)["shift"] for n, q in pairs] == expected
+        rows = verify_markov_property(chain)
+        assert [rows[n, q]["shift"] for n, q in pairs] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GRAM_SHAPES), st.integers(0, 2 ** 32 - 1))
+def test_markov_rows_are_the_per_row_reference(shape, seed):
+    chain = _gram_chain(rng(seed), *shape)
+    pairs = [(n, q) for n in range(chain.depth + 1) for q in range(n, chain.depth + 1)]
+    expected = {(n, q): _markov_row_reference(chain, n, q) for n, q in pairs}
+    assert verify_markov_property(chain) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module.config, "CHUNK_BYTES", 1)
+        assert verify_markov_property(chain) == expected
+
+
+def test_markov_rows_build_shared_work_once(monkeypatch):
+    calls = {"_pair_powers": [], "_future_blocks": [], "_embed_blocks": []}
+
+    def spy(name):
+        original = getattr(chain_module, name)
+
+        def counted(*args):
+            calls[name].append(args)
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(chain_module, name, spy(name))
+    chain = _gram_chain(rng(9502), 3, 1, 3)
+    verify_markov_property(chain)
+    assert len(calls["_pair_powers"]) == 1
+    assert [args[1] for args in calls["_future_blocks"]] == list(range(chain.depth + 1))
+    # one J_q block stack per level, read off the side of its pair powers
+    assert [args[1].shape[-1] for args in calls["_embed_blocks"]] == \
+        [chain.leg_dim ** q for q in range(chain.depth + 1)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -396,23 +463,25 @@ def test_traced_units_are_the_units_with_agreeing_traced_legs():
 
 def test_shift_check_is_the_same_in_small_chunks(monkeypatch):
     chain = _gram_chain(rng(9501), 2, 2, 2)
-    whole = [verify_markov_property(chain, 0, q) for q in (1, 2)]
+    whole = verify_markov_property(chain)
     monkeypatch.setattr(chain_module.config, "CHUNK_BYTES", 1)
-    assert [verify_markov_property(chain, 0, q) for q in (1, 2)] == whole
+    assert verify_markov_property(chain) == whole
 
 
-def test_shift_check_working_set_stays_near_one_chunk():
-    # row (2, 3) of `rota --depth 3` on the shipped fixture: the past at
-    # q = depth holds several arrays of the lifted chunk's size at once, and
-    # the chunk is sized so that together they stay near CHUNK_BYTES
+def test_shift_check_working_set_stays_near_one_chunk(monkeypatch):
+    # the Markov rows of `rota --depth 3` on the shipped fixture: unchunked,
+    # row (2, 3) holds about 7 MiB of diagonal arrays at once, which a
+    # CHUNK_BYTES of 2 MiB cuts into chunks whose arrays take about 2 MiB
+    # together; the rest of the call (the J_q block stacks) stays well below
+    monkeypatch.setattr(chain_module.config, "CHUNK_BYTES", 2 ** 21)
     chain = _chain(3)
     tracemalloc.start()
     try:
-        assert verify_markov_property(chain, 2, 3)["shift"] <= 1e-12
+        assert max(row["shift"] for row in verify_markov_property(chain).values()) <= 1e-12
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * chain_module.config.CHUNK_BYTES
+    assert peak <= 1.5 * chain_module.config.CHUNK_BYTES
 
 
 def test_shift_units_with_unequal_traced_legs_vanish_on_both_sides():

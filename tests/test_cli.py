@@ -541,10 +541,15 @@ def test_bad_flags_exit_two_with_an_error(command, flags, message):
 @pytest.mark.parametrize("weights, message", [
     ([0.5, float("nan")], "error: state weights must be finite"),
     ([[0.5], [0.5]], "error: state weights must be a 1-D"),
-], ids=["nan", "nested"])
+    # their sum overflows: each weight is refused before it is summed
+    ([1e308, 1e308], "error: state weights must not exceed 1"),
+], ids=["nan", "nested", "overflow"])
 def test_bad_weights_exit_two_with_an_error(weights, message):
     for command in ("check-schur", "rota"):
-        code, out, err = run_main(command, {"symbol": [[1, 0.5], [0.5, 1]], "weights": weights})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(command, {"symbol": [[1, 0.5], [0.5, 1]],
+                                                "weights": weights})
         assert code == 2
         assert out == ""
         assert err.startswith(message)
