@@ -29,8 +29,9 @@ from .fourier import (FourierSymbol, FiniteGroup, build_crossed_dilation, certif
                       cyclic_group, dihedral_group, symmetric_group,
                       verify_covariance, verify_fourier_identity)
 from .matcore import max_abs
-from .schur import GramSpace, SchurSymbol, certify_symbol, multiplier_map, symbol_tolerances
-from .states import DiagonalState, markov_residuals
+from .schur import (GramSpace, SchurSymbol, certify_symbol, multiplier_markov_residuals,
+                    symbol_tolerances)
+from .states import DiagonalState
 
 
 def _fixture_path(name: str):
@@ -146,7 +147,7 @@ def run_check_schur(args) -> tuple[Checks, int]:
     certified = all([checks.add(f"symbol_{name}", residual, tols[name])
                      for name, residual in certify_symbol(symbol, tol=args.tol).items()])
 
-    mres = markov_residuals(multiplier_map(symbol), state)
+    mres = multiplier_markov_residuals(symbol, state)
     checks.add("markov_unital", mres["unital"], args.tol)
     # a CP map's Choi matrix is Hermitian within --tol and has negative
     # eigenvalue mass within TOL_PSD; rescaling the defect by TOL_PSD / --tol

@@ -17,7 +17,7 @@ import numpy as np
 from . import config
 from .errors import NotPsdError, PreconditionError, ShapeError
 from .matcore import as_square, eig_hermitian, max_abs, negative_mass
-from .states import MarkovMap
+from .states import DiagonalState, MarkovMap
 
 __all__ = [
     "SchurSymbol",
@@ -25,6 +25,7 @@ __all__ = [
     "apply_multiplier",
     "multiplier_map",
     "certify_symbol",
+    "multiplier_markov_residuals",
     "symbol_tolerances",
     "require_symbol",
     "build_gram_space",
@@ -106,6 +107,19 @@ def certify_symbol(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> dict[str
     return {"unital": max_abs(np.diagonal(t) - 1.0),
             "self_adjoint": max(max_abs(t - t.T), max_abs(t.imag)),
             "psd": negative if herm_defect <= tol else herm_defect + negative}
+
+
+def multiplier_markov_residuals(symbol: SchurSymbol, state: DiagonalState) -> dict[str, float]:
+    """states.markov_residuals of the multiplier, read off the symbol: its Choi
+    matrix is t on the span of the e_i (x) e_i and zero elsewhere."""
+    if state.dim != symbol.dim:
+        raise ShapeError("multiplier_markov_residuals: state dimension does not match symbol")
+    t, w = symbol.matrix, state.weights
+    herm_defect, negative = max_abs(t - t.conj().T), negative_mass(t)
+    # sigma_t and the multiplier both scale each matrix unit, so they commute exactly
+    return {"unital": max_abs(np.diagonal(t) - 1.0), "cp": herm_defect + negative,
+            "cp_hermitian": herm_defect, "cp_negative": negative,
+            "state_preserving": max_abs(w * np.diagonal(t) - w), "modular": 0.0}
 
 
 def symbol_tolerances(tol: float) -> dict[str, float]:

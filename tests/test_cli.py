@@ -20,6 +20,7 @@ from dilation_lab import (DiagonalState, PreconditionError, SchurSymbol, build_d
                           cli, config, cyclic_group, markov_residuals, multiplier_map,
                           symmetric_group)
 from dilation_lab.matcore import random_unital_psd_symbol, random_weights, rng
+from dilation_lab.schur import multiplier_markov_residuals
 
 COMMANDS = ["check-schur", "rota", "fourier", "secondquant"]
 
@@ -192,7 +193,7 @@ def run_cli_in_one_gib(command, payload, *flags):
 
 
 def test_full_rank_30x30_check_schur_is_refused_before_any_fiber_array():
-    # the symbol and Markov rows stay small (a 900 x 900 Choi matrix), but
+    # the symbol and Markov rows stay small (a 30 x 30 eigvalsh), but
     # the fiber of a rank-30 Gram space has 2^30 entries: the cap must refuse
     # it before its state is formed, so the run fits a 1 GiB address space
     gen = rng(5)
@@ -203,6 +204,18 @@ def test_full_rank_30x30_check_schur_is_refused_before_any_fiber_array():
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "cap" in result.stderr
+
+
+def test_rank_2_64x64_check_schur_reads_its_markov_rows_off_the_symbol():
+    # ambient dimension 4 * 64; the multiplier as an n^2 x n^2 superoperator
+    # would take 256 MiB, and its Choi eigvalsh O(n^6) time
+    payload = {"symbol": random_unital_psd_symbol(rng(3), 64, rank=2).tolist(),
+               "weights": random_weights(rng(4), 64).tolist()}
+    result, seconds = run_cli_in_one_gib("check-schur", payload)
+    assert result.returncode == 0, result.stderr
+    assert [row["name"] for row in json.loads(result.stdout)["checks"]] == \
+        FIXTURE_ROWS["check-schur"]
+    assert seconds < 20.0
 
 
 def test_full_rank_12x12_rota_is_refused_before_any_fermion_operator():
@@ -627,8 +640,10 @@ def test_markov_cp_row_applies_both_tolerances():
     # eigenvalue mass is held to TOL_PSD: a defect of 5e-10 passes the row
     payload = {"symbol": [[1, 0.5], [0.5000000005, 1]], "weights": [0.5, 0.5]}
     symbol = SchurSymbol(np.array(payload["symbol"], dtype=complex))
-    res = markov_residuals(multiplier_map(symbol), DiagonalState(payload["weights"]))
-    assert res["cp_negative"] <= config.TOL_PSD < res["cp_hermitian"] <= config.TOL_NUM
+    state = DiagonalState(payload["weights"])
+    for res in (markov_residuals(multiplier_map(symbol), state),
+                multiplier_markov_residuals(symbol, state)):
+        assert res["cp_negative"] <= config.TOL_PSD < res["cp_hermitian"] <= config.TOL_NUM
     for flags, passed in (((), True), (("--tol", "4e-10"), False)):
         _, report = run_in_process("check-schur", payload, *flags)
         row = next(check for check in report["checks"] if check["name"] == "markov_cp")

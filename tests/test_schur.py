@@ -9,7 +9,7 @@ from dilation_lab import (DiagonalState, GramSpace, NotPsdError, PreconditionErr
                           multiplier_map)
 from dilation_lab.matcore import (max_abs, random_complex, random_unital_psd_symbol,
                                   random_weights, rng)
-from dilation_lab.schur import require_symbol
+from dilation_lab.schur import multiplier_markov_residuals, require_symbol
 
 
 def test_apply_multiplier_is_entrywise():
@@ -170,3 +170,46 @@ def test_choi_verdict_equals_symbol_verdict(case):
     res = markov_residuals(multiplier_map(symbol), state)
     choi_cp = res["cp_hermitian"] <= config.TOL_NUM and res["cp_negative"] <= config.TOL_PSD
     assert choi_cp == (certify_symbol(symbol)["psd"] <= config.TOL_PSD)
+
+
+@st.composite
+def symbols_failing_each_row(draw):
+    """n x n symbols, n <= 6, with weights: unital PSD symbols of every Gram
+    rank, as drawn or made non-unital, non-Hermitian, complex (Hermitian or
+    not) or not PSD."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    gen = rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    t = random_unital_psd_symbol(gen, n, draw(st.integers(min_value=1, max_value=n))
+                                 ).astype(complex)
+    scale = draw(st.sampled_from([1e-12, 1e-3, 0.5]))
+    kind = draw(st.sampled_from(["psd", "non-unital", "non-hermitian", "complex-hermitian",
+                                 "complex", "not-psd"]))
+    noise = gen.standard_normal((n, n))
+    if kind == "non-unital":
+        t[np.diag_indices(n)] += scale * noise[0]
+    elif kind == "non-hermitian":
+        t += scale * noise
+    elif kind == "complex-hermitian":
+        t += 1j * scale * (noise - noise.T)
+    elif kind == "complex":
+        t += 1j * scale * noise
+    elif kind == "not-psd" and n == 1:
+        t[0, 0] = -scale
+    elif kind == "not-psd":
+        t[0, 1] = t[1, 0] = 1 + scale  # the leading 2 x 2 minor is negative
+    return SchurSymbol(t), DiagonalState(random_weights(gen, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbols_failing_each_row())
+def test_markov_rows_from_the_symbol_are_the_superoperator_rows(case):
+    # the multiplier's Choi matrix is t on the span of the e_i (x) e_i, and
+    # the map and sigma_t are both diagonal on matrix units
+    symbol, state = case
+    rows = multiplier_markov_residuals(symbol, state)
+    reference = markov_residuals(multiplier_map(symbol), state)
+    assert rows.keys() == reference.keys()
+    for key in ("unital", "cp_hermitian", "state_preserving", "modular"):
+        assert rows[key] == reference[key], key
+    for key in ("cp", "cp_negative"):
+        assert abs(rows[key] - reference[key]) <= 1e-13, key
