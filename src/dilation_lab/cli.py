@@ -131,6 +131,10 @@ class Checks:
         self.rows: list[dict] = []
 
     def add(self, name: str, residual: float, tol: float) -> bool:
+        """Append a row; a residual that is no finite number is refused, since
+        no JSON report can hold it."""
+        if not np.isfinite(residual):
+            raise DilationLabError(f"{name} residual {residual} is not a finite number")
         ok = bool(residual <= tol)
         self.rows.append({"name": name, "residual": float(residual),
                           "tol": float(tol), "pass": ok})

@@ -102,10 +102,11 @@ def certify_symbol(symbol: SchurSymbol, tol: float = config.TOL_NUM) -> dict[str
     equals its GNS adjoint for every faithful diagonal state exactly then.
     """
     t = symbol.matrix
-    herm_defect = max_abs(t - t.conj().T)
+    with np.errstate(over="ignore"):  # a defect past the float range reads inf
+        herm_defect = max_abs(t - t.conj().T)
+        self_adjoint = max(max_abs(t - t.T), max_abs(t.imag))
     negative = negative_mass(t)
-    return {"unital": max_abs(np.diagonal(t) - 1.0),
-            "self_adjoint": max(max_abs(t - t.T), max_abs(t.imag)),
+    return {"unital": max_abs(np.diagonal(t) - 1.0), "self_adjoint": self_adjoint,
             "psd": negative if herm_defect <= tol else herm_defect + negative}
 
 
@@ -115,7 +116,8 @@ def multiplier_markov_residuals(symbol: SchurSymbol, state: DiagonalState) -> di
     if state.dim != symbol.dim:
         raise ShapeError("multiplier_markov_residuals: state dimension does not match symbol")
     t, w = symbol.matrix, state.weights
-    herm_defect, negative = max_abs(t - t.conj().T), negative_mass(t)
+    with np.errstate(over="ignore"):  # as in certify_symbol
+        herm_defect, negative = max_abs(t - t.conj().T), negative_mass(t)
     # sigma_t and the multiplier both scale each matrix unit, so they commute exactly
     return {"unital": max_abs(np.diagonal(t) - 1.0), "cp": herm_defect + negative,
             "cp_hermitian": herm_defect, "cp_negative": negative,

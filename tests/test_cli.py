@@ -481,6 +481,34 @@ def test_overflowing_symbol_fails_its_psd_rows(command, payload, rows):
             if not check["pass"]] == [(row, 1e308) for row in rows]
 
 
+# t - t^H overflows on these symbols: an infinite residual is no JSON number,
+# so the run names the row or the symbol and exits 2, warning nothing
+@pytest.mark.parametrize("command, payload, message", [
+    ("check-schur", {"symbol": [[1, 1e308], [-1e308, 1]], "weights": [0.5, 0.5]},
+     "error: symbol_self_adjoint residual inf is not a finite number\n"),
+    ("fourier", {"group": "cyclic:3", "t": [1, 1e308, -1e308]},
+     "error: posdef_self_adjoint residual inf is not a finite number\n"),
+    ("rota", {"symbol": [[1, 1e308], [-1e308, 1]], "weights": [0.5, 0.5]},
+     "error: symbol must be unital, PSD, self-adjoint: self_adjoint residual inf > "
+     "tol 1.0e-09; psd residual inf > tol 1.0e-10\n"),
+], ids=["check-schur", "fourier", "rota"])
+def test_overflowing_defect_exits_two_without_a_warning(command, payload, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(command, payload)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_tolerance_rescale_past_the_float_range_exits_two():
+    # TOL_PSD / 5e-324 is inf, so the markov_cp row of a non-Hermitian symbol
+    # reads inf, which no report holds
+    payload = {"symbol": [[1, 0.5], [0.4, 1]], "weights": [0.5, 0.5]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main("check-schur", payload, "--tol", "5e-324")
+    assert (code, out, err) == (2, "", "error: markov_cp residual inf is not a finite number\n")
+
+
 def test_secondquant_refuses_an_overflowing_contraction():
     # (t + t^T) / 2 overflows here, and a NaN norm must not pass as <= 1
     payload = {"matrix": [[1e308, 1e308], [1e308, 1e308]], "window": 1}
