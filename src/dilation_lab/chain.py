@@ -423,8 +423,9 @@ def verify_markov_property(chain: ChainSpace) -> dict[tuple[int, int], dict[str,
     t_pow = [(chain.symbol.matrix ** k)[:, :, None, None] for k in range(chain.depth + 1)]
     j_0, futures, pasts = _embed_blocks(chain, powers[0]), [], {}
     for q in range(chain.depth + 1):
-        # both rows subtract in place, and J_0 goes once the last future row is
-        # built, before the last J_q: q = depth holds four tail-sized stacks
+        # the future row subtracts in place from the fresh stack its builder
+        # returns, and J_0 goes once the last one is built, before the last
+        # J_q: no level holds more than five tail-sized stacks
         future = _future_blocks(chain, q, powers[q], j_0)
         if q == chain.depth:
             del j_0
@@ -433,10 +434,8 @@ def verify_markov_property(chain: ChainSpace) -> dict[tuple[int, int], dict[str,
         futures.append(max_abs(future))
         del future
         for n in range(q + 1):
-            past = _past_blocks(chain, n, j_q)
-            past -= t_pow[q - n] * powers[n]
-            pasts[n, q] = max_abs(past)
-        del j_q, past
+            pasts[n, q] = max_abs(_past_blocks(chain, n, j_q) - t_pow[q - n] * powers[n])
+        del j_q
     del powers
     # block (i, j) of beta^p(e_ab (x) e_rr) is A_ij (x) e_ab (x) e_rr, with
     # A = beta^p of the depth-0 unit: keep the even diagonals of each A

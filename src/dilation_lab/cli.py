@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -133,7 +134,7 @@ class Checks:
     def add(self, name: str, residual: float, tol: float) -> bool:
         """Append a row; a residual that is no finite number is refused, since
         no JSON report can hold it."""
-        if not np.isfinite(residual):
+        if not math.isfinite(residual):
             raise DilationLabError(f"{name} residual {residual} is not a finite number")
         ok = bool(residual <= tol)
         self.rows.append({"name": name, "residual": float(residual),

@@ -116,8 +116,9 @@ def multiplier_markov_residuals(symbol: SchurSymbol, state: DiagonalState) -> di
     if state.dim != symbol.dim:
         raise ShapeError("multiplier_markov_residuals: state dimension does not match symbol")
     t, w = symbol.matrix, state.weights
-    with np.errstate(over="ignore"):  # as in certify_symbol
-        herm_defect, negative = max_abs(t - t.conj().T), negative_mass(t)
+    with np.errstate(over="ignore"):  # a defect past the float range reads inf
+        herm_defect = max_abs(t - t.conj().T)
+    negative = negative_mass(t)
     # sigma_t and the multiplier both scale each matrix unit, so they commute exactly
     return {"unital": max_abs(np.diagonal(t) - 1.0), "cp": herm_defect + negative,
             "cp_hermitian": herm_defect, "cp_negative": negative,

@@ -400,10 +400,10 @@ def test_markov_rows_are_the_per_row_reference(shape, seed):
 
 
 def test_markov_rows_hold_few_tail_stacks(monkeypatch):
-    # one (n, n, tail, tail) stack is 4 MiB here.  The rows at q = depth held
-    # six at once (pair powers, J_0, J_q, the future row, t^q J_q and the
-    # difference); the first future row now holds the most, five (pair
-    # powers, J_0, its copy, the projection and the projection's diagonals)
+    # one (n, n, tail, tail) stack is 4 MiB here.  The future row at
+    # q = depth held six at once (pair powers, J_0, J_q, the row, t^q J_q and
+    # the difference); with the row subtracted in place and J_0 dropped
+    # before J_q, no level holds more than five
     monkeypatch.setattr(chain_module.config, "BYTE_CAP", 2 ** 40)
     chain = _gram_chain(rng(9501), 32, 4, 1)
     stack = 16 * chain.input_dim ** 2 * chain.tail_dim ** 2
